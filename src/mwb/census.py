@@ -16,7 +16,7 @@ from math import comb
 
 from . import iso
 from .core import Complex, f_vector, from_facets, is_pseudomanifold, link
-from .errors import CapExceeded, NotASurface
+from .errors import CapExceeded, InvalidArgument, NotASurface
 from .homology import orientability
 
 SURFACE_CAP_DEFAULT = 10
@@ -276,7 +276,7 @@ def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,
                        ) -> CensusResult:
     """One representative count per isomorphism class of closed surfaces."""
     if not 4 <= n:
-        raise ValueError("n must be >= 4")
+        raise InvalidArgument(f"n must be >= 4, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the census cap {cap}")
     found = _census(n, None, threads)
@@ -295,7 +295,7 @@ def enumerate_spheres(n: int, cap: int = SPHERE_CAP_DEFAULT,
                       threads: int = 1) -> int:
     """Number of combinatorial types of triangulated 2-spheres on n vertices."""
     if not 4 <= n:
-        raise ValueError("n must be >= 4")
+        raise InvalidArgument(f"n must be >= 4, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the census cap {cap}")
     return len(_census(n, 2, threads))

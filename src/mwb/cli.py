@@ -79,7 +79,7 @@ def cmd_verify(args):
     if args.what == "pseudomanifold":
         verdict = is_pseudomanifold(C)
     else:
-        verdict = is_combinatorial_manifold(C, flip_budget=args.budget or 10_000)
+        verdict = is_combinatorial_manifold(C, flip_budget=args.budget)
     print(verdict.status + (f": {verdict.witness}" if verdict.witness else ""))
     if verdict.status == "yes":
         return OK
@@ -278,7 +278,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="pseudomanifold/manifold/catalog checks")
     sp.add_argument("what", choices=("pseudomanifold", "manifold", "catalog"))
     common(sp)
-    sp.add_argument("--budget", type=int, default=None,
+    sp.add_argument("--budget", type=int, default=10_000,
                     help="flip budget per link for manifold verification")
     sp = sub.add_parser("reduce", help="search for a smaller triangulation")
     common(sp, out=True)

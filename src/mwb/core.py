@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import NotAFace, NotPure, UnsupportedDimension
+from .errors import BudgetZero, NotAFace, NotPure, UnsupportedDimension
 
 Face = tuple  # strictly increasing tuple of vertex labels
 
@@ -214,10 +214,12 @@ def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> Manifold
     pseudomanifold property).  Higher links are first screened by homology
     and then reduced with bistellar flips; a link that reaches the boundary
     of a simplex within ``flip_budget`` moves is certified, otherwise the
-    verdict is "unknown".
+    verdict is "unknown".  A ``flip_budget`` below 1 raises BudgetZero.
     """
     from .flips import Schedule, reduce as flip_reduce
 
+    if flip_budget <= 0:
+        raise BudgetZero("flip budget must be positive")
     pm = is_pseudomanifold(C)
     if not pm:
         return ManifoldVerdict("no", pm.witness)

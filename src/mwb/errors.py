@@ -33,6 +33,10 @@ class IllegalMove(WorkbenchError):
     """Bistellar move fails a legality condition."""
 
 
+class InvalidArgument(WorkbenchError, ValueError):
+    """A numeric argument lies outside its documented range."""
+
+
 class BudgetZero(WorkbenchError):
     """Search invoked with no move budget."""
 

@@ -7,15 +7,23 @@ simplex.  The reducer greedily prefers moves that lower the lexicographic
 f-vector, escapes local minima with bounded random "heating" phases, and
 returns to the best complex (by explicit inverse moves, so traces stay
 replayable) whenever an excursion fails to improve it.
+
+Legal moves are kept incrementally (see ``_State``): after a move only the
+faces in the changed star, and the faces whose insert-face the move created
+or deleted, are re-tested, so the cost of a move scales with the star it
+changes rather than with the complex.  Picks draw from the legal moves
+sorted by remove-face, so every search and walk, and its trace, depends
+only on (input, seed, budget, schedule).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 from . import core
 from .core import Complex
-from .errors import BudgetZero, IllegalMove
+from .errors import BudgetZero, IllegalMove, InvalidArgument
 
 _MASK = (1 << 64) - 1
 
@@ -81,11 +89,18 @@ class Schedule:
 
 
 class _State:
-    """Mutable facet set with a star index (face -> facets containing it).
+    """Mutable facet set with a star index (face -> facets containing it)
+    and an incrementally maintained legal-move index.
 
     Labels need not stay contiguous while moves are applied (d-moves leave
     gaps); complexes are compacted only on export.  That keeps every move
     exactly invertible in place.
+
+    The legal-move index of a kind is built on the first ``pool(kind)`` call,
+    so replaying a trace never pays for it.  From then on a move marks dirty
+    the faces whose star it changed (the proper subfaces of A u B) and, when
+    it creates or deletes a face B, every remove-face whose link is dB; only
+    dirty faces are re-tested, when the pool is next read.
     """
 
     def __init__(self, C: Complex):
@@ -93,33 +108,43 @@ class _State:
         self.max_label = C.n
         self.facets: set = set()
         self.star: dict = {}
-        self.faces_by_dim = [set() for _ in range(self.d + 1)]
         self.counts = [0] * (self.d + 1)
+        # per kind: sorted remove-faces of the legal moves (kind 0: facets),
+        # None until first read
+        self._pools: list = [None] * (self.d + 1)
+        self._spheres: list = [None] * (self.d + 1)  # kind -> {A: B}, link(A) = dB
+        self._dirty: list = [None] * (self.d + 1)    # kind -> faces to re-test
+        self._wants: dict = {}   # B -> [A : link(A) = dB], B a face or not
+        self._indexed: list = []  # kinds >= 1 with an index
         for F in C.facets:
             self._add_facet(F)
 
     def _add_facet(self, F: tuple):
         self.facets.add(F)
+        star, counts, wants = self.star, self.counts, self._wants
         for size in range(1, len(F) + 1):
             for s in itertools.combinations(F, size):
-                st = self.star.get(s)
+                st = star.get(s)
                 if st is None:
-                    self.star[s] = {F}
-                    self.faces_by_dim[size - 1].add(s)
-                    self.counts[size - 1] += 1
+                    star[s] = {F}
+                    counts[size - 1] += 1
+                    if s in wants:  # moves inserting s are now blocked
+                        self._dirty[size - 1].update(wants[s])
                 else:
                     st.add(F)
 
     def _remove_facet(self, F: tuple):
         self.facets.remove(F)
+        star, counts, wants = self.star, self.counts, self._wants
         for size in range(1, len(F) + 1):
             for s in itertools.combinations(F, size):
-                st = self.star[s]
+                st = star[s]
                 st.discard(F)
                 if not st:
-                    del self.star[s]
-                    self.faces_by_dim[size - 1].discard(s)
-                    self.counts[size - 1] -= 1
+                    del star[s]
+                    counts[size - 1] -= 1
+                    if s in wants:  # moves inserting s may open up
+                        self._dirty[size - 1].update(wants[s])
 
     def f(self) -> tuple:
         return tuple(self.counts)
@@ -127,43 +152,108 @@ class _State:
     def fresh_label(self) -> int:
         return self.max_label + 1
 
-    def candidate(self, kind: int, A: tuple):
-        """Return the insert-face B if (A, B) is a legal kind-move, else None."""
-        if kind == 0:
-            return (self.fresh_label(),) if A in self.facets else None
+    def _link_simplex(self, kind: int, A: tuple):
+        """B if the link of the face A is the boundary of the kind-simplex B
+        (B may or may not be a face), else None."""
         st = self.star.get(A)
         if st is None or len(st) != kind + 1:
             return None
-        As = set(A)
-        U: set = set()
-        for F in st:
-            U.update(F)
-        U -= As
+        U = set().union(*st).difference(A)
         if len(U) != kind + 1:
             return None
-        B = tuple(sorted(U))
-        if B in self.star:
-            return None  # B already a face
-        return B
+        return tuple(sorted(U))
+
+    def candidate(self, kind: int, A: tuple):
+        """Return the insert-face B if (A, B) is a legal kind-move (kind >= 1),
+        else None."""
+        B = self._link_simplex(kind, A)
+        return None if B is None or B in self.star else B
+
+    def _build(self, kind: int) -> list:
+        if kind == 0:
+            pool = self._pools[0] = sorted(self.facets)
+            return pool
+        size = self.d - kind + 1
+        spheres = self._spheres[kind] = {}
+        self._dirty[kind] = set()
+        self._indexed.append(kind)
+        for A in self.star:
+            if len(A) == size:
+                B = self._link_simplex(kind, A)
+                if B is not None:
+                    spheres[A] = B
+                    self._wants.setdefault(B, []).append(A)
+        pool = self._pools[kind] = sorted(
+            A for A, B in spheres.items() if B not in self.star)
+        return pool
+
+    def _retest(self, kind: int, A: tuple):
+        spheres, pool = self._spheres[kind], self._pools[kind]
+        old = spheres.get(A)
+        B = self._link_simplex(kind, A)
+        if B != old:
+            if old is not None:
+                del spheres[A]
+                wanting = self._wants[old]
+                wanting.remove(A)
+                if not wanting:
+                    del self._wants[old]
+            if B is not None:
+                spheres[A] = B
+                self._wants.setdefault(B, []).append(A)
+        i = bisect.bisect_left(pool, A)
+        listed = i < len(pool) and pool[i] == A
+        if B is not None and B not in self.star:
+            if not listed:
+                pool.insert(i, A)
+        elif listed:
+            del pool[i]
+
+    def pool(self, kind: int) -> list:
+        """Remove-faces of the legal kind-moves, sorted; do not mutate."""
+        pool = self._pools[kind]
+        if pool is None:
+            return self._build(kind)
+        if kind:
+            dirty = self._dirty[kind]
+            for A in dirty:
+                self._retest(kind, A)
+            dirty.clear()
+        return pool
+
+    def move(self, kind: int, A: tuple) -> FlipMove:
+        """The legal move of a remove-face taken from ``pool(kind)``."""
+        if kind == 0:
+            return FlipMove(0, A, (self.fresh_label(),))
+        return FlipMove(kind, A, self._spheres[kind][A])
 
     def legal_moves(self, kind: int):
-        out = []
-        for A in sorted(self.faces_by_dim[self.d - kind]):
-            B = self.candidate(kind, A)
-            if B is not None:
-                out.append(FlipMove(kind, A, B))
-        return out
+        return [self.move(kind, A) for A in self.pool(kind)]
 
     def apply(self, m: FlipMove):
-        A, B = m.remove, m.insert
-        Bs = set(B)
-        As = set(A)
-        for b in B:
-            self._remove_facet(tuple(sorted(As | (Bs - {b}))))
-        for a in A:
-            self._add_facet(tuple(sorted((As - {a}) | Bs)))
+        AB = tuple(sorted((*m.remove, *m.insert)))
+        removed = [tuple(v for v in AB if v != b) for b in m.insert]
+        added = [tuple(v for v in AB if v != a) for a in m.remove]
+        for F in removed:
+            self._remove_facet(F)
+        for F in added:
+            self._add_facet(F)
         if m.kind == 0:
-            self.max_label = max(self.max_label, B[0])
+            self.max_label = max(self.max_label, m.insert[0])
+        facet_pool = self._pools[0]
+        if facet_pool is not None:
+            for F in removed:
+                del facet_pool[bisect.bisect_left(facet_pool, F)]
+            for F in added:
+                bisect.insort(facet_pool, F)
+        # the faces whose star changed are the proper subfaces of A u B
+        for kind in self._indexed:
+            dirty = self._dirty[kind]
+            dirty.update(itertools.combinations(AB, self.d - kind + 1))
+            if len(dirty) > 2 * self.counts[self.d - kind]:
+                # a kind the reducer seldom reads (the heating kinds) would
+                # otherwise pile up every face it ever had
+                self.pool(kind)
 
     def snapshot(self) -> tuple:
         return tuple(sorted(self.facets))
@@ -172,7 +262,7 @@ class _State:
 def legal_moves(C: Complex, i: int) -> list:
     """All legal i-moves, lexicographically ordered by remove-face."""
     if not 0 <= i <= C.dim:
-        raise ValueError("move kind out of range")
+        raise InvalidArgument(f"move kind {i} out of range 0..{C.dim}")
     return _State(C).legal_moves(i)
 
 
@@ -245,12 +335,15 @@ def random_walk(C: Complex, seed: int, steps: int, kinds=None):
     state = _State(C)
     rng = SplitMix64(seed)
     kinds = tuple(kinds) if kinds is not None else tuple(range(state.d + 1))
+    if not all(0 <= k <= state.d for k in kinds):
+        raise InvalidArgument(f"move kinds {kinds} out of range 0..{state.d}")
     trace = []
     for _ in range(steps):
-        pools = [p for p in (state.legal_moves(k) for k in kinds) if p]
+        pools = [(k, pool) for k in kinds if (pool := state.pool(k))]
         if not pools:
             break
-        m = rng.choice(rng.choice(pools))
+        kind, pool = rng.choice(pools)
+        m = state.move(kind, rng.choice(pool))
         state.apply(m)
         trace.append(m)
     return core.from_facets(state.snapshot()), trace
@@ -258,9 +351,9 @@ def random_walk(C: Complex, seed: int, steps: int, kinds=None):
 
 def _pick_improving(state: _State, rng: SplitMix64):
     for kind in range(state.d, state.d // 2, -1):
-        cands = state.legal_moves(kind)
-        if cands:
-            return rng.choice(cands)
+        pool = state.pool(kind)
+        if pool:
+            return state.move(kind, rng.choice(pool))
     return None
 
 
@@ -278,9 +371,9 @@ def _pick_heating(state: _State, rng: SplitMix64):
             acc += w
             if r < acc:
                 break
-        cands = state.legal_moves(kinds[idx])
-        if cands:
-            return rng.choice(cands)
+        pool = state.pool(kinds[idx])
+        if pool:
+            return state.move(kinds[idx], rng.choice(pool))
         del kinds[idx], weights[idx]
     return None
 

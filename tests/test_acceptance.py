@@ -1,5 +1,6 @@
 """Acceptance gates: every criterion prints its own PASS line and pins the
 published value it reproduces, exactly (integers) unless stated otherwise."""
+import hashlib
 import os
 import time
 
@@ -17,6 +18,7 @@ from mwb.iso import are_isomorphic, as_determinant, as_link_determinants, \
     automorphism_group, canonical_form
 from mwb.core import is_k_neighborly
 from mwb.realization import realization_check
+from mwb.tri_io import write_trace
 
 S2 = SurfaceClass(True, 0, 2)
 T2 = SurfaceClass(True, 1, 0)
@@ -131,6 +133,9 @@ def test_acceptance_3_flip_reduction():
             break
     assert winner is not None, "no seed reached 12 vertices"
     s2_seed, best, trace = winner
+    # bit-identical trace (also pinned in bench/fingerprints.json)
+    assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == \
+        "6201f5f7f36542d6312a78e38a71ac91756f8825c3eaf387b5bd2495e01f0e29"
     assert homology(best) == expected_h
     final, checkpoints = replay(P, trace,
                                 checkpoint_every=max(2000, len(trace) // 8))

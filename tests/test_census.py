@@ -7,7 +7,7 @@ from mwb.census import (CensusResult, SurfaceClass, classify_surface,
                         enumerate_spheres, enumerate_surfaces)
 from mwb.constructions import boundary_simplex, twisted_bundle
 from mwb.core import is_pseudomanifold
-from mwb.errors import CapExceeded, NotASurface
+from mwb.errors import CapExceeded, InvalidArgument, NotASurface, WorkbenchError
 from mwb.iso import are_isomorphic
 
 S2 = SurfaceClass(True, 0, 2)
@@ -80,3 +80,12 @@ def test_census_output_lines():
     lines = enumerate_surfaces(6).lines()
     assert lines == ["n=6 chi=2 orient=+ genus=0 count=2",
                      "n=6 chi=1 orient=- genus=1 count=1"]
+
+
+def test_census_rejects_too_few_vertices():
+    for enumerate_ in (enumerate_surfaces, enumerate_spheres):
+        with pytest.raises(InvalidArgument, match="n must be >= 4"):
+            enumerate_(3)
+    # callers that catch ValueError or WorkbenchError keep working
+    assert issubclass(InvalidArgument, ValueError)
+    assert issubclass(InvalidArgument, WorkbenchError)

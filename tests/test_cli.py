@@ -117,6 +117,24 @@ def test_census_cap_exit_code(capsys):
     assert main(["census", "surfaces", "--n", "11"]) == 3
 
 
+@pytest.mark.parametrize("what", ["surfaces", "spheres"])
+def test_census_too_few_vertices_exits_2(capsys, what):
+    assert main(["census", what, "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: n must be >= 4, got 3\n"
+
+
+def test_verify_manifold_rejects_zero_budget(capsys, rp3_path):
+    assert main(["verify", "manifold", "--in", rp3_path, "--budget", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: flip budget must be positive\n"
+
+
+def test_verify_manifold_default_budget(capsys, rp3_path):
+    assert main(["verify", "manifold", "--in", rp3_path]) == 0
+    assert capsys.readouterr().out == "yes\n"
+
+
 def test_realize_command(capsys, tmp_path, entries):
     e = entries["csaszar-torus"]
     tri = str(tmp_path / "t.tri")

@@ -5,7 +5,7 @@ import pytest
 from mwb.constructions import boundary_simplex, suspension
 from mwb.core import (f_vector, from_facets, is_combinatorial_manifold,
                       is_k_neighborly, is_pseudomanifold, link, relabeled, star)
-from mwb.errors import NotAFace, NotPure, UnsupportedDimension
+from mwb.errors import BudgetZero, NotAFace, NotPure, UnsupportedDimension
 from mwb.homology import homology
 from mwb.iso import as_determinant
 
@@ -146,6 +146,11 @@ def test_combinatorial_manifold_budget_exhaustion(complexes):
     verdict = is_combinatorial_manifold(complexes["S3xS3-a-13"], flip_budget=1)
     assert verdict.status == "unknown"
     assert "not reduced" in verdict.witness
+
+
+def test_combinatorial_manifold_rejects_zero_budget(csaszar):
+    with pytest.raises(BudgetZero):
+        is_combinatorial_manifold(csaszar, flip_budget=0)
 
 
 def test_euler_consistency_with_homology(complexes):

@@ -1,11 +1,17 @@
+import hashlib
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mwb.constructions import boundary_simplex, twisted_bundle
 from mwb.core import f_vector, is_pseudomanifold
 from mwb.errors import BudgetZero, IllegalMove
-from mwb.flips import (FlipMove, Schedule, apply_move, legal_moves,
-                       random_walk, reduce, replay)
+from mwb.flips import (FlipMove, Schedule, SplitMix64, _State, apply_move,
+                       legal_moves, random_walk, reduce, replay)
 from mwb.homology import homology
+from mwb.tri_io import write_trace
 
 
 def test_boundary_simplex_moves():
@@ -121,3 +127,102 @@ def test_reduce_multi_is_deterministic_and_parallelizable():
     best2, seed2, trace2, _ = reduce_multi(C, range(1, 4), 50_000, sch,
                                            threads=2)
     assert (seed1, best1, trace1) == (seed2, best2, trace2)
+
+
+# --- the incremental legal-move index against a from-scratch oracle -------
+
+def _scan_legal_moves(facets, d, kind, fresh):
+    """Legal kind-moves of a facet set straight from the definition: A is a
+    (d-kind)-face whose link is the boundary of a kind-simplex B that is not
+    a face.  Uses nothing of the flip engine."""
+    if kind == 0:
+        return [FlipMove(0, F, (fresh,)) for F in sorted(facets)]
+    faces = {s for F in facets for r in range(1, d + 2)
+             for s in itertools.combinations(F, r)}
+    moves = []
+    for A in sorted(s for s in faces if len(s) == d - kind + 1):
+        link = sorted(tuple(v for v in F if v not in A)
+                      for F in facets if set(A) <= set(F))
+        B = tuple(sorted({v for G in link for v in G}))
+        if (len(B) == kind + 1 and link == list(itertools.combinations(B, kind))
+                and B not in faces):
+            moves.append(FlipMove(kind, A, B))
+    return moves
+
+
+def _replay_against_oracle(C, trace, read_every=1, seed=0):
+    """Re-apply a trace on one _State; every ``read_every`` moves on average
+    (pseudo-randomly per kind, so dirty faces pile up between reads) compare
+    the indexed legal moves with the oracle scan."""
+    state = _State(C)
+    rng = SplitMix64(seed)
+    for step, m in enumerate([None] + list(trace)):
+        if m is not None:
+            state.apply(m)
+        vertices = {v for F in state.facets for v in F}
+        assert state.fresh_label() not in vertices
+        for k in range(state.d + 1):
+            if read_every == 1 or rng.randrange(read_every) == 0:
+                want = _scan_legal_moves(state.facets, state.d, k,
+                                         state.fresh_label())
+                assert state.legal_moves(k) == want, (step, k)
+
+
+ORACLE_INPUTS = ("boundary_simplex(3)", "RP3-11", "S2xS2-11")
+
+
+def _oracle_input(name, complexes):
+    return boundary_simplex(3) if name == "boundary_simplex(3)" else complexes[name]
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_legal_move_index_matches_oracle_along_walks(name, complexes):
+    C = _oracle_input(name, complexes)
+    _, trace = random_walk(C, seed=5, steps=120)
+    assert len(trace) == 120
+    _replay_against_oracle(C, trace)
+    _replay_against_oracle(C, trace, read_every=7, seed=1)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_legal_move_index_matches_oracle_along_reduce(name, complexes):
+    C = _oracle_input(name, complexes)
+    # start from a walked complex so the reducer has work to do
+    start, _ = random_walk(C, seed=9, steps=40)
+    _, trace, _ = reduce(start, seed=2, budget=150)
+    assert trace
+    _replay_against_oracle(start, trace)
+    _replay_against_oracle(start, trace, read_every=5, seed=3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32), steps=st.integers(1, 60),
+       read_every=st.integers(1, 6), name=st.sampled_from(ORACLE_INPUTS[:2]))
+def test_legal_move_index_matches_oracle_property(complexes, seed, steps,
+                                                  read_every, name):
+    C = _oracle_input(name, complexes)
+    _, trace = random_walk(C, seed=seed, steps=steps)
+    _replay_against_oracle(C, trace, read_every=read_every, seed=seed)
+
+
+def test_random_walk_rejects_kinds_out_of_range(csaszar):
+    with pytest.raises(ValueError):
+        random_walk(csaszar, seed=1, steps=5, kinds=(3,))
+
+
+# --- determinism: the gate-5 walk traces are pinned -----------------------
+
+WALK_TRACE_SHA256 = {
+    "csaszar-torus": "afec175acb123b60e688d49d7f771cad67f0a68729b2b854766ee70865427d14",
+    "RP3-11": "74343853b84befd7cc2d97e52508357bc2e696b194a3b602a303795901e4ba0c",
+    "L31-12": "9b267498c73190b2d00248490466cf8e2df89ef727ed3f001d17d2b95a626a53",
+    "S2xS2-11": "521a0b0e53d1e5ee4bf13aa390ae682fa6e1789c4bf9a5469f6422d14a8a514a",
+    "S3twS1-12": "dd7610819e97f17bfb74317fb837c3f0ce5621ee2f0e283ad7e41b9d9243e11d",
+}
+
+
+@pytest.mark.parametrize("i,name", list(enumerate(WALK_TRACE_SHA256)))
+def test_gate5_walk_traces_are_pinned(i, name, complexes):
+    _, trace = random_walk(complexes[name], seed=1000 + i, steps=1000)
+    digest = hashlib.sha256(write_trace(trace).encode()).hexdigest()
+    assert digest == WALK_TRACE_SHA256[name]
