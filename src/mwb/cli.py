@@ -344,7 +344,8 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET
-    except (WorkbenchError, OSError) as exc:
+    except (WorkbenchError, OSError, UnicodeDecodeError) as exc:
+        # input files are ASCII; a stray byte is an input error, not a crash
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -1,12 +1,13 @@
 """Combinatorial fingerprints, canonical labeling, isomorphism, automorphisms.
 
-Canonical labeling runs individualization-refinement with orbit pruning by
-the automorphisms discovered along the way; vertex counts here are small
-(n <= ~25), so simplicity wins over asymptotics.
+One individualization-refinement search, with orbit pruning by the
+automorphisms discovered along the way, gives both the canonical labeling
+and a generating set of the automorphism group (not necessarily
+irredundant); the group order then comes from orbit-stabilizer. Vertex
+counts here are small (n <= ~25), so simplicity wins over asymptotics.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .core import Complex, f_vector, link, relabeled
@@ -104,12 +105,16 @@ def _relabel_key(facets, perm):
     return tuple(sorted(tuple(sorted(perm[v - 1] for v in F)) for F in facets))
 
 
-def canonical_form(C: Complex):
-    """A canonical representative and the relabeling that produces it.
+def _search(C: Complex):
+    """Individualization-refinement with orbit pruning: the canonical labeling
+    and the automorphisms found at leaves equivalent to the best one.
 
-    Isomorphic complexes map to identical facet lists; the representative is
-    the lexicographically smallest relabeled facet list reachable through
-    refinement-respecting labelings.
+    They generate the whole group. Let L be the final best leaf, the first
+    one visited with the minimal key. A child is pruned only when recorded
+    automorphisms fixing its prefix map it onto an explored sibling, so any
+    automorphism h, composed with recorded ones, carries h(L) onto an
+    explored leaf M with the minimal key; M is L or was visited after it,
+    and then the automorphism L -> M was recorded.
     """
     n = C.n
     facets = C.facets
@@ -133,9 +138,7 @@ def canonical_form(C: Complex):
             if best[0] is None or key < best[0]:
                 best[0], best[1] = key, perm
             elif key == best[0]:
-                inv = [0] * n
-                for v in range(n):
-                    inv[best[1][v] - 1] = v + 1
+                inv = _inverse(best[1])
                 autos.append(tuple(inv[perm[v] - 1] for v in range(n)))
             return
         explored: list = []
@@ -149,7 +152,18 @@ def canonical_form(C: Complex):
             rec(split, prefix + (v,))
 
     rec(_initial_colors(C), ())
-    return relabeled(C, best[1]), best[1]
+    return best[1], autos
+
+
+def canonical_form(C: Complex):
+    """A canonical representative and the relabeling that produces it.
+
+    Isomorphic complexes map to identical facet lists; the representative is
+    the lexicographically smallest relabeled facet list reachable through
+    refinement-respecting labelings.
+    """
+    perm, _ = _search(C)
+    return relabeled(C, perm), perm
 
 
 def _in_orbit(v, explored, gens):
@@ -180,88 +194,43 @@ def are_isomorphic(C1: Complex, C2: Complex) -> bool:
     return canonical_form(C1)[0] == canonical_form(C2)[0]
 
 
-def _strong_colors(C: Complex, vert_facets):
-    """Refined coloring, falling back to link determinants when the cheap
-    signatures stall (neighborly complexes defeat degree-based invariants)."""
-    colors = _refine(_initial_colors(C), vert_facets)
-    if len(set(colors)) < C.n:
-        dets = as_link_determinants(C)
-        order = {key: i for i, key in enumerate(sorted(set(zip(colors, dets))))}
-        colors = _refine([order[key] for key in zip(colors, dets)], vert_facets)
-    return colors
+def _inverse(p):
+    inv = [0] * len(p)
+    for v, w in enumerate(p, start=1):
+        inv[w - 1] = v
+    return tuple(inv)
 
 
-def _all_automorphisms(C: Complex):
-    n = C.n
-    facet_set = set(C.facets)
-    vert_facets = _vertex_facets(C)
-    colors = _strong_colors(C, vert_facets)
-    adjacent = set()
-    for F in C.facets:
-        adjacent.update(itertools.combinations(F, 2))
-    order = sorted(range(1, n + 1), key=lambda v: (colors[v - 1], v))
-    found = []
-    image = {}
-    used = set()
-
-    def ok(u, w):
-        for u2, w2 in image.items():
-            pair_in = (min(u, u2), max(u, u2)) in adjacent
-            pair_out = (min(w, w2), max(w, w2)) in adjacent
-            if pair_in != pair_out:
-                return False
-        for F in vert_facets[u - 1]:
-            if all(x == u or x in image for x in F):
-                img = tuple(sorted(w if x == u else image[x] for x in F))
-                if img not in facet_set:
-                    return False
-        return True
-
-    def rec(k):
-        if k == n:
-            perm = tuple(image[v] for v in range(1, n + 1))
-            found.append(perm)
-            return
-        u = order[k]
-        for w in range(1, n + 1):
-            if w in used or colors[w - 1] != colors[u - 1]:
-                continue
-            if not ok(u, w):
-                continue
-            image[u] = w
-            used.add(w)
-            rec(k + 1)
-            del image[u]
-            used.discard(w)
-
-    rec(0)
-    return found
-
-
-def _closure(gens, n):
+def _order(gens, n):
+    """Group order by orbit-stabilizer down the base 1, 2, ..., n. Each base
+    point's orbit is taken under the stabilizer of the points before it,
+    generated by the Schreier generators of the previous level."""
     identity = tuple(range(1, n + 1))
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
+    order = 1
+    for b in range(1, n + 1):
+        gens = set(gens) - {identity}
+        if not gens:
+            break
+        u = {b: identity}  # u[x] maps b to x
+        queue = [b]
+        for x in queue:
             for g in gens:
-                q = tuple(p[g[i] - 1] for i in range(n))
-                if q not in group:
-                    group.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return group
+                if g[x - 1] not in u:
+                    u[g[x - 1]] = tuple(g[w - 1] for w in u[x])
+                    queue.append(g[x - 1])
+        order *= len(u)
+        inv = {x: _inverse(ux) for x, ux in u.items()}
+        gens = [tuple(inv[g[x - 1]][g[w - 1] - 1] for w in ux)
+                for x, ux in u.items() for g in gens]
+    return order
 
 
 def automorphism_group(C: Complex) -> GroupDescription:
-    """Generators and exact order of the facet-preserving vertex permutations."""
-    elements = _all_automorphisms(C)
-    n = C.n
-    gens: list = []
-    closed = {tuple(range(1, n + 1))}
-    for g in sorted(elements):
-        if g not in closed:
-            gens.append(g)
-            closed = _closure(gens, n)
-    return GroupDescription(tuple(gens), len(elements))
+    """Generators and exact order of the facet-preserving vertex permutations.
+
+    The generators are the automorphisms the canonical-form search finds, in
+    the order found; they generate the group but need not be irredundant.
+    The order comes from orbit-stabilizer, without listing group elements.
+    """
+    _, autos = _search(C)
+    return GroupDescription(tuple(autos), _order(autos, C.n))

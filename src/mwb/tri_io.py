@@ -4,7 +4,7 @@ A .tri file is a `d n` header followed by one facet per line (d+1 labels).
 Input labels may be decimal or the single characters a-z for 10-35 (the
 shorthand used in printed facet tables); output is always decimal, with
 facets and vertices sorted, so writing is byte-deterministic and
-parse(write(C)) == C.
+parse(write(C)) == C whenever n >= d+2, the least a header admits.
 """
 from __future__ import annotations
 
@@ -15,9 +15,20 @@ from .errors import ParseError
 from .flips import FlipMove
 
 
-def _parse_label(tok: str, line_no: int) -> int:
-    if tok.isdigit():
+def _decimal(tok: str, line_no: int) -> int | None:
+    """The value of an ASCII decimal token, None for any other token."""
+    if not (tok.isascii() and tok.isdigit()):
+        return None  # str.isdigit alone also passes superscript digits
+    try:
         return int(tok)
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number of {len(tok)} digits is too long", line_no)
+
+
+def _parse_label(tok: str, line_no: int) -> int:
+    v = _decimal(tok, line_no)
+    if v is not None:
+        return v
     if len(tok) == 1 and "a" <= tok <= "z":
         return 10 + ord(tok) - ord("a")
     raise ParseError(f"bad vertex label {tok!r}", line_no)
@@ -33,9 +44,9 @@ def parse(text: str) -> Complex:
             continue
         toks = line.split()
         if header is None:
-            if len(toks) != 2 or not all(t.isdigit() for t in toks):
+            header = tuple(_decimal(t, line_no) for t in toks)
+            if len(header) != 2 or None in header:
                 raise ParseError("header must be 'd n'", line_no)
-            header = (int(toks[0]), int(toks[1]))
             if header[0] < 1 or header[1] < header[0] + 2:
                 raise ParseError("need d >= 1 and n >= d+2", line_no)
             continue
@@ -95,15 +106,17 @@ def parse_trace(text: str) -> list:
 
 
 def _parse_coord(tok: str, line_no: int) -> Fraction:
+    if "e" in tok.lower():  # Fraction("1e999999999") builds a huge integer
+        raise ParseError(f"exponent in coordinate {tok!r}", line_no)
     try:
         return Fraction(tok)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad coordinate {tok!r}", line_no)
 
 
 def parse_coords(text: str) -> dict:
     """Lines `v x y z`; coordinates may be integers, fractions, or decimals
-    (all converted exactly)."""
+    without exponent (all converted exactly)."""
     coords = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

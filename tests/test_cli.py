@@ -155,6 +155,38 @@ def test_missing_file_exits_2(capsys):
     assert main(["info", "--in", "no-such-file.tri"]) == 2
 
 
+def _assert_one_line_input_error(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["tri", "coords", "trace"])
+def test_non_ascii_input_file_exits_2(capsys, tmp_path, kind):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_bytes(b"# caf\xc3\xa9 \xff\n1 2 3\n")
+    argv = {"tri": ["info", "--in", str(bad)],
+            "coords": ["realize", "--in", "csaszar-torus", "--coords", str(bad)],
+            "trace": ["replay", "--in", "csaszar-torus", "--trace", str(bad)]}
+    _assert_one_line_input_error(capsys, argv[kind])
+
+
+@pytest.mark.parametrize("text", ["2 4\n1 2 3\n1 2 4\n1 3 4\n2 3 \u00b3\n",
+                                  "2 \u00b3\n1 2 3\n"])
+def test_unicode_digit_exits_2(capsys, tmp_path, text):
+    bad = tmp_path / "digit.tri"
+    bad.write_text(text, encoding="utf-8")
+    _assert_one_line_input_error(capsys, ["info", "--in", str(bad)])
+
+
+def test_zero_denominator_coordinate_exits_2(capsys, tmp_path):
+    bad = tmp_path / "zero.coords"
+    bad.write_text("".join(f"{v} {v} 1/0 0\n" for v in range(1, 8)))
+    _assert_one_line_input_error(
+        capsys, ["realize", "--in", "csaszar-torus", "--coords", str(bad)])
+
+
 def test_verify_catalog(capsys):
     assert main(["verify", "catalog"]) == 0
     out = capsys.readouterr().out

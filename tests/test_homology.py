@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from mwb.constructions import boundary_simplex
 from mwb.core import f_vector, from_facets, relabeled
@@ -31,6 +35,39 @@ def test_smith_normal_form_small_cases():
     # hand elimination: gcd 2, |det| 8 forces (2, 4)
     assert smith_normal_form([[2, 4], [6, 8]]) == ((2, 4), 2)
     assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
+
+
+def _sympy_factors(M):
+    S = sympy_snf(Matrix(M), domain=ZZ)
+    diag = [abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i] != 0]
+    return tuple(sorted(diag)), len(diag)
+
+
+@st.composite
+def _integer_matrices(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    M = [draw(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols))
+         for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+        M[i] = [0] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+        for row in M:
+            row[j] = 0
+    return M
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=_integer_matrices())
+def test_smith_normal_form_matches_sympy(M):
+    assert smith_normal_form(M) == _sympy_factors(M)
+
+
+@pytest.mark.parametrize("name", ["csaszar-torus", "RP3-11"])
+def test_smith_normal_form_matches_sympy_on_boundary_maps(name, complexes):
+    C = complexes[name]
+    for k in range(1, C.dim + 1):
+        M = boundary_matrix(C, k)
+        assert smith_normal_form(M) == _sympy_factors(M)
 
 
 def test_rp2_boundary_has_one_even_invariant_factor(rp2_6):

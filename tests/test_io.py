@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mwb.core import from_facets
 from mwb.errors import ParseError
@@ -46,6 +48,13 @@ def test_parse_errors_carry_line_numbers():
         parse("# nothing\n")
     with pytest.raises(ParseError):
         parse("2 4\n1 2 2\n")
+    # '\u00b3' and '\u0663' pass str.isdigit; only ASCII digits are numbers
+    for text in ("2 4\n1 2 3\n1 2 4\n1 3 4\n2 3 \u00b3\n",
+                 "2 \u00b3\n1 2 3\n", "\u0662 4\n1 2 3\n",
+                 "2 4\n1 2 3\n1 2 4\n1 3 4\n2 3 \u0664\n",
+                 "2 " + "9" * 5000 + "\n1 2 3\n"):  # past int()'s digit limit
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_trace_round_trip():
@@ -60,3 +69,46 @@ def test_coordinate_parsing():
     assert coords[2] == (Fraction(1, 2), -3, Fraction(1, 4))
     with pytest.raises(ParseError):
         parse_coords("1 0 0\n")
+    with pytest.raises(ParseError):
+        parse_coords("1 1/0 0 0\n")
+    with pytest.raises(ParseError):
+        parse_coords("1 1e999999999 0 0\n")
+    with pytest.raises(ParseError):
+        parse_coords("\u00b3 0 0 0\n")
+
+
+# tokens near the formats, so that fuzzed text gets past the header
+_NUMBERS = st.sampled_from(["1", "2", "3", "4", "7", "1/2", "-1"])
+_ODD = st.sampled_from(
+    ["0", "12", "a", "z", "A", "+2", "1/0", "0.5", "1e5", "2E-3", "nan", "->",
+     ":", "#", "3:", "\u00b3", "\u0663", "\u00bd", "\u2212", "\x00"])
+_LINE = st.sampled_from([2, 3, 4]).flatmap(  # header, facet, coordinate
+    lambda k: st.lists(st.one_of(_NUMBERS, _ODD), min_size=k, max_size=k))
+_TEXT = st.one_of(st.text(), st.lists(_LINE.map(" ".join), max_size=6)
+                  .map("\n".join))
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_TEXT)
+def test_parsers_raise_only_parse_error(text):
+    for parser in (parse, parse_coords, parse_trace):
+        try:
+            parser(text)
+        except ParseError:
+            pass
+
+
+@st.composite
+def _small_complexes(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 2, 8))
+    facet = st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1)
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(C=_small_complexes())
+def test_parse_write_round_trip_property(C):
+    assume(C.n >= C.dim + 2)
+    assert parse(write(C)) == C
+    assert write(parse(write(C))) == write(C)

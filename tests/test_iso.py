@@ -1,8 +1,18 @@
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+
+from mwb.census import enumerate_surfaces
 from mwb.constructions import boundary_simplex, stack
 from mwb.core import from_facets, relabeled
 from mwb.flips import SplitMix64
-from mwb.iso import (are_isomorphic, as_determinant, as_link_determinants,
-                     automorphism_group, canonical_form, incidence_matrix)
+from mwb.iso import (_det_bareiss, are_isomorphic, as_determinant,
+                     as_link_determinants, automorphism_group, canonical_form,
+                     incidence_matrix)
 
 
 def _random_perm(n, rng):
@@ -127,9 +137,9 @@ def test_automorphism_group_l31(complexes):
         assert {tuple(sorted(perm[v - 1] for v in F)) for F in facets} == facets
 
 
-def test_automorphism_group_boundary_simplex():
-    assert automorphism_group(boundary_simplex(2)).order == 24
-    assert automorphism_group(boundary_simplex(3)).order == 120
+@pytest.mark.parametrize("d", range(2, 7))
+def test_automorphism_group_boundary_simplex(d):
+    assert automorphism_group(boundary_simplex(d)).order == math.factorial(d + 2)
 
 
 def test_generators_preserve_the_facet_set(complexes):
@@ -157,3 +167,71 @@ def test_rp3_automorphisms_preserve_determinant_classes(complexes):
     for gen in g.generators:
         for cls in classes:
             assert {gen[v - 1] for v in cls} == cls
+
+
+# --- independent oracle: brute force over all n! vertex permutations --------
+
+def _preserves(perm, facets):
+    return {tuple(sorted(perm[v - 1] for v in F)) for F in facets} == facets
+
+
+def _check_against_brute_force(C):
+    facets = set(C.facets)
+    brute = {p for p in itertools.permutations(range(1, C.n + 1))
+             if _preserves(p, facets)}
+    g = automorphism_group(C)
+    assert g.order == len(brute)
+    assert all(_preserves(gen, facets) for gen in g.generators)
+    # the generators reach every automorphism
+    group = {tuple(range(1, C.n + 1))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for gen in g.generators:
+            q = tuple(gen[v - 1] for v in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    assert group == brute
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+def test_automorphism_group_matches_brute_force_on_surface_census(n):
+    result = enumerate_surfaces(n, representatives=True)
+    reps = [C for cls in result.representatives.values() for C in cls]
+    assert len(reps) == result.total()
+    for C in reps:
+        _check_against_brute_force(C)
+
+
+def test_automorphism_group_matches_brute_force_on_named_complexes(csaszar,
+                                                                   rp2_6):
+    for C, order in ((csaszar, 42), (rp2_6, 60), (boundary_simplex(2), 24),
+                     (boundary_simplex(3), 120)):
+        assert automorphism_group(C).order == order
+        _check_against_brute_force(C)
+
+
+# --- independent oracle: sympy determinants ----------------------------------
+
+def test_det_bareiss_matches_sympy_on_fixed_cases():
+    cases = [
+        [[5]], [[0]],
+        [[0, 1], [1, 0]],  # pivot swap
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[1, 2, 3], [2, 4, 7], [0, 1, 5]],  # zero pivot after one step
+        [[1, 2], [2, 4]],  # singular
+        [[0, 0], [3, 1]],  # zero column
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],  # singular, nonzero pivots first
+        [[0, 2, 1], [0, 3, 4], [0, 5, 6]],
+    ]
+    for M in cases:
+        assert _det_bareiss(M) == Matrix(M).det(), M
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_det_bareiss_matches_sympy(M):
+    assert _det_bareiss(M) == Matrix(M).det()
