@@ -274,7 +274,8 @@ def build_parser():
     sp = sub.add_parser("homology", help="integral homology or Betti numbers")
     common(sp)
     sp.add_argument("--mod", type=int, default=0,
-                    help="compute Betti numbers over Z_p instead")
+                    help="Betti numbers over Z_p instead, for a prime p below "
+                         "2**31, derived from the integral homology")
     sp = sub.add_parser("verify", help="pseudomanifold/manifold/catalog checks")
     sp.add_argument("what", choices=("pseudomanifold", "manifold", "catalog"))
     common(sp)

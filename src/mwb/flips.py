@@ -62,13 +62,6 @@ class FlipMove:
         b = " ".join(map(str, self.insert))
         return f"{self.kind}: {a} -> {b}"
 
-    @classmethod
-    def from_line(cls, line: str) -> "FlipMove":
-        head, _, rest = line.partition(":")
-        a, _, b = rest.partition("->")
-        return cls(int(head), tuple(int(t) for t in a.split()),
-                   tuple(int(t) for t in b.split()))
-
 
 @dataclass
 class Schedule:
@@ -460,8 +453,7 @@ def _reduce_job(args):
 
 
 def reduce_multi(C: Complex, seeds, budget: int,
-                 schedule: Schedule | None = None, stop_at_target: bool = True,
-                 threads: int = 1):
+                 schedule: Schedule | None = None, threads: int = 1):
     """Run reduce over several seeds; returns (best, seed, trace, stats).
 
     Sequentially (threads=1) seeds are tried in order and the scan ends at
@@ -480,8 +472,7 @@ def reduce_multi(C: Complex, seeds, budget: int,
     else:
         for seed in seeds:
             results.append(_reduce_job((C.facets, seed, budget, schedule)))
-            if stop_at_target and schedule is not None and schedule.reached(
-                    results[-1][0]):
+            if schedule is not None and schedule.reached(results[-1][0]):
                 break
     results.sort(key=lambda t: (t[0], t[1]))
     f, seed, best_facets, trace, stats = results[0]

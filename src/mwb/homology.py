@@ -1,17 +1,20 @@
-"""Exact simplicial homology over Z and Z_p via Smith normal form.
+"""Exact simplicial homology over Z, and Betti numbers over Q and Z_p.
 
-All arithmetic is unbounded-integer; matrices are handled sparsely with
-pivoting on small entries so that intermediate growth stays harmless at the
-sizes that occur here (a few hundred to ~1100 columns).
+One kernel does all elimination: `_diagonal_of`, a sparse Smith normal form
+over Z. All arithmetic is unbounded-integer; pivoting on small entries keeps
+intermediate growth harmless at the sizes that occur here (a few hundred to
+~1100 columns). Betti numbers over Q or Z_p follow from the integral
+homology by the universal coefficient theorem, so the one cache, on
+`homology`, serves both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .core import Complex, f_vector, is_pseudomanifold
-from .errors import NotPseudomanifold
+from .errors import InvalidArgument, NotPseudomanifold
 
 
 @dataclass(frozen=True)
@@ -57,18 +60,15 @@ def boundary_matrix(C: Complex, k: int):
     """
     if not 1 <= k <= C.dim:
         raise ValueError("k out of range")
-    rows = C.faces(k - 1)
-    cols = C.faces(k)
-    row_index = {F: i for i, F in enumerate(rows)}
-    M = [[0] * len(cols) for _ in rows]
-    for j, G in enumerate(cols):
-        for i in range(k + 1):
-            face = G[:i] + G[i + 1:]
-            M[row_index[face]][j] = -1 if i % 2 else 1
+    M = [[0] * len(C.faces(k)) for _ in C.faces(k - 1)]
+    for i, row in _sparse_boundary(C, k)[0].items():
+        for j, v in row.items():
+            M[i][j] = v
     return M
 
 
 def _sparse_boundary(C: Complex, k: int):
+    """The k-th boundary operator as row dicts and column index sets."""
     rows_of = {F: i for i, F in enumerate(C.faces(k - 1))}
     rows: dict = {}
     cols: dict = {}
@@ -213,89 +213,33 @@ def smith_normal_form(M):
 
 
 @lru_cache(maxsize=256)
-def _boundary_snf(C: Complex, k: int):
-    rows, cols = _sparse_boundary(C, k)
-    return _invariant_factors(_diagonal_of(rows, cols))
-
-
-@lru_cache(maxsize=256)
 def homology(C: Complex) -> HomologyVector:
     """Unreduced integral homology H_0..H_d from boundary-map SNFs."""
     d = C.dim
     fv = f_vector(C).counts
-    rank = [0] * (d + 2)
     factors = [()] * (d + 2)
     for k in range(1, d + 1):
-        factors[k] = _boundary_snf(C, k)
-        rank[k] = len(factors[k])
-    free = tuple(fv[k] - rank[k] - rank[k + 1] for k in range(d + 1))
+        factors[k] = _invariant_factors(_diagonal_of(*_sparse_boundary(C, k)))
+    free = tuple(fv[k] - len(factors[k]) - len(factors[k + 1])
+                 for k in range(d + 1))
     torsion = tuple(tuple(t for t in factors[k + 1] if t > 1) for k in range(d + 1))
     return HomologyVector(free, torsion)
 
 
-def _rank_mod_p(rows, cols, p):
-    for row in rows.values():
-        for j in list(row):
-            row[j] %= p
-            if not row[j]:
-                del row[j]
-    for j in list(cols):
-        cols[j] = {i for i in cols[j] if j in rows.get(i, {})}
-        if not cols[j]:
-            del cols[j]
-    rows = {i: r for i, r in rows.items() if r}
-    rank = 0
-    while rows:
-        # cheapest pivot by fill
-        i, row = min(rows.items(), key=lambda kv: len(kv[1]))
-        j = min(row, key=lambda jj: len(cols[jj]))
-        inv = pow(row[j], -1, p)
-        rank += 1
-        piv = {jj: (v * inv) % p for jj, v in row.items()}
-        for i2 in list(cols[j]):
-            if i2 == i:
-                continue
-            r2 = rows[i2]
-            coef = r2[j]
-            for jj, v in piv.items():
-                new = (r2.get(jj, 0) - coef * v) % p
-                if new:
-                    r2[jj] = new
-                    cols[jj].add(i2)
-                else:
-                    if jj in r2:
-                        del r2[jj]
-                    cols[jj].discard(i2)
-            if not r2:
-                del rows[i2]
-        for jj in piv:
-            cols[jj].discard(i)
-            if not cols[jj]:
-                del cols[jj]
-        del rows[i]
-    return rank
-
-
-@lru_cache(maxsize=256)
 def betti(C: Complex, p: int = 0) -> BettiVector:
-    """Betti numbers over Q (p=0) or over the field Z_p (p prime)."""
-    d = C.dim
-    fv = f_vector(C).counts
-    rank = [0] * (d + 2)
-    for k in range(1, d + 1):
-        if p == 0:
-            rank[k] = len(_boundary_snf(C, k))
-        else:
-            rows, cols = _sparse_boundary(C, k)
-            rank[k] = _rank_mod_p(rows, cols, p)
-    ranks = tuple(fv[k] - rank[k] - rank[k + 1] for k in range(d + 1))
-    return BettiVector(p, ranks)
+    """Betti numbers over Q (p=0) or over the field Z_p (p prime < 2**31).
 
-
-def reduced_betti(C: Complex, p: int = 0) -> tuple:
-    """Reduced Betti numbers: b~_0 = b_0 - 1, higher ones unchanged."""
-    b = betti(C, p).ranks
-    return (b[0] - 1,) + b[1:]
+    By universal coefficients, each Z_t summand of H_k with p | t adds one
+    to b_k and one to b_(k+1) over Z_p; over Q only the free ranks count.
+    """
+    if p != 0 and not (isinstance(p, int) and 2 <= p < 2**31
+                       and all(p % q for q in range(2, isqrt(p) + 1))):
+        # no value in the message: str() of a 5000-digit int raises
+        raise InvalidArgument("modulus must be 0 or a prime below 2**31")
+    H = homology(C)
+    hits = [sum(t % p == 0 for t in tors) if p else 0 for tors in H.torsion]
+    return BettiVector(p, tuple(r + hits[k] + (hits[k - 1] if k else 0)
+                                for k, r in enumerate(H.free)))
 
 
 def orientation_signs(C: Complex):

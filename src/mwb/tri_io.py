@@ -4,7 +4,8 @@ A .tri file is a `d n` header followed by one facet per line (d+1 labels).
 Input labels may be decimal or the single characters a-z for 10-35 (the
 shorthand used in printed facet tables); output is always decimal, with
 facets and vertices sorted, so writing is byte-deterministic and
-parse(write(C)) == C whenever n >= d+2, the least a header admits.
+parse(write(C)) == C for every complex. A trace has one move per line,
+`k: a .. -> b ..`, in decimal.
 """
 from __future__ import annotations
 
@@ -47,8 +48,8 @@ def parse(text: str) -> Complex:
             header = tuple(_decimal(t, line_no) for t in toks)
             if len(header) != 2 or None in header:
                 raise ParseError("header must be 'd n'", line_no)
-            if header[0] < 1 or header[1] < header[0] + 2:
-                raise ParseError("need d >= 1 and n >= d+2", line_no)
+            if header[0] < 1 or header[1] < header[0] + 1:
+                raise ParseError("need d >= 1 and n >= d+1", line_no)
             continue
         labels = [_parse_label(t, line_no) for t in toks]
         if len(labels) != header[0] + 1:
@@ -98,10 +99,14 @@ def parse_trace(text: str) -> list:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            moves.append(FlipMove.from_line(line))
-        except ValueError as exc:
-            raise ParseError(f"bad move line: {exc}", line_no)
+        head, colon, rest = line.partition(":")
+        a, arrow, b = rest.partition("->")
+        kind, remove, insert = ([_decimal(t, line_no) for t in part.split()]
+                                for part in (head, a, b))
+        if not (colon and arrow) or len(kind) != 1 or None in kind + remove + insert:
+            raise ParseError(f"bad move line {line!r}, expected 'k: a .. -> b ..'",
+                             line_no)
+        moves.append(FlipMove(kind[0], tuple(remove), tuple(insert)))
     return moves
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from mwb import catalog
 from mwb.core import from_facets
@@ -34,3 +35,12 @@ def entries():
 @pytest.fixture(scope="session")
 def complexes(entries):
     return {name: e.load() for name, e in entries.items()}
+
+
+@st.composite
+def small_complexes(draw):
+    """Pure complexes of dimension 1..3 on up to 8 vertices, any n >= d+1."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(d + 1, 8))
+    facet = st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1)
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=12)))

@@ -1,7 +1,16 @@
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mwb import catalog
 from mwb.cli import main
-from mwb.tri_io import load, save
+from mwb.errors import WorkbenchError
+from mwb.flips import random_walk
+from mwb.tri_io import (load, parse, parse_coords, parse_trace, save, write,
+                        write_trace)
 
 
 @pytest.fixture()
@@ -33,6 +42,12 @@ def test_homology_and_mod(capsys, rp3_path):
     assert "(Z, Z_2, 0, Z)" in capsys.readouterr().out
     assert main(["homology", "--in", rp3_path, "--mod", "2"]) == 0
     assert "(1, 1, 1, 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mod", ["4", "1", "-2"])
+def test_homology_bad_modulus_exits_2(capsys, rp3_path, mod):
+    _assert_one_line_input_error(
+        capsys, ["homology", "--in", rp3_path, "--mod", mod])
 
 
 def test_verify_pseudomanifold(capsys, rp3_path):
@@ -185,6 +200,68 @@ def test_zero_denominator_coordinate_exits_2(capsys, tmp_path):
     bad.write_text("".join(f"{v} {v} 1/0 0\n" for v in range(1, 8)))
     _assert_one_line_input_error(
         capsys, ["realize", "--in", "csaszar-torus", "--coords", str(bad)])
+
+
+_TORUS = catalog.entry("csaszar-torus")
+_BASES = {  # a valid file of each kind, to mutate
+    "tri": write(_TORUS.load()),
+    "coords": "".join(f"{v} {p[0]} {p[1]} {p[2]}\n"
+                      for v, p in sorted(_TORUS.load_coordinates().items())),
+    "trace": write_trace(random_walk(_TORUS.load(), seed=5, steps=8)[1]),
+}
+_PARSERS = {"tri": parse, "coords": parse_coords, "trace": parse_trace}
+_TOKENS = st.sampled_from(
+    ["", "0", "1", "2", "7", "8", "12", "-1", "+2", "a", "z", "1/2", "1/0",
+     "0.5", "1e5", "->", ":", "3:", "#", "\u00b3", "\u0663", "\x00", "\xe9"])
+
+
+@st.composite
+def _fuzzed_file(draw, kind):
+    """A valid file with a few tokens replaced or inserted, maybe truncated,
+    or arbitrary text."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=60))
+    lines = [line.split() for line in _BASES[kind].splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        toks = lines[draw(st.integers(0, len(lines) - 1))]
+        at = draw(st.integers(0, len(toks)))
+        if at < len(toks) and draw(st.booleans()):
+            toks[at] = draw(_TOKENS)
+        else:
+            toks.insert(at, draw(_TOKENS))
+    if draw(st.booleans()):
+        lines = lines[:draw(st.integers(1, len(lines)))]
+    return "".join(" ".join(toks) + "\n" for toks in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["tri", "coords", "trace"]))
+def test_cli_survives_fuzzed_files(fuzz_dir, data, kind):
+    text = data.draw(_fuzzed_file(kind))
+    path = fuzz_dir / f"fuzz.{kind}"
+    path.write_text(text, encoding="utf-8")
+    argv = {"tri": ["info", "--in", str(path)],
+            "coords": ["realize", "--in", "csaszar-torus", "--coords", str(path)],
+            "trace": ["replay", "--in", "csaszar-torus", "--trace", str(path)]}
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv[kind])  # any exception escaping main fails the test
+    try:
+        _PARSERS[kind](path.read_bytes().decode("ascii"))
+        rejected = False
+    except (UnicodeDecodeError, WorkbenchError):
+        rejected = True
+    if rejected:
+        assert rc == 2
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 def test_verify_catalog(capsys):

@@ -11,7 +11,7 @@ from mwb.errors import BudgetZero, IllegalMove
 from mwb.flips import (FlipMove, Schedule, SplitMix64, _State, apply_move,
                        legal_moves, random_walk, reduce, replay)
 from mwb.homology import homology
-from mwb.tri_io import write_trace
+from mwb.tri_io import parse_trace, write_trace
 
 
 def test_boundary_simplex_moves():
@@ -115,7 +115,7 @@ def test_reduce_twisted_bundle_reaches_walkup_minimum():
 
 def test_move_serialization_roundtrip():
     m = FlipMove(2, (1, 5, 9), (3, 11))
-    assert FlipMove.from_line(m.as_line()) == m
+    assert parse_trace(write_trace([m])) == [m]
 
 
 def test_reduce_multi_is_deterministic_and_parallelizable():

@@ -1,12 +1,14 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import ZZ, Matrix
+from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+from sympy.polys.matrices import DomainMatrix
 
+from conftest import small_complexes
 from mwb.constructions import boundary_simplex
 from mwb.core import f_vector, from_facets, relabeled
-from mwb.errors import NotPseudomanifold
+from mwb.errors import InvalidArgument, NotPseudomanifold
 from mwb.flips import SplitMix64
 from mwb.homology import (betti, boundary_matrix, homology, orientability,
                           smith_normal_form)
@@ -134,8 +136,52 @@ def test_betti_f2_sees_torsion(complexes):
     assert betti(complexes["RP3-11"], 2).ranks == (1, 1, 1, 1)
     # Z_3 torsion is invisible over F_2
     assert betti(complexes["L31-12"], 2).ranks == (1, 0, 0, 1)
+    # but not over F_3; Z_2 in H_3 reaches b_3 and b_4
+    assert betti(complexes["L31-12"], 3).ranks == (1, 1, 1, 1)
+    assert betti(complexes["S3twS1-12"], 2).ranks == (1, 1, 0, 1, 1)
 
 
 def test_euler_from_homology(complexes):
     for C in complexes.values():
         assert homology(C).euler == f_vector(C).euler
+
+
+def _betti_over_gf(C, p):
+    """Betti numbers over GF(p) from sympy ranks of boundary maps that are
+    built here from the face lists, independently of mwb.homology."""
+    rank = [0] * (C.dim + 2)
+    for k in range(1, C.dim + 1):
+        row_of = {F: i for i, F in enumerate(C.faces(k - 1))}
+        M = [[0] * len(C.faces(k)) for _ in row_of]
+        for j, G in enumerate(C.faces(k)):
+            for i in range(k + 1):
+                M[row_of[G[:i] + G[i + 1:]]][j] = (-1) ** i
+        rank[k] = DomainMatrix.from_list(M, ZZ).convert_to(GF(p)).rank()
+    fv = f_vector(C).counts
+    return tuple(fv[k] - rank[k] - rank[k + 1] for k in range(C.dim + 1))
+
+
+# S3xS3-a-13 is left out: sympy needs about 10 s per prime on it
+@pytest.mark.parametrize("name", ["csaszar-torus", "RP3-11", "L31-12", "S2xS2-11",
+                                  "S3twS1-12", "S3xS2-a-12"])
+def test_betti_matches_sympy_rank_over_gf_p(name, complexes):
+    C = complexes[name]
+    for p in (2, 3, 5):
+        assert betti(C, p).ranks == _betti_over_gf(C, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(C=small_complexes(), p=st.sampled_from([2, 3, 5]))
+def test_betti_matches_sympy_rank_on_small_complexes(C, p):
+    assert betti(C, p).ranks == _betti_over_gf(C, p)
+
+
+@pytest.mark.parametrize("p", [1, 4, -2, 9, 2**31, 2**127 - 1, pytest.param(
+    10**5000, id="5001-digits")])
+def test_betti_rejects_bad_modulus(p, csaszar):
+    with pytest.raises(InvalidArgument):
+        betti(csaszar, p)
+
+
+def test_betti_accepts_largest_prime_modulus(csaszar):
+    assert betti(csaszar, 2**31 - 1).ranks == homology(csaszar).free

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import small_complexes
 from mwb.core import from_facets
 from mwb.errors import ParseError
 from mwb.flips import FlipMove
@@ -62,6 +63,23 @@ def test_trace_round_trip():
     assert parse_trace(write_trace(trace)) == trace
 
 
+@pytest.mark.parametrize("line", [
+    "-1: +1 -2 -> 1_0",  # int() accepts signs and underscores
+    "1: 1 2 3 4",  # no '->'
+    "1 2 3 -> 4",  # no ':'
+    ": 1 2 -> 3 4",  # no kind
+    "1 2: 3 4 -> 5",  # two kinds
+    "1: 1 2 -> 3 -> 4",
+    "1: 1 \u0663 -> 3 4",  # Arabic-Indic digit
+    "\u00b2: 1 2 -> 3 4",  # superscript digit
+    "1: 1 2 -> 3 " + "9" * 5000,
+])
+def test_trace_parse_rejects_bad_lines(line):
+    with pytest.raises(ParseError) as err:
+        parse_trace("# moves\n0: 1 2 3 -> 5\n" + line + "\n")
+    assert err.value.line == 3
+
+
 def test_coordinate_parsing():
     coords = parse_coords("# c\n1 0 0 0\n2 1/2 -3 0.25\n")
     from fractions import Fraction
@@ -98,17 +116,9 @@ def test_parsers_raise_only_parse_error(text):
             pass
 
 
-@st.composite
-def _small_complexes(draw):
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(d + 2, 8))
-    facet = st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1)
-    return from_facets(draw(st.lists(facet, min_size=1, max_size=12)))
-
-
 @settings(max_examples=200, deadline=None)
-@given(C=_small_complexes())
+@given(C=small_complexes())
+@example(C=from_facets([[1, 2, 3]]))  # n = d+1, the least a header admits
 def test_parse_write_round_trip_property(C):
-    assume(C.n >= C.dim + 2)
     assert parse(write(C)) == C
     assert write(parse(write(C))) == write(C)
