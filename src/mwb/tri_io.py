@@ -104,8 +104,7 @@ def parse_trace(text: str) -> list:
         kind, remove, insert = ([_decimal(t, line_no) for t in part.split()]
                                 for part in (head, a, b))
         if not (colon and arrow) or len(kind) != 1 or None in kind + remove + insert:
-            raise ParseError(f"bad move line {line!r}, expected 'k: a .. -> b ..'",
-                             line_no)
+            raise ParseError("bad move line, expected 'k: a .. -> b ..'", line_no)
         moves.append(FlipMove(kind[0], tuple(remove), tuple(insert)))
     return moves
 
