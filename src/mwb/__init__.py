@@ -1,4 +1,10 @@
-"""mwb: a workbench for small triangulated manifolds."""
+"""mwb: a workbench for small triangulated manifolds.
+
+The package re-exports the main functions.  One of them shadows its
+module: ``mwb.homology`` is the function ``mwb.homology.homology``, not the
+module.  Reach the module with ``from mwb.homology import betti`` or
+``importlib.import_module("mwb.homology")``.
+"""
 
 from .core import (Complex, FVector, ManifoldVerdict, f_vector, from_facets,
                    is_combinatorial_manifold, is_k_neighborly,

@@ -12,7 +12,7 @@ from math import comb
 
 from .homology import HomologyVector, betti, homology, orientability
 from .core import Complex, FVector, f_vector, is_pseudomanifold
-from .errors import WrongDimension
+from .errors import InvalidArgument, WrongDimension
 
 
 @dataclass(frozen=True)
@@ -443,15 +443,13 @@ def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
         else:
             _na(report, name, "n outside the stated window")
 
-    key = _manifold_key(hints.known_manifold)
-    if key and key.startswith("RP^"):
-        dim = int(key[3:])
-        if dim == d:
-            _entry(report, "arnoux-marin", n, arnoux_marin_min("RP", dim))
-    elif key and key.startswith("CP^"):
-        r = int(key[3:])
-        if 2 * r == d:
-            _entry(report, "arnoux-marin", n, arnoux_marin_min("CP", r))
+    kind, _, k = (_manifold_key(hints.known_manifold) or "").partition("^")
+    if kind in ("RP", "CP"):
+        if not (k.isascii() and k.isdigit() and len(k) < 10):
+            raise InvalidArgument("projective space hint must read RP^k or CP^k")
+        k = int(k)
+        if (k if kind == "RP" else 2 * k) == d:
+            _entry(report, "arnoux-marin", n, arnoux_marin_min(kind, k))
     else:
         _na(report, "arnoux-marin", "not a real/complex projective space")
 

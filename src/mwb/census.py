@@ -9,6 +9,7 @@ is anchored to the published census counts.
 """
 from __future__ import annotations
 
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -253,6 +254,8 @@ def _run_root(args):
 
 
 def _census(n: int, chi_required: int | None, threads: int = 1):
+    if threads < 1:
+        raise InvalidArgument("threads must be >= 1")
     if chi_required is None:
         chi_min = 2 - comb(n - 3, 2) // 3
         f1_budget, f2_budget = 3 * n - 3 * chi_min, 2 * n - 2 * chi_min
@@ -260,9 +263,10 @@ def _census(n: int, chi_required: int | None, threads: int = 1):
         f1_budget, f2_budget = 3 * n - 3 * chi_required, 2 * n - 2 * chi_required
     jobs = [(n, k, f1_budget, f2_budget, chi_required)
             for k in range(3, n)]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     found: dict = {}
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_root, jobs):
                 found.update(part)
     else:

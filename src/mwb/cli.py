@@ -15,7 +15,7 @@ from . import constructions as cons
 from . import flips, iso, tri_io
 from .core import (f_vector, is_combinatorial_manifold, is_k_neighborly,
                    is_pseudomanifold)
-from .errors import CapExceeded, WorkbenchError
+from .errors import CapExceeded, InvalidArgument, WorkbenchError
 from .homology import betti, homology
 from .realization import realization_check
 
@@ -32,8 +32,19 @@ def _load(path):
     return e.load()
 
 
-def _facet_arg(text):
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _decimal_arg(text, what):
+    """The value of an ASCII decimal option token, else InvalidArgument."""
+    text = text.strip()
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InvalidArgument(f"{what} must be a decimal integer, got {text[:20]!r}")
+
+
+def _decimals_arg(text, what):
+    return tuple(_decimal_arg(t, what) for t in text.replace(",", " ").split())
 
 
 def cmd_info(args):
@@ -89,11 +100,12 @@ def cmd_verify(args):
 def _parse_seeds(text):
     seeds = []
     for part in text.split(","):
-        if "-" in part:
-            a, _, b = part.partition("-")
-            seeds.extend(range(int(a), int(b) + 1))
-        else:
-            seeds.append(int(part))
+        a, dash, b = part.partition("-")
+        a = _decimal_arg(a, "seed")
+        b = _decimal_arg(b, "seed") if dash else a
+        if b < a:
+            raise InvalidArgument(f"empty seed range {part.strip()[:40]!r}")
+        seeds.extend(range(a, b + 1))
     return seeds
 
 
@@ -101,7 +113,8 @@ def cmd_reduce(args):
     C = _load(args.infile)
     schedule = flips.Schedule(
         target_f0=args.target_f0,
-        target_f=_facet_arg(args.target_f) if args.target_f else None)
+        target_f=(_decimals_arg(args.target_f, "f-vector entry")
+                  if args.target_f else None))
     if args.seeds:
         best, seed, trace, stats = flips.reduce_multi(
             C, _parse_seeds(args.seeds), args.budget, schedule,
@@ -136,12 +149,15 @@ def cmd_construct(args):
         C = cons.join(_load(args.infile), _load(args.infile2))
     elif kind == "sum":
         A, B = _load(args.infile), _load(args.infile2)
-        F1 = _facet_arg(args.facet) if args.facet else A.facets[0]
-        F2 = _facet_arg(args.facet2) if args.facet2 else B.facets[0]
+        F1 = (_decimals_arg(args.facet, "vertex label") if args.facet
+              else A.facets[0])
+        F2 = (_decimals_arg(args.facet2, "vertex label") if args.facet2
+              else B.facets[0])
         C = cons.connected_sum(A, F1, B, F2)
     elif kind == "stack":
         A = _load(args.infile)
-        F = _facet_arg(args.facet) if args.facet else A.facets[0]
+        F = (_decimals_arg(args.facet, "vertex label") if args.facet
+             else A.facets[0])
         C = cons.stack(A, F)
     else:
         raise WorkbenchError(f"unknown construction {kind!r}")
@@ -175,6 +191,10 @@ def cmd_det(args):
     return OK
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
 def _parse_hints(pairs):
     hints = {}
     for item in pairs or ():
@@ -190,9 +210,12 @@ def _parse_hints(pairs):
             key, _, val = item.partition("=")
             key = key.replace("-", "_")
             if key in ("is_sphere", "simply_connected"):
-                hints[key] = val.lower() in ("1", "true", "yes")
+                if val.lower() not in _BOOLEANS:
+                    raise InvalidArgument(
+                        f"hint {key} takes 1/0, true/false or yes/no")
+                hints[key] = _BOOLEANS[val.lower()]
             elif key == "connectivity":
-                hints[key] = int(val)
+                hints[key] = _decimal_arg(val, "connectivity")
             elif key in ("is_homology_sphere", "homology_sphere"):
                 hints["is_homology_sphere"] = val
             elif key in ("known_manifold", "manifold"):
@@ -285,9 +308,12 @@ def build_parser():
     common(sp, out=True)
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--seeds", help="run several seeds, e.g. 1-16 or 3,7,9; "
-                                    "the (objective, seed)-best run wins")
+                                    "the first seed in this order that "
+                                    "reaches the target wins, else the "
+                                    "(objective, seed)-best run")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker processes for multi-seed runs")
+                    help="worker processes for multi-seed runs, at most "
+                         "one per seed and per CPU")
     sp.add_argument("--budget", type=int, default=100_000)
     sp.add_argument("--trace", help="write the move trace here")
     sp.add_argument("--target-f0", type=int, dest="target_f0")
@@ -320,7 +346,9 @@ def build_parser():
     sp.add_argument("what", choices=("surfaces", "spheres"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="worker processes, at most one per root degree "
+                         "and per CPU")
     sp = sub.add_parser("realize", help="check straight-line coordinates")
     common(sp)
     sp.add_argument("--coords", required=True)

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .homology import HomologyVector, homology, orientation_signs
 from .core import Complex, from_facets
-from .errors import IncompatibleGluing, NotAFacet, WorkbenchError
+from .errors import (IncompatibleGluing, InvalidArgument, NotAFacet,
+                     WorkbenchError)
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,7 @@ class GluingMap:
 def boundary_simplex(d: int) -> Complex:
     """The d-sphere as the boundary of the (d+1)-simplex: d+2 vertices."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise InvalidArgument("d must be >= 1")
     verts = range(1, d + 3)
     return from_facets(list(itertools.combinations(verts, d + 1)))
 
@@ -35,7 +36,7 @@ def boundary_simplex(d: int) -> Complex:
 def interval(k: int) -> Complex:
     """A path with k vertices (k-1 edges)."""
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise InvalidArgument("k must be >= 2")
     return from_facets([[i, i + 1] for i in range(1, k)])
 
 
@@ -212,7 +213,7 @@ def twisted_bundle(d: int) -> Complex:
     homology certificate is checked before returning.
     """
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise InvalidArgument("d must be >= 2")
     C = _bundle(d, twist=True)
     if homology(C) != _expected_bundle_homology(d, twist=True):
         raise WorkbenchError("twisted bundle has unexpected homology")
@@ -222,7 +223,7 @@ def twisted_bundle(d: int) -> Complex:
 def orientable_bundle(d: int) -> Complex:
     """The product bundle S^(d-1) x S^1 on 3d+3 vertices."""
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise InvalidArgument("d must be >= 2")
     C = _bundle(d, twist=False)
     if homology(C) != _expected_bundle_homology(d, twist=False):
         raise WorkbenchError("orientable bundle has unexpected homology")

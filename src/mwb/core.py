@@ -191,32 +191,20 @@ def is_pseudomanifold(C: Complex) -> ManifoldVerdict:
     return ManifoldVerdict("yes")
 
 
-def _sphere_homology(d: int):
-    from .homology import HomologyVector
-
-    free = [0] * (d + 1)
-    free[0] = 1
-    if d >= 1:
-        free[d] += 1
-    return HomologyVector(tuple(free), tuple(() for _ in range(d + 1)))
-
-
-def _link_homology(L):
-    from .homology import homology
-
-    return homology(L)
-
-
 def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> ManifoldVerdict:
     """Certify every vertex link PL-homeomorphic to a boundary simplex.
 
-    Dimension <= 2 links are decided exactly (cycles, resp. chi = 2 plus the
-    pseudomanifold property).  Higher links are first screened by homology
-    and then reduced with bistellar flips; a link that reaches the boundary
+    Every vertex link has dimension d-1, so one sphere homology screens
+    them all.  Links of dimension <= 2 that pass are spheres: a connected
+    1-pseudomanifold is a circle, and a 2-pseudomanifold is a closed
+    surface with vertices identified, each identification adding rank to
+    H_1, so only S^2 has sphere homology and no chi test is needed.  Higher
+    links are reduced with bistellar flips; a link that reaches the boundary
     of a simplex within ``flip_budget`` moves is certified, otherwise the
     verdict is "unknown".  A ``flip_budget`` below 1 raises BudgetZero.
     """
     from .flips import Schedule, reduce as flip_reduce
+    from .homology import HomologyVector, homology
 
     if flip_budget <= 0:
         raise BudgetZero("flip budget must be positive")
@@ -225,22 +213,18 @@ def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> Manifold
         return ManifoldVerdict("no", pm.witness)
     if C.dim == 1:
         return ManifoldVerdict("yes")  # a connected 1-pseudomanifold is a circle
+    dL = C.dim - 1
+    sphere = HomologyVector((1,) + (0,) * (dL - 1) + (1,), ((),) * (dL + 1))
     unknown = None
     for v in C.vertices():
         L = link(C, (v,))
-        dL = L.dim
         lpm = is_pseudomanifold(L)
         if not lpm:
             return ManifoldVerdict("no", f"link of vertex {v}: {lpm.witness}")
-        if _link_homology(L) != _sphere_homology(dL):
+        if homology(L) != sphere:
             return ManifoldVerdict(
                 "no", f"link of vertex {v} does not have sphere homology")
-        if dL == 1:
-            continue  # connected 1-pseudomanifold = circle
-        if dL == 2:
-            if f_vector(L).euler != 2:
-                return ManifoldVerdict(
-                    "no", f"link of vertex {v} is a surface with chi != 2")
+        if dL <= 2:
             continue
         best, _, _ = flip_reduce(L, seed=1, budget=flip_budget,
                                  schedule=Schedule(target_f0=dL + 2))

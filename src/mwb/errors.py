@@ -9,10 +9,6 @@ class NotPure(WorkbenchError):
     """Facet list mixes dimensions."""
 
 
-class ContainedFacet(WorkbenchError):
-    """One facet is a proper subset of another."""
-
-
 class UnsupportedDimension(WorkbenchError):
     """Empty or 0-dimensional complexes are rejected."""
 

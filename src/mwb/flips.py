@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import os
 from dataclasses import dataclass
 
 from . import core
@@ -456,26 +457,34 @@ def reduce_multi(C: Complex, seeds, budget: int,
                  schedule: Schedule | None = None, threads: int = 1):
     """Run reduce over several seeds; returns (best, seed, trace, stats).
 
-    Sequentially (threads=1) seeds are tried in order and the scan ends at
-    the first one whose best complex reaches the schedule target; with a
-    worker pool all seeds run.  Either way the winner is the
-    (objective, seed)-minimal run, so the result is deterministic.
+    The winner is the first seed, in the given order, whose best complex
+    reaches the schedule target; if none does, the (objective, seed)-minimal
+    run wins.  So the result does not depend on ``threads``: sequentially
+    the scan ends at the winner, and a pool of at most
+    min(threads, len(seeds), os.cpu_count()) processes runs every seed.
     """
     seeds = list(seeds)
-    results = []
-    if threads > 1:
+    if not seeds:
+        raise InvalidArgument("need at least one seed")
+    if threads < 1:
+        raise InvalidArgument("threads must be >= 1")
+    jobs = [(C.facets, seed, budget, schedule) for seed in seeds]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(C.facets, seed, budget, schedule) for seed in seeds]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_reduce_job, jobs))
     else:
-        for seed in seeds:
-            results.append(_reduce_job((C.facets, seed, budget, schedule)))
+        results = []
+        for job in jobs:
+            results.append(_reduce_job(job))
             if schedule is not None and schedule.reached(results[-1][0]):
                 break
-    results.sort(key=lambda t: (t[0], t[1]))
-    f, seed, best_facets, trace, stats = results[0]
+    reached = [t for t in results
+               if schedule is not None and schedule.reached(t[0])]
+    f, seed, best_facets, trace, stats = (
+        reached[0] if reached else min(results, key=lambda t: (t[0], t[1])))
     stats = dict(stats)
     stats["final"] = core.from_facets(stats["final"])
     return core.from_facets(best_facets), seed, trace, stats

@@ -1,7 +1,10 @@
 """Exact simplicial homology over Z, and Betti numbers over Q and Z_p.
 
 One kernel does all elimination: `_diagonal_of`, a sparse Smith normal form
-over Z. All arithmetic is unbounded-integer; pivoting on small entries keeps
+over Z by row operations and a remainder step.  It does no column
+operations: by the time one would apply, the pivot column holds the pivot
+alone, so it could change only the pivot row, which is deleted next.  All
+arithmetic is unbounded-integer; pivoting on small entries keeps
 intermediate growth harmless at the sizes that occur here (a few hundred to
 ~1100 columns). Betti numbers over Q or Z_p follow from the integral
 homology by the universal coefficient theorem, so the one cache, on
@@ -95,22 +98,20 @@ def _pick_pivot(rows, cols):
     return best
 
 
-def _round_div(a, p):
-    # nearest-integer quotient so the remainder has magnitude <= |p|/2
-    q, r = divmod(a, p)
-    if 2 * abs(r) > abs(p):
-        q += 1
-    return q
-
-
 def _diagonal_of(rows, cols):
-    """Diagonalize a sparse integer matrix in place; return diagonal entries."""
+    """Diagonalize a sparse integer matrix in place; return diagonal entries.
+
+    Row operations clear the pivot column; a nonzero remainder (by floor
+    division, |rem| < |p|) becomes the pivot.  Once column c holds p alone,
+    a column operation col_j -= q * col_c would change row r only, and row
+    r is deleted next: so an entry of row r that p does not divide is just
+    replaced by its remainder and made the pivot, and otherwise row r is
+    dropped, which empties column c.  `_invariant_factors` orders the result.
+    """
 
     def row_axpy(dst, src, coef):
         # row[dst] += coef * row[src]
-        rdst = rows.get(dst)
-        if rdst is None:
-            rdst = rows[dst] = {}
+        rdst = rows[dst]
         for j, v in rows[src].items():
             new = rdst.get(j, 0) + coef * v
             if new:
@@ -122,65 +123,30 @@ def _diagonal_of(rows, cols):
         if not rdst:
             del rows[dst]
 
-    def col_axpy(dst, src, coef):
-        cdst = cols.get(dst)
-        if cdst is None:
-            cdst = cols[dst] = set()
-        for i in list(cols[src]):
-            v = rows[i][src]
-            new = rows[i].get(dst, 0) + coef * v
-            if new:
-                rows[i][dst] = new
-                cdst.add(i)
-            elif dst in rows[i]:
-                del rows[i][dst]
-                cdst.discard(i)
-        if not cdst:
-            del cols[dst]
-
     diag = []
     while rows:
         r, c = _pick_pivot(rows, cols)
         while True:
             p = rows[r][c]
-            moved = False
             for i in list(cols[c]):
                 if i == r:
                     continue
-                q = _round_div(rows[i][c], p)
+                q = rows[i][c] // p
                 if q:
                     row_axpy(i, r, -q)
-                if rows.get(i, {}).get(c):
-                    r = i  # strictly smaller remainder becomes the pivot
-                    moved = True
+                if c in rows.get(i, ()):
+                    r = i  # the remainder becomes the pivot
                     break
-            if moved:
-                continue
-            p = rows[r][c]
-            for j in list(rows[r]):
-                if j == c:
-                    continue
-                q = _round_div(rows[r][j], p)
-                if q:
-                    col_axpy(j, c, -q)
-                if rows.get(r, {}).get(j):
-                    c = j
-                    moved = True
+            else:
+                c = next((j for j, v in rows[r].items() if v % p), None)
+                if c is None:
                     break
-            if not moved:
-                break
-        diag.append(abs(rows[r][c]))
-        for j in list(rows[r]):
+                rows[r][c] %= p
+        diag.append(abs(p))
+        for j in rows.pop(r):
             cols[j].discard(r)
             if not cols[j]:
                 del cols[j]
-        del rows[r]
-        if c in cols:
-            for i in list(cols[c]):
-                del rows[i][c]
-                if not rows[i]:
-                    del rows[i]
-            del cols[c]
     return diag
 
 

@@ -1,3 +1,6 @@
+import concurrent.futures
+import os
+
 import pytest
 from hypothesis import strategies as st
 
@@ -44,3 +47,33 @@ def small_complexes(draw):
     n = draw(st.integers(d + 1, 8))
     facet = st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1)
     return from_facets(draw(st.lists(facet, min_size=1, max_size=12)))
+
+
+@pytest.fixture()
+def fake_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor in-process, on a machine with 2 CPUs.
+
+    Returns the list of ``max_workers`` values the pools were opened with;
+    no worker process is started.
+    """
+    from mwb import census
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return sizes

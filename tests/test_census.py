@@ -89,3 +89,17 @@ def test_census_rejects_too_few_vertices():
     # callers that catch ValueError or WorkbenchError keep working
     assert issubclass(InvalidArgument, ValueError)
     assert issubclass(InvalidArgument, WorkbenchError)
+
+
+def test_census_pool_is_capped(fake_pool):
+    # 3 root degrees on n = 6, 2 CPUs: never 100000 processes
+    assert enumerate_surfaces(6, threads=100_000).counts == \
+        enumerate_surfaces(6).counts
+    assert enumerate_spheres(5, threads=100_000) == 1  # 2 root degrees
+    assert fake_pool == [2, 2]
+
+
+def test_census_rejects_zero_threads():
+    for enumerate_ in (enumerate_surfaces, enumerate_spheres):
+        with pytest.raises(InvalidArgument, match="threads"):
+            enumerate_(6, threads=0)

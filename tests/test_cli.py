@@ -177,6 +177,30 @@ def _assert_one_line_input_error(capsys, argv):
     assert "Traceback" not in err
 
 
+_MALFORMED_OPTIONS = {
+    "seeds-not-a-number": ["reduce", "--in", "RP3-11", "--seeds", "x"],
+    "seeds-empty-range": ["reduce", "--in", "RP3-11", "--seeds", "3-1"],
+    "reduce-zero-threads": ["reduce", "--in", "RP3-11", "--seeds", "1-2",
+                            "--budget", "10", "--threads", "0"],
+    "target-f-not-a-number": ["reduce", "--in", "RP3-11", "--target-f", "1,x"],
+    "facet-not-a-number": ["construct", "stack", "--in", "RP3-11",
+                           "--facet", "1,x"],
+    "boundary-dim-0": ["construct", "boundary", "--dim", "0"],
+    "bundle-dim-1": ["construct", "bundle", "--dim", "1"],
+    "hint-connectivity": ["bounds", "--in", "RP3-11",
+                          "--hint", "connectivity=x"],
+    "hint-rp": ["bounds", "--in", "RP3-11", "--hint", "manifold=RP^x"],
+    "hint-cp": ["bounds", "--in", "RP3-11", "--hint", "manifold=CP^"],
+    "hint-boolean": ["bounds", "--in", "RP3-11", "--hint", "is_sphere=maybe"],
+    "census-zero-threads": ["census", "surfaces", "--n", "6", "--threads", "0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_OPTIONS))
+def test_malformed_option_exits_2(capsys, case):
+    _assert_one_line_input_error(capsys, _MALFORMED_OPTIONS[case])
+
+
 @pytest.mark.parametrize("kind", ["tri", "coords", "trace"])
 def test_non_ascii_input_file_exits_2(capsys, tmp_path, kind):
     bad = tmp_path / f"bad.{kind}"

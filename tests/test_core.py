@@ -131,6 +131,29 @@ def test_combinatorial_manifold_rejects_bad_link(rp2_6):
     assert "sphere homology" in verdict.witness
 
 
+def _pinched_sphere():
+    """An octahedron stacked on two opposite triangles, with the two stacked
+    vertices (at distance 3) identified: a 2-pseudomanifold, H_1 = Z."""
+    octahedron = [F for F in itertools.product((1, 2), (3, 4), (5, 6))
+                  if F not in ((1, 3, 5), (2, 4, 6))]
+    cones = [(7,) + e for F in ((1, 3, 5), (2, 4, 6))
+             for e in itertools.combinations(F, 2)]
+    return from_facets(octahedron + cones)
+
+
+def test_combinatorial_manifold_rejects_pinched_link():
+    P = _pinched_sphere()
+    assert is_pseudomanifold(P) and str(homology(P)) == "(Z, Z, Z)"
+    # reverse the labels so that a suspension apex is the first vertex
+    S = suspension(P)
+    S = relabeled(S, [S.n + 1 - v for v in S.vertices()])
+    L = link(S, (1,))
+    assert is_pseudomanifold(L) and homology(L) == homology(P)
+    verdict = is_combinatorial_manifold(S)
+    assert verdict.status == "no"
+    assert verdict.witness == "link of vertex 1 does not have sphere homology"
+
+
 def test_combinatorial_manifold_catalog_3d(complexes):
     for name in ("RP3-11", "L31-12"):
         assert is_combinatorial_manifold(complexes[name]).status == "yes"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mwb.constructions import boundary_simplex, twisted_bundle
 from mwb.core import f_vector, is_pseudomanifold
-from mwb.errors import BudgetZero, IllegalMove
+from mwb.errors import BudgetZero, IllegalMove, InvalidArgument
 from mwb.flips import (FlipMove, Schedule, SplitMix64, _State, apply_move,
                        legal_moves, random_walk, reduce, replay)
 from mwb.homology import homology
@@ -127,6 +127,28 @@ def test_reduce_multi_is_deterministic_and_parallelizable():
     best2, seed2, trace2, _ = reduce_multi(C, range(1, 4), 50_000, sch,
                                            threads=2)
     assert (seed1, best1, trace1) == (seed2, best2, trace2)
+    # the first seed in the given order that reaches the target wins, with
+    # or without a pool, even where a later seed needs fewer moves
+    runs = [reduce_multi(C, [3, 1], 50_000, sch, threads=t) for t in (1, 2)]
+    assert [run[1] for run in runs] == [3, 3]
+    assert runs[0][2] == runs[1][2]
+
+
+def test_reduce_multi_pool_is_capped(fake_pool):
+    from mwb.flips import reduce_multi
+    C = boundary_simplex(3)
+    best, seed, _, _ = reduce_multi(C, [1, 2, 3], 20, threads=100_000)
+    assert fake_pool == [2]  # min(threads, 3 seeds, 2 CPUs)
+    assert (best, seed) == reduce_multi(C, [1, 2, 3], 20)[:2]
+
+
+def test_reduce_multi_rejects_bad_arguments():
+    from mwb.flips import reduce_multi
+    C = boundary_simplex(3)
+    with pytest.raises(InvalidArgument, match="seed"):
+        reduce_multi(C, [], 20)
+    with pytest.raises(InvalidArgument, match="threads"):
+        reduce_multi(C, [1], 20, threads=0)
 
 
 # --- the incremental legal-move index against a from-scratch oracle -------

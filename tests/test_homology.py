@@ -37,6 +37,11 @@ def test_smith_normal_form_small_cases():
     # hand elimination: gcd 2, |det| 8 forces (2, 4)
     assert smith_normal_form([[2, 4], [6, 8]]) == ((2, 4), 2)
     assert smith_normal_form([[0, 0], [0, 0]]) == ((), 0)
+    # no entry divides the others: the pivot row's remainder step decides
+    assert smith_normal_form([[2, 3]]) == ((1,), 1)
+    assert smith_normal_form([[6, 10, 15]]) == ((1,), 1)
+    assert smith_normal_form([[2, 3], [3, 2]]) == ((1, 5), 2)
+    assert smith_normal_form([[-4, 6], [6, -3]]) == ((1, 24), 2)
 
 
 def _sympy_factors(M):
