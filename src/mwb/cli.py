@@ -20,6 +20,7 @@ from .homology import betti, homology
 from .realization import realization_check
 
 OK, FAIL, INPUT_ERROR, BUDGET = 0, 1, 2, 3
+MAX_SEEDS = 100_000  # per `reduce --seeds` list
 
 
 def _load(path):
@@ -98,15 +99,19 @@ def cmd_verify(args):
 
 
 def _parse_seeds(text):
-    seeds = []
+    """The seeds of a ``--seeds`` list, counted from the range ends so that
+    an overlong list is refused before any range is expanded."""
+    ranges = []
     for part in text.split(","):
         a, dash, b = part.partition("-")
         a = _decimal_arg(a, "seed")
         b = _decimal_arg(b, "seed") if dash else a
         if b < a:
             raise InvalidArgument(f"empty seed range {part.strip()[:40]!r}")
-        seeds.extend(range(a, b + 1))
-    return seeds
+        ranges.append(range(a, b + 1))
+    if sum(r.stop - r.start for r in ranges) > MAX_SEEDS:
+        raise InvalidArgument(f"more than {MAX_SEEDS} seeds")
+    return [s for r in ranges for s in r]
 
 
 def cmd_reduce(args):
@@ -307,7 +312,8 @@ def build_parser():
     sp = sub.add_parser("reduce", help="search for a smaller triangulation")
     common(sp, out=True)
     sp.add_argument("--seed", type=int, default=1)
-    sp.add_argument("--seeds", help="run several seeds, e.g. 1-16 or 3,7,9; "
+    sp.add_argument("--seeds", help="run several seeds, e.g. 1-16 or 3,7,9 "
+                                    f"(at most {MAX_SEEDS}); "
                                     "the first seed in this order that "
                                     "reaches the target wins, else the "
                                     "(objective, seed)-best run")

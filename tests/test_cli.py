@@ -1,12 +1,16 @@
 import contextlib
 import io
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwb import catalog
-from mwb.cli import main
+from mwb.cli import MAX_SEEDS, _parse_seeds, main
 from mwb.errors import WorkbenchError
 from mwb.flips import random_walk
 from mwb.tri_io import (load, parse, parse_coords, parse_trace, save, write,
@@ -199,6 +203,29 @@ _MALFORMED_OPTIONS = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED_OPTIONS))
 def test_malformed_option_exits_2(capsys, case):
     _assert_one_line_input_error(capsys, _MALFORMED_OPTIONS[case])
+
+
+def test_seed_count_is_capped():
+    assert len(_parse_seeds(f"1-{MAX_SEEDS}")) == MAX_SEEDS
+    half = MAX_SEEDS // 2
+    with pytest.raises(WorkbenchError, match=f"more than {MAX_SEEDS} seeds"):
+        _parse_seeds(f"1-{half},{half + 1}-{MAX_SEEDS + 1}")
+
+
+def test_huge_seed_range_exits_2_without_expanding():
+    # 10**9 seeds would take about 40 GB as a list; the child process gets
+    # 512 MiB of address space, so expanding the range fails with a traceback
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwb.cli", "reduce", "--in", "RP3-11",
+         "--seeds", "1-1000000000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: more than {MAX_SEEDS} seeds\n"
 
 
 @pytest.mark.parametrize("kind", ["tri", "coords", "trace"])

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import pytest
@@ -169,6 +170,31 @@ def test_combinatorial_manifold_budget_exhaustion(complexes):
     verdict = is_combinatorial_manifold(complexes["S3xS3-a-13"], flip_budget=1)
     assert verdict.status == "unknown"
     assert "not reduced" in verdict.witness
+
+
+def test_combinatorial_manifold_rejects_non_sphere_3d_link(complexes):
+    # the apex links are RP^3: the flip budget runs out, then homology says no
+    verdict = is_combinatorial_manifold(suspension(complexes["RP3-11"]))
+    assert verdict.status == "no"
+    assert verdict.witness == "link of vertex 12 does not have sphere homology"
+
+
+def test_combinatorial_manifold_flips_before_homology(monkeypatch, complexes):
+    module = importlib.import_module("mwb.homology")
+    calls = []
+
+    def counting(L):
+        calls.append(L)
+        return homology(L)
+
+    monkeypatch.setattr(module, "homology", counting)
+    # every link reaches a boundary simplex, so no homology is computed
+    assert is_combinatorial_manifold(complexes["S3xS2-a-12"]).status == "yes"
+    assert calls == []
+    # no link is reduced in one move: each gets the homology screen
+    verdict = is_combinatorial_manifold(complexes["S3xS3-a-13"], flip_budget=1)
+    assert verdict.status == "unknown"
+    assert len(calls) == 13
 
 
 def test_combinatorial_manifold_rejects_zero_budget(csaszar):

@@ -42,6 +42,13 @@ def test_smith_normal_form_small_cases():
     assert smith_normal_form([[6, 10, 15]]) == ((1,), 1)
     assert smith_normal_form([[2, 3], [3, 2]]) == ((1, 5), 2)
     assert smith_normal_form([[-4, 6], [6, -3]]) == ((1, 24), 2)
+    # the shortest row has no unit entry: its smallest entry is the pivot,
+    # and a remainder takes over from it
+    assert smith_normal_form([[4, 6, 0], [6, 9, 5]]) == ((1, 10), 2)
+    assert smith_normal_form([[6, 10, 0], [1, 1, 1], [2, 0, 3]]) == ((1, 1, 8), 3)
+    assert smith_normal_form([[4, 0, 6], [0, 6, 9], [2, 3, 1]]) == ((1, 1, 156), 3)
+    assert smith_normal_form([[-3, 0, 0, 5], [0, 4, 0, 1], [2, 2, 2, 2],
+                              [7, 0, 3, 0]]) == ((1, 1, 1, 106), 4)
 
 
 def _sympy_factors(M):
@@ -69,7 +76,9 @@ def test_smith_normal_form_matches_sympy(M):
     assert smith_normal_form(M) == _sympy_factors(M)
 
 
-@pytest.mark.parametrize("name", ["csaszar-torus", "RP3-11"])
+# torsion Z_3 (L31-12) and Z_2 (S3twS1-12), and two 4-manifolds' boundary maps
+@pytest.mark.parametrize("name", ["csaszar-torus", "RP3-11", "L31-12", "S2xS2-11",
+                                  "S3twS1-12"])
 def test_smith_normal_form_matches_sympy_on_boundary_maps(name, complexes):
     C = complexes[name]
     for k in range(1, C.dim + 1):
