@@ -132,12 +132,10 @@ def brehm_kuehnel_bounds(d: int, hints: TopologyHints) -> list:
 
 
 def kuehnel_4d_check(n: int, chi: int):
-    """4-manifold Euler bound: C(n-4,3) >= 10(chi-2); sharp iff 3-neighborly."""
+    """4-manifold Euler bound (Kuehnel-Kalai, k = 2); sharp iff 3-neighborly."""
     if n < 6:
         raise ValueError("n must be >= 6")
-    lhs = comb(n - 4, 3)
-    rhs = 10 * (chi - 2)
-    return lhs >= rhs, lhs == rhs
+    return kuehnel_kalai_bound(2, n, chi)
 
 
 def kuehnel_kalai_bound(k: int, n: int, chi: int):
@@ -328,10 +326,11 @@ def _sphere_product_index(h: HomologyVector, d: int):
     return None
 
 
+_GAMMA_KEYS = {name.upper(): name for name in WALKUP_GAMMA}
+
+
 def _manifold_key(name: str | None):
-    if name is None:
-        return None
-    return name.replace(" ", "")
+    return None if name is None else name.replace(" ", "").upper()
 
 
 def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
@@ -427,10 +426,11 @@ def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
         report.entries.append(BoundEntry(
             "3-manifold-f-relation", True, ok, 0 if ok else None, ok))
         key = _manifold_key(hints.known_manifold)
-        if key in WALKUP_GAMMA:
-            g = WALKUP_GAMMA[key]
+        known = _GAMMA_KEYS.get((key or "").replace("^", ""))  # S^3 is S3
+        if known is not None:
+            g = WALKUP_GAMMA[known]
             _entry(report, "walkup-gamma", F[1], 4 * n + g.gamma,
-                   conjectural=g.conjectural, notes=f"gamma({key})={g.gamma}")
+                   conjectural=g.conjectural, notes=f"gamma({known})={g.gamma}")
         elif key is not None:
             _entry(report, "walkup-gamma", F[1], 4 * n + OTHER_MIN_GAMMA,
                    notes="gamma >= 8 for all other 3-manifolds")
@@ -450,6 +450,8 @@ def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
         k = int(k)
         if (k if kind == "RP" else 2 * k) == d:
             _entry(report, "arnoux-marin", n, arnoux_marin_min(kind, k))
+        else:
+            _na(report, "arnoux-marin", f"{kind}^{k} is not {d}-dimensional")
     else:
         _na(report, "arnoux-marin", "not a real/complex projective space")
 

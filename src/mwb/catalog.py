@@ -10,10 +10,11 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-from . import tri_io
+from . import iso, tri_io
 from .bounds import TopologyHints
-from .core import Complex
-from .homology import HomologyVector
+from .core import Complex, f_vector, is_k_neighborly, is_pseudomanifold
+from .homology import HomologyVector, homology, orientability
+from .realization import realization_check
 
 
 @dataclass(frozen=True)
@@ -159,13 +160,8 @@ def entry(name: str) -> CatalogEntry:
     raise KeyError(f"no catalog entry named {name!r}")
 
 
-def verify_catalog(check_realization: bool = True) -> list:
+def verify_catalog() -> list:
     """Recompute every expected value; returns (name, ok, detail) triples."""
-    from . import iso
-    from .core import f_vector, is_k_neighborly, is_pseudomanifold
-    from .homology import homology, orientability
-    from .realization import realization_check
-
     results = []
     for e in ENTRIES:
         problems = []
@@ -198,7 +194,7 @@ def verify_catalog(check_realization: bool = True) -> list:
             order = iso.automorphism_group(C).order
             if order != e.expected_automorphism_order:
                 problems.append(f"automorphism order {order}")
-        if check_realization and e.has_coordinates:
+        if e.has_coordinates:
             verdict = realization_check(C, e.load_coordinates())
             if not verdict.valid:
                 problems.append(f"realization: {verdict.witness}")

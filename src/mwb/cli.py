@@ -222,6 +222,8 @@ def _parse_hints(pairs):
             elif key == "connectivity":
                 hints[key] = _decimal_arg(val, "connectivity")
             elif key in ("is_homology_sphere", "homology_sphere"):
+                if val not in ("Z", "Z2"):
+                    raise InvalidArgument(f"hint {key} takes Z or Z2")
                 hints["is_homology_sphere"] = val
             elif key in ("known_manifold", "manifold"):
                 hints["known_manifold"] = val
@@ -301,28 +303,28 @@ def build_parser():
            fmt=True)
     sp = sub.add_parser("homology", help="integral homology or Betti numbers")
     common(sp)
-    sp.add_argument("--mod", type=int, default=0,
+    sp.add_argument("--mod", default=0,
                     help="Betti numbers over Z_p instead, for a prime p below "
                          "2**31, derived from the integral homology")
     sp = sub.add_parser("verify", help="pseudomanifold/manifold/catalog checks")
     sp.add_argument("what", choices=("pseudomanifold", "manifold", "catalog"))
     common(sp)
-    sp.add_argument("--budget", type=int, default=10_000,
+    sp.add_argument("--budget", default=10_000,
                     help="flip budget per link for manifold verification")
     sp = sub.add_parser("reduce", help="search for a smaller triangulation")
     common(sp, out=True)
-    sp.add_argument("--seed", type=int, default=1)
+    sp.add_argument("--seed", default=1)
     sp.add_argument("--seeds", help="run several seeds, e.g. 1-16 or 3,7,9 "
                                     f"(at most {MAX_SEEDS}); "
                                     "the first seed in this order that "
                                     "reaches the target wins, else the "
                                     "(objective, seed)-best run")
-    sp.add_argument("--threads", type=int, default=1,
+    sp.add_argument("--threads", default=1,
                     help="worker processes for multi-seed runs, at most "
                          "one per seed and per CPU")
-    sp.add_argument("--budget", type=int, default=100_000)
+    sp.add_argument("--budget", default=100_000)
     sp.add_argument("--trace", help="write the move trace here")
-    sp.add_argument("--target-f0", type=int, dest="target_f0")
+    sp.add_argument("--target-f0", dest="target_f0")
     sp.add_argument("--target-f", dest="target_f",
                     help="comma-separated f-vector to stop at")
     sp = sub.add_parser("construct", help="builders")
@@ -330,7 +332,7 @@ def build_parser():
                                      "stack", "join"))
     common(sp, out=True)
     sp.add_argument("--in2", dest="infile2", help="second input complex")
-    sp.add_argument("--dim", type=int, default=3)
+    sp.add_argument("--dim", default=3)
     sp.add_argument("--facet", help="facet of the first summand (sum/stack)")
     sp.add_argument("--facet2", help="facet of the second summand (sum)")
     sp.add_argument("--orientable", action="store_true",
@@ -350,9 +352,9 @@ def build_parser():
                          "not-simply-connected")
     sp = sub.add_parser("census", help="surface or sphere census")
     sp.add_argument("what", choices=("surfaces", "spheres"))
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1,
+    sp.add_argument("--n", required=True)
+    sp.add_argument("--cap")
+    sp.add_argument("--threads", default=1,
                     help="worker processes, at most one per root degree "
                          "and per CPU")
     sp = sub.add_parser("realize", help="check straight-line coordinates")
@@ -372,9 +374,19 @@ _HANDLERS = {
 }
 
 
+# integer options, parsed by _decimal_arg so a bad value exits 2 in one line
+_DECIMAL_OPTIONS = ("seed", "budget", "threads", "target_f0", "dim", "n",
+                    "cap", "mod")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in _DECIMAL_OPTIONS:
+            value = getattr(args, name, None)
+            if isinstance(value, str):  # given on the command line
+                setattr(args, name, _decimal_arg(
+                    value, "--" + name.replace("_", "-")))
         return _HANDLERS[args.command](args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

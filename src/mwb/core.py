@@ -79,10 +79,6 @@ class Complex:
             self._faces_cache[k] = cached
         return cached
 
-    def has_face(self, F: Iterable[int]) -> bool:
-        F = set(F)
-        return any(F.issubset(G) for G in self.facets)
-
     def ridges(self) -> dict:
         """Map (d-1)-face -> tuple of facets containing it."""
         if self._ridge_cache is None:
@@ -130,7 +126,8 @@ def relabeled(C: Complex, perm: Sequence[int]) -> Complex:
     if sorted(perm) != list(C.vertices()):
         raise ValueError("not a permutation of the vertex set")
     facets = sorted(tuple(sorted(perm[v - 1] for v in F)) for F in C.facets)
-    return Complex(facets, C.source_labels)
+    labels = [lab for _, lab in sorted(zip(perm, C.source_labels))]
+    return Complex(facets, labels)
 
 
 def f_vector(C: Complex) -> FVector:

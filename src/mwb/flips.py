@@ -64,13 +64,16 @@ class FlipMove:
         return f"{self.kind}: {a} -> {b}"
 
 
+# heating phases: 10 moves at first, growing by half per phase up to 200
+HEAT_INIT = 10
+HEAT_GROWTH = 1.5
+HEAT_CAP = 200
+
+
 @dataclass
 class Schedule:
-    """Annealing parameters; the defaults are the documented ones."""
+    """Stop targets: a vertex count to reach, or an exact f-vector."""
 
-    heat_init: float = 10.0
-    heat_growth: float = 1.5
-    heat_cap: float = 200.0
     target_f0: int | None = None
     target_f: tuple | None = None
 
@@ -317,23 +320,21 @@ def replay(C: Complex, trace, checkpoint_every: int | None = None):
     return final
 
 
-def random_walk(C: Complex, seed: int, steps: int, kinds=None):
+def random_walk(C: Complex, seed: int, steps: int):
     """Apply random legal moves; returns (complex, trace).
 
     Each step picks a kind uniformly among those with legal moves, then a
     uniform move of that kind, which keeps vertex-adding and vertex-removing
-    moves balanced.  ``kinds`` restricts the sampled kinds (default 0..d).
-    Useful as an independent exerciser: every step preserves the PL type, so
-    homology and the pseudomanifold property must survive any walk.
+    moves balanced.  Useful as an independent exerciser: every step
+    preserves the PL type, so homology and the pseudomanifold property must
+    survive any walk.
     """
     state = _State(C)
     rng = SplitMix64(seed)
-    kinds = tuple(kinds) if kinds is not None else tuple(range(state.d + 1))
-    if not all(0 <= k <= state.d for k in kinds):
-        raise InvalidArgument(f"move kinds {kinds} out of range 0..{state.d}")
     trace = []
     for _ in range(steps):
-        pools = [(k, pool) for k in kinds if (pool := state.pool(k))]
+        pools = [(k, pool) for k in range(state.d + 1)
+                 if (pool := state.pool(k))]
         if not pools:
             break
         kind, pool = rng.choice(pools)
@@ -352,23 +353,19 @@ def _pick_improving(state: _State, rng: SplitMix64):
 
 
 def _pick_heating(state: _State, rng: SplitMix64):
-    # middle-dimension moves with a light admixture of the next-lower kind;
+    # middle-dimension moves, weighted 16:1 against the next-lower kind; a
+    # kind without moves costs one more draw before the other is tried, and
     # a saturated state ends the phase early
     mid = state.d // 2
-    kinds = [mid] if mid <= 1 else [mid, mid - 1]
-    weights = [16, 1][: len(kinds)]
-    while kinds:
-        total = sum(weights)
-        r = rng.randrange(total)
-        acc = 0
-        for idx, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                break
-        pool = state.pool(kinds[idx])
+    kinds = (mid, mid - 1) if mid > 1 else (mid,)
+    if rng.randrange(17) == 16:
+        kinds = kinds[::-1]
+    for i, kind in enumerate(kinds):
+        if i:
+            rng.next_u64()
+        pool = state.pool(kind)
         if pool:
-            return state.move(kinds[idx], rng.choice(pool))
-        del kinds[idx], weights[idx]
+            return state.move(kind, rng.choice(pool))
     return None
 
 
@@ -399,7 +396,7 @@ def reduce(C: Complex, seed: int, budget: int,
         stats["moves"] += 1
 
     heat = 0
-    heat_len = schedule.heat_init
+    heat_len = HEAT_INIT
     fails = 0
     while stats["moves"] < budget and not schedule.reached(best_f):
         move = None
@@ -415,19 +412,16 @@ def reduce(C: Complex, seed: int, budget: int,
                     if since_best:
                         break  # budget ran out mid-revert
                 heat = int(heat_len)
-                heat_len = min(schedule.heat_cap, heat_len * schedule.heat_growth)
+                heat_len = min(HEAT_CAP, heat_len * HEAT_GROWTH)
                 stats["heating_phases"] += 1
-        if move is None:
-            if heat > 0:
-                move = _pick_heating(state, rng)
-                heat -= 1
-                if move is None:
-                    heat = 0  # saturated: cut the phase short and descend
-                    if not since_best:
-                        break  # stuck at best with no heating moves at all
-                    continue
-            else:
-                break
+        if move is None:  # so heat > 0: a phase just began or goes on
+            move = _pick_heating(state, rng)
+            heat -= 1
+            if move is None:
+                heat = 0  # saturated: cut the phase short and descend
+                if not since_best:
+                    break  # stuck at best with no heating moves at all
+                continue
         do(move)
         since_best.append(move)
         f = state.f()
@@ -437,7 +431,7 @@ def reduce(C: Complex, seed: int, budget: int,
             since_best.clear()
             stats["best_step"] = stats["moves"]
             heat = 0
-            heat_len = schedule.heat_init
+            heat_len = HEAT_INIT
             fails = 0
     stats["best_f"] = best_f
     stats["final_f"] = state.f()

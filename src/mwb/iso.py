@@ -93,8 +93,6 @@ def _refine(colors, vert_facets):
             sigs.append((colors[v], tuple(patt)))
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [order[sig] for sig in sigs]
-        if len(set(new)) == len(set(colors)) and new == colors:
-            return colors
         if len(set(new)) == len(set(colors)):
             # same partition, stabilized up to renaming
             return new

@@ -44,7 +44,7 @@ TABLE_SURFACES_10 = {
 
 def test_acceptance_1_catalog_verification(complexes, entries):
     start = time.time()
-    for name, ok, detail in catalog.verify_catalog(check_realization=False):
+    for name, ok, detail in catalog.verify_catalog():
         assert ok, f"{name}: {detail}"
     C = complexes["RP3-11"]
     assert f_vector(C).counts == (11, 51, 80, 40)

@@ -212,3 +212,31 @@ def test_bound_report_serialization(complexes, entries):
     assert "walkup-gamma" in text and "sharp" in text
     assert any(line.startswith("bound=walkup-gamma") for line in kv.splitlines())
     assert "satisfied=True" in kv
+
+
+@pytest.mark.parametrize("name, table_name", [
+    ("s3", "S3"), ("S^3", "S3"), ("rp3", "RP3"), ("RP^3", "RP3"),
+    ("s^2 x s^1", "S2xS1")])
+def test_walkup_gamma_ignores_case_and_carets(name, table_name):
+    # a miss would hold the complex to "gamma >= 8 for all other 3-manifolds"
+    e = bound_report(boundary_simplex(3),
+                     TopologyHints(known_manifold=name)).entry("walkup-gamma")
+    gamma = walkup_gamma_table()[table_name].gamma
+    assert e.notes == f"gamma({table_name})={gamma}"
+
+
+def test_projective_hint_names_ignore_case(complexes):
+    C = complexes["RP3-11"]
+    assert bound_report(C, TopologyHints(known_manifold="rp^3")).to_kv() == \
+        bound_report(C, TopologyHints(known_manifold="RP^3")).to_kv()
+    e = bound_report(C, TopologyHints(known_manifold="rp^3")).entry("arnoux-marin")
+    assert e.applicable and e.sharp
+
+
+@pytest.mark.parametrize("hint", ["RP^4", "CP^2", "RP3", None])
+def test_arnoux_marin_row_is_always_present(complexes, hint):
+    report = bound_report(complexes["RP3-11"], TopologyHints(known_manifold=hint))
+    e = report.entry("arnoux-marin")
+    assert not e.applicable
+    if hint in ("RP^4", "CP^2"):
+        assert e.notes == f"{hint} is not 3-dimensional"

@@ -124,6 +124,26 @@ def test_bounds_with_hints(capsys, rp3_path):
     assert "bound=lbt-k1 applicable=True satisfied=True" in capsys.readouterr().out
 
 
+def test_bounds_manifold_hint_ignores_case(capsys, tmp_path):
+    sphere = str(tmp_path / "s3.tri")
+    assert main(["construct", "boundary", "--dim", "3", "--out", sphere]) == 0
+    capsys.readouterr()
+    outs = []
+    for name in ("S3", "s3"):
+        assert main(["bounds", "--in", sphere, "--hint", f"manifold={name}"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "walkup-gamma: ok slack=0 sharp (gamma(S3)=-10)" in outs[0]
+
+
+@pytest.mark.parametrize("value", ["Z", "Z2"])
+def test_bounds_homology_sphere_hint_values(capsys, value):
+    assert main(["bounds", "--in", "L31-12",
+                 "--hint", f"homology_sphere={value}"]) == 0
+    row = "bagchi-datta: ok" if value == "Z2" else "bagchi-datta: not applicable"
+    assert row in capsys.readouterr().out
+
+
 def test_census_command(capsys):
     assert main(["census", "surfaces", "--n", "6"]) == 0
     out = capsys.readouterr().out
@@ -197,6 +217,26 @@ _MALFORMED_OPTIONS = {
     "hint-cp": ["bounds", "--in", "RP3-11", "--hint", "manifold=CP^"],
     "hint-boolean": ["bounds", "--in", "RP3-11", "--hint", "is_sphere=maybe"],
     "census-zero-threads": ["census", "surfaces", "--n", "6", "--threads", "0"],
+    "hint-homology-sphere": ["bounds", "--in", "RP3-11",
+                             "--hint", "homology_sphere=banana"],
+    "hint-is-homology-sphere": ["bounds", "--in", "RP3-11",
+                                "--hint", "is_homology_sphere=z3"],
+    "seed-arabic-indic-digit": ["reduce", "--in", "RP3-11",
+                                "--seed", "\u0663"],
+    "seed-underscore": ["reduce", "--in", "RP3-11", "--seed", "1_0"],
+    "reduce-budget-not-a-number": ["reduce", "--in", "RP3-11",
+                                   "--budget", "abc"],
+    "reduce-threads-not-a-number": ["reduce", "--in", "RP3-11", "--seeds",
+                                    "1-2", "--threads", "two"],
+    "target-f0-not-a-number": ["reduce", "--in", "RP3-11",
+                               "--target-f0", "1e1"],
+    "dim-not-a-number": ["construct", "boundary", "--dim", "3.0"],
+    "census-n-not-a-number": ["census", "surfaces", "--n", "six"],
+    "census-cap-not-a-number": ["census", "spheres", "--n", "6",
+                                "--cap", "1_000"],
+    "census-threads-not-a-number": ["census", "surfaces", "--n", "6",
+                                    "--threads", "\u0662"],
+    "mod-not-a-number": ["homology", "--in", "RP3-11", "--mod", "0x2"],
 }
 
 

@@ -223,3 +223,15 @@ def test_relabeled_is_involutive(csaszar):
     for i, p in enumerate(perm):
         inverse[p - 1] = i + 1
     assert relabeled(relabeled(csaszar, perm), inverse) == csaszar
+
+
+def test_relabeled_moves_source_labels_with_their_vertices():
+    C = from_facets([[10, 22, 40], [10, 22, 50], [10, 40, 50], [22, 40, 50]])
+    R = relabeled(C, (2, 3, 4, 1))  # vertex i+1 goes to perm[i]
+    assert R.source_labels == (50, 10, 22, 40)
+
+    def ambient(K):
+        return {tuple(sorted(K.source_labels[v - 1] for v in F))
+                for F in K.facets}
+
+    assert ambient(R) == ambient(C)

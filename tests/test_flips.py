@@ -227,11 +227,6 @@ def test_legal_move_index_matches_oracle_property(complexes, seed, steps,
     _replay_against_oracle(C, trace, read_every=read_every, seed=seed)
 
 
-def test_random_walk_rejects_kinds_out_of_range(csaszar):
-    with pytest.raises(ValueError):
-        random_walk(csaszar, seed=1, steps=5, kinds=(3,))
-
-
 # --- determinism: the gate-5 walk traces are pinned -----------------------
 
 WALK_TRACE_SHA256 = {
