@@ -391,7 +391,8 @@ def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
             e.notes = ("sharp-but-excluded: no 3-neighborly 4-manifold "
                        "exists at this vertex count")
 
-    if d % 2 == 0 and d >= 2:
+    if d % 2 == 0 and d >= 6:
+        # k = 1 and k = 2 restate the Heawood and the proved 4-dimensional row
         k = d // 2
         _entry(report, "kuehnel-kalai", comb(n - k - 2, k + 1),
                (-1) ** k * comb(2 * k + 1, k + 1) * (chi - 2),
@@ -421,13 +422,24 @@ def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
     else:
         _na(report, "ubt", "middle Betti number outside the stated range")
 
+    key = _manifold_key(hints.known_manifold)
+    kind, _, k = (key or "").partition("^")
+    projective_dim = None
+    if kind in ("RP", "CP"):
+        if not (k.isascii() and k.isdigit() and len(k) < 10):
+            raise InvalidArgument("projective space hint must read RP^k or CP^k")
+        k = int(k)
+        projective_dim = k if kind == "RP" else 2 * k
+    wrong_dim = f"{kind}^{k} is not {d}-dimensional"
+
     if d == 3:
         ok = F[2] == 2 * F[1] - 2 * n and F[3] == F[1] - n
         report.entries.append(BoundEntry(
             "3-manifold-f-relation", True, ok, 0 if ok else None, ok))
-        key = _manifold_key(hints.known_manifold)
         known = _GAMMA_KEYS.get((key or "").replace("^", ""))  # S^3 is S3
-        if known is not None:
+        if projective_dim not in (None, 3):
+            _na(report, "walkup-gamma", wrong_dim)
+        elif known is not None:
             g = WALKUP_GAMMA[known]
             _entry(report, "walkup-gamma", F[1], 4 * n + g.gamma,
                    conjectural=g.conjectural, notes=f"gamma({known})={g.gamma}")
@@ -443,17 +455,12 @@ def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
         else:
             _na(report, name, "n outside the stated window")
 
-    kind, _, k = (_manifold_key(hints.known_manifold) or "").partition("^")
-    if kind in ("RP", "CP"):
-        if not (k.isascii() and k.isdigit() and len(k) < 10):
-            raise InvalidArgument("projective space hint must read RP^k or CP^k")
-        k = int(k)
-        if (k if kind == "RP" else 2 * k) == d:
-            _entry(report, "arnoux-marin", n, arnoux_marin_min(kind, k))
-        else:
-            _na(report, "arnoux-marin", f"{kind}^{k} is not {d}-dimensional")
-    else:
+    if projective_dim is None:
         _na(report, "arnoux-marin", "not a real/complex projective space")
+    elif projective_dim == d:
+        _entry(report, "arnoux-marin", n, arnoux_marin_min(kind, k))
+    else:
+        _na(report, "arnoux-marin", wrong_dim)
 
     if hints.is_homology_sphere == "Z2" and 3 <= d <= 6:
         _entry(report, "bagchi-datta", n, d + 9)

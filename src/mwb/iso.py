@@ -5,6 +5,12 @@ automorphisms discovered along the way, gives both the canonical labeling
 and a generating set of the automorphism group (not necessarily
 irredundant); the group order then comes from orbit-stabilizer. Vertex
 counts here are small (n <= ~25), so simplicity wins over asymptotics.
+
+Refinement by face degrees stalls on neighborly complexes, where every
+vertex has the same degrees. In dimension >= 3 a stalled first refinement
+is therefore split once by the vertex-link determinants, an invariant
+applied at refinement time in the manner of McKay-Piperno, *Practical graph
+isomorphism II* (arXiv:1301.1493).
 """
 from __future__ import annotations
 
@@ -113,6 +119,13 @@ def _search(C: Complex):
     automorphism h, composed with recorded ones, carries h(L) onto an
     explored leaf M with the minimal key; M is L or was visited after it,
     and then the automorphism L -> M was recorded.
+
+    Before the search, the initial colours are refined once. If the complex
+    has dimension >= 3 and some cell still holds more than one vertex, each
+    vertex is recoloured by the rank of (colour, link determinant) among the
+    distinct pairs. The step depends only on the dimension and the refined
+    partition, so it commutes with relabeling; it splits S3xS3-a-13 into
+    singletons, where degree refinement alone leaves one cell of 13.
     """
     n = C.n
     facets = C.facets
@@ -120,8 +133,7 @@ def _search(C: Complex):
     best: list = [None, None]  # key, perm
     autos: list = []
 
-    def rec(colors, prefix):
-        colors = _refine(colors, vert_facets)
+    def rec(colors, prefix):  # colors: a refined partition
         cells: dict = {}
         for v in range(n):
             cells.setdefault(colors[v], []).append(v + 1)
@@ -147,9 +159,16 @@ def _search(C: Complex):
             explored.append(v)
             split = [2 * c for c in colors]
             split[v - 1] -= 1
-            rec(split, prefix + (v,))
+            rec(_refine(split, vert_facets), prefix + (v,))
 
-    rec(_initial_colors(C), ())
+    colors = _refine(_initial_colors(C), vert_facets)
+    if C.dim >= 3 and len(set(colors)) < n:
+        # a stalled refinement is split by the link determinants, which cost
+        # one small determinant per vertex and are isomorphism-invariant
+        pairs = list(zip(colors, as_link_determinants(C)))
+        rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+        colors = _refine([rank[pair] for pair in pairs], vert_facets)
+    rec(colors, ())
     return best[1], autos
 
 
@@ -158,7 +177,8 @@ def canonical_form(C: Complex):
 
     Isomorphic complexes map to identical facet lists; the representative is
     the lexicographically smallest relabeled facet list reachable through
-    refinement-respecting labelings.
+    refinement-respecting labelings. In dimension >= 3 that refinement
+    includes the link-determinant split described in ``_search``.
     """
     perm, _ = _search(C)
     return relabeled(C, perm), perm

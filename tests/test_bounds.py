@@ -194,6 +194,19 @@ def test_bound_report_named_sharpness(complexes, entries, csaszar):
     assert r.entry("bk-sphere-product-homology").sharp
 
 
+def test_kuehnel_kalai_row_only_where_it_adds_to_proved_rows(complexes, entries,
+                                                           csaszar):
+    # k = 1 and k = 2 restate the Heawood and the 4-dimensional Kuehnel rows
+    r = bound_report(complexes["S2xS2-11"], entries["S2xS2-11"].hints)
+    ids = {e.bound_id for e in r.entries}
+    assert "kuehnel-4d" in ids and "kuehnel-kalai" not in ids
+    r = bound_report(csaszar, entries["csaszar-torus"].hints)
+    ids = {e.bound_id for e in r.entries}
+    assert "heawood" in ids and "kuehnel-kalai" not in ids
+    r = bound_report(complexes["S3xS3-a-13"], entries["S3xS3-a-13"].hints)
+    assert r.entry("kuehnel-kalai").conjectural
+
+
 def test_ubt_not_applicable_beyond_its_betti_range(csaszar, complexes, entries):
     # the torus has more edges than the cyclic 3-polytope; the stated Betti
     # condition must exclude it rather than flag a violation

@@ -136,6 +136,16 @@ def test_bounds_manifold_hint_ignores_case(capsys, tmp_path):
     assert "walkup-gamma: ok slack=0 sharp (gamma(S3)=-10)" in outs[0]
 
 
+def test_walkup_gamma_skips_projective_hints_of_another_dimension(capsys, rp3_path):
+    for hint in ("RP^4", "CP^2"):
+        rc = main(["bounds", "--in", rp3_path, "--hint", f"manifold={hint}"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert f"walkup-gamma: not applicable ({hint} is not 3-dimensional)" in out
+    assert main(["bounds", "--in", rp3_path, "--hint", "manifold=RP^3"]) == 0
+    assert "walkup-gamma: ok slack=0 sharp (gamma(RP3)=7)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["Z", "Z2"])
 def test_bounds_homology_sphere_hint_values(capsys, value):
     assert main(["bounds", "--in", "L31-12",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -6,13 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
+from mwb import iso
 from mwb.census import enumerate_surfaces
 from mwb.constructions import boundary_simplex, stack
 from mwb.core import from_facets, relabeled
-from mwb.flips import SplitMix64
+from mwb.flips import SplitMix64, apply_move, legal_moves, random_walk
 from mwb.iso import (_det_bareiss, are_isomorphic, as_determinant,
                      as_link_determinants, automorphism_group, canonical_form,
                      incidence_matrix)
+from mwb.tri_io import write
 
 
 def _random_perm(n, rng):
@@ -169,6 +172,48 @@ def test_rp3_automorphisms_preserve_determinant_classes(complexes):
             assert {gen[v - 1] for v in cls} == cls
 
 
+# --- determinism: the catalog's canonical forms are pinned ----------------
+
+CANONICAL_FORM_SHA256 = {
+    "csaszar-torus": "5fc007b3b722b73d25b9305911094d1365be350b2652a51e0ff9e597f97a7105",
+    "RP3-11": "e10c90a1b4baabbfe70291eacc882726cfb0c5d645044cdae67c3b44b4cf6924",
+    "L31-12": "d3442590381bffd939c7330e30338fa06ce5a459ce2ff812273e4b39a8729f45",
+    "S2xS2-11": "3adfaa0bc154b65ff673fe798be4b61c888ba11d9f17928b5328af3bf56b962e",
+    "S3twS1-12": "635c0e4bcb92a90792c53f495096fdbccb78dd6861e045e276eaea5f441c6ee1",
+    "S3xS2-a-12": "620760c5df4b87b46727e7d8b0791fe759330dfb2044ff8f7dbf843c7bea1eb7",
+    "S3xS3-a-13": "5482a070a2dcb858d52bb695c35d16962056ac807b8860266440095a6a1fbd26",
+}
+
+
+def test_catalog_canonical_forms_are_pinned(complexes):
+    assert set(CANONICAL_FORM_SHA256) == set(complexes)
+    for name, digest in CANONICAL_FORM_SHA256.items():
+        form = canonical_form(complexes[name])[0]
+        assert hashlib.sha256(write(form).encode()).hexdigest() == digest, name
+
+
+def test_link_determinants_unstall_neighborly_refinement(complexes, monkeypatch):
+    # every vertex of S3xS3-a-13 has the same face degrees; without the link
+    # determinant split the search tried all 13 first vertices (170 refines)
+    calls = []
+    refine = iso._refine
+    monkeypatch.setattr(iso, "_refine",
+                        lambda *args: calls.append(1) or refine(*args))
+    C = complexes["S3xS3-a-13"]
+    canonical_form(C)
+    assert len(calls) <= 3
+    assert automorphism_group(C).order == 1
+
+
+@pytest.mark.parametrize("name", ["L31-12", "S3xS2-a-12"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_canonical_form_is_invariant_under_relabeling(name, complexes, data):
+    C = complexes[name]
+    perm = data.draw(st.permutations(range(1, C.n + 1)))
+    assert canonical_form(relabeled(C, perm))[0] == canonical_form(C)[0]
+
+
 # --- independent oracle: brute force over all n! vertex permutations --------
 
 def _preserves(perm, facets):
@@ -195,6 +240,20 @@ def _check_against_brute_force(C):
     assert group == brute
 
 
+def _brute_force_min(C):
+    """The lexicographically least sorted list of facet bitmasks over all n!
+    relabelings of a 3-complex: equal exactly for isomorphic complexes."""
+    bits = [1 << i for i in range(C.n)]
+    return min(sorted([q[a] | q[b] | q[c] | q[d] for a, b, c, d in C.facets])
+               for p in itertools.permutations(bits) for q in [(0,) + p])
+
+
+@pytest.fixture(scope="module")
+def walked_sphere():
+    # a 3-sphere whose refined partition keeps a 6-vertex cell
+    return random_walk(boundary_simplex(3), seed=1098, steps=20)[0]
+
+
 @pytest.mark.parametrize("n", range(4, 8))
 def test_automorphism_group_matches_brute_force_on_surface_census(n):
     result = enumerate_surfaces(n, representatives=True)
@@ -204,12 +263,38 @@ def test_automorphism_group_matches_brute_force_on_surface_census(n):
         _check_against_brute_force(C)
 
 
-def test_automorphism_group_matches_brute_force_on_named_complexes(csaszar,
-                                                                   rp2_6):
+def test_automorphism_group_matches_brute_force_on_named_complexes(
+        csaszar, rp2_6, walked_sphere):
     for C, order in ((csaszar, 42), (rp2_6, 60), (boundary_simplex(2), 24),
-                     (boundary_simplex(3), 120)):
+                     (boundary_simplex(3), 120), (walked_sphere, 4)):
         assert automorphism_group(C).order == order
         _check_against_brute_force(C)
+
+
+def test_walked_sphere_takes_the_link_determinant_split(walked_sphere):
+    C = walked_sphere
+    assert (C.n, len(C.facets)) == (8, 19)
+    colors = iso._refine(iso._initial_colors(C), iso._vertex_facets(C))
+    cells = {}
+    for v, c in enumerate(colors, start=1):
+        cells.setdefault(c, []).append(v)
+    dets = as_link_determinants(C)
+    big = [cell for cell in cells.values() if len(cell) == 6]
+    assert len(big) == 1
+    assert {dets[v - 1] for v in big[0]} == {450, 576}
+    assert set(dets) == {450, 108, 576}
+
+
+def test_walked_sphere_canonical_classes_match_brute_force(walked_sphere):
+    C = walked_sphere
+    rng = SplitMix64(1098)
+    variants = [relabeled(C, _random_perm(C.n, rng)) for _ in range(30)]
+    variants.append(apply_move(C, legal_moves(C, 1)[0]))
+    canon = canonical_form(C)[0]
+    brute = _brute_force_min(C)
+    for X in variants:
+        assert (canonical_form(X)[0] == canon) == (_brute_force_min(X) == brute)
+    assert canonical_form(variants[-1])[0] != canon
 
 
 # --- independent oracle: sympy determinants ----------------------------------
@@ -235,3 +320,4 @@ def test_det_bareiss_matches_sympy_on_fixed_cases():
     min_size=n, max_size=n)))
 def test_det_bareiss_matches_sympy(M):
     assert _det_bareiss(M) == Matrix(M).det()
+
