@@ -1,11 +1,23 @@
 """Isomorph-free generation of triangulated closed surfaces with n vertices.
 
 The search closes vertex stars in label order: the star of vertex 1 is laid
-down as a fan of the root degree, and each subsequent step extends the link
-of the least open vertex by one triangle, labeling new vertices in discovery
-order.  Rooting at a vertex of minimum degree keeps the per-class labeled
-multiplicity small; canonical forms then dedupe across roots.  Correctness
-is anchored to the published census counts.
+down as a fan of the root degree k, and each later step fills the triangle
+at the smallest-labeled link end of the least open vertex, labeling new
+vertices in discovery order.  No vertex may close with a degree below k, so
+the root has minimum degree.
+
+The search is orderly, in the manner of McKay's canonical augmentation
+(*Isomorph-free exhaustive generation*, J. Algorithms 26, 1998) and of the
+lexicographic census of Sulanke and Lutz (arXiv:math/0610022).  A flag is a
+vertex of degree k, a neighbour and a direction around its link; replaying
+the search's rules from a flag labels the surface.  A surface is kept only if
+its sorted facet list is the least of its flag labelings, so each class is
+found once, by the search at its minimum degree, and nothing is deduped.
+Closing vertex j adds exactly the triangles whose least label is j, block j
+of the facet list, so labelings compare block by block.  Each time the least
+open vertex advances, the blocks of the closed stars are final, and a flag at
+a closed vertex whose labeling is already smaller there prunes the subtree.
+Correctness is anchored to the published census counts.
 """
 from __future__ import annotations
 
@@ -13,9 +25,9 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from math import comb
 
-from . import iso
 from .core import Complex, f_vector, from_facets, is_pseudomanifold, link
 from .errors import CapExceeded, InvalidArgument, NotASurface
 from .homology import orientability
@@ -77,11 +89,14 @@ class _StarClosingSearch:
         self.chi_required = chi_required
         self.third: dict = {}      # sorted vertex pair -> set of third vertices
         self.neighbors: dict = {}  # vertex -> set of skeleton neighbors
-        self.open_ends: dict = {}  # vertex -> count of link vertices of degree 1
+        self.ends: dict = {}       # vertex -> link vertices of link degree 1
         self.triangles: list = []
         self.num_edges = 0
         self.next_label = 1
-        self.found: dict = {}      # canonical facet key -> (chi, orientable)
+        self.found: list = []      # (facets, chi, orientable), one per class
+        self.blocks: list = [None]  # blocks[j]: block j of the own labeling
+        self.block_end = ((n + 1) ** 2,)  # closes each block, above every code
+        self.own = (1, 2, 3)       # the flag that gives the search's labeling
 
     # -- incremental structure -------------------------------------------
 
@@ -89,7 +104,7 @@ class _StarClosingSearch:
         if v == self.next_label:
             self.next_label += 1
             self.neighbors[v] = set()
-            self.open_ends[v] = 0
+            self.ends[v] = set()
 
     def _pairs(self, t):
         a, b, c = t
@@ -99,6 +114,7 @@ class _StarClosingSearch:
         self.triangles.append(t)
         for v in t:
             self._touch(v)
+        ends = self.ends
         for pair, z in self._pairs(t):
             s = self.third.get(pair)
             if s is None:
@@ -108,15 +124,16 @@ class _StarClosingSearch:
             if len(s) == 1:
                 self.neighbors[x].add(y)
                 self.neighbors[y].add(x)
-                self.open_ends[x] += 1
-                self.open_ends[y] += 1
+                ends[x].add(y)
+                ends[y].add(x)
                 self.num_edges += 1
             else:
-                self.open_ends[x] -= 1
-                self.open_ends[y] -= 1
+                ends[x].discard(y)
+                ends[y].discard(x)
 
     def remove(self, t):
         self.triangles.pop()
+        ends = self.ends
         for pair, z in self._pairs(t):
             s = self.third[pair]
             s.discard(z)
@@ -125,23 +142,20 @@ class _StarClosingSearch:
                 del self.third[pair]
                 self.neighbors[x].discard(y)
                 self.neighbors[y].discard(x)
-                self.open_ends[x] -= 1
-                self.open_ends[y] -= 1
+                ends[x].discard(y)
+                ends[y].discard(x)
                 self.num_edges -= 1
             else:
-                self.open_ends[x] += 1
-                self.open_ends[y] += 1
+                ends[x].add(y)
+                ends[y].add(x)
         for v in reversed(t):
             if v == self.next_label - 1 and not self.neighbors[v]:
                 self.next_label -= 1
-                del self.neighbors[v], self.open_ends[v]
+                del self.neighbors[v], self.ends[v]
 
     def closed(self, v) -> bool:
-        return self.open_ends[v] == 0 and bool(self.neighbors[v])
-
-    def _link_deg(self, v, u) -> int:
-        s = self.third.get((min(v, u), max(v, u)))
-        return len(s) if s else 0
+        # every labeled vertex keeps the triangle that labeled it
+        return not self.ends[v]
 
     def _path_from(self, v, x):
         """Walk the link path of v starting at end x; return its vertex set."""
@@ -149,7 +163,8 @@ class _StarClosingSearch:
         prev = None
         cur = x
         while True:
-            nxt = [u for u in self.third[(min(v, cur), max(v, cur))] if u != prev]
+            nxt = [u for u in self.third[(v, cur) if v < cur else (cur, v)]
+                   if u != prev]
             if not nxt:
                 return seen
             prev, cur = cur, nxt[0]
@@ -173,9 +188,8 @@ class _StarClosingSearch:
                 continue
             if self.closed(u):
                 return False
-            dx = self._link_deg(u, x)
-            dy = self._link_deg(u, y)
-            if dx == 1 and dy == 1:
+            ends = self.ends[u]
+            if x in ends and y in ends:
                 path = self._path_from(u, x)
                 if y in path and len(path) != len(self.neighbors[u]):
                     return False  # would close a cycle while other paths remain
@@ -190,24 +204,38 @@ class _StarClosingSearch:
         root = [(1, i, i + 1) for i in range(2, k + 1)] + [(1, 2, k + 1)]
         for t in root:
             self.add(t)
-        self._close_next()
+        self.blocks.append(self._block(root))
+        self._close_next(1, len(root), [], frozenset())
         for t in reversed(root):
             self.remove(t)
         return self.found
 
-    def _least_open(self):
-        for v in range(2, self.next_label):
+    def _least_open(self, c):
+        for v in range(c + 1, self.next_label):
             if not self.closed(v):
                 return v
         return None
 
-    def _close_next(self):
-        v = self._least_open()
+    def _close_next(self, c, start, walks, roots):
+        """Close the least open vertex; the stars of 1..c are closed and were
+        tested, and the triangles from ``start`` on belong to block c+1."""
+        v = self._least_open(c)
         if v is None:
             if self.next_label - 1 == self.n:
-                self._leaf()
+                self._leaf(c, start, walks, roots)
             return
-        ends = sorted(u for u in self.neighbors[v] if self._link_deg(v, u) == 1)
+        if v - 1 > c:
+            # the blocks up to v-1 are final now: test them before going on
+            self._final_blocks(c, v - 1, start)
+            tested = self._test(walks, roots, v - 1)
+            if tested is not None:
+                self._extend(v, v - 1, len(self.triangles), *tested)
+            del self.blocks[c + 1:]
+            return
+        self._extend(v, c, start, walks, roots)
+
+    def _extend(self, v, c, start, walks, roots):
+        ends = sorted(self.ends[v])
         if not ends:
             return
         e = ends[0]
@@ -215,8 +243,8 @@ class _StarClosingSearch:
             return
         candidates = ends[1:]
         lk = self.neighbors[v]
-        for u in range(2, self.next_label):
-            if u != v and u not in lk and not self.closed(u):
+        for u in range(v + 1, self.next_label):  # the rest are closed
+            if u not in lk and not self.closed(u):
                 candidates.append(u)
         if self.next_label <= self.n:
             candidates.append(self.next_label)
@@ -226,7 +254,7 @@ class _StarClosingSearch:
                 continue
             self.add(t)
             if self._degree_rule_ok(t):
-                self._close_next()
+                self._close_next(c, start, walks, roots)
             self.remove(t)
 
     def _degree_rule_ok(self, t) -> bool:
@@ -236,15 +264,153 @@ class _StarClosingSearch:
                 return False
         return True
 
-    def _leaf(self):
+    def _leaf(self, c, start, walks, roots):
         chi = self.n - self.num_edges + len(self.triangles)
         if self.chi_required is not None and chi != self.chi_required:
             return
-        C = from_facets(self.triangles)
-        key = iso.canonical_form(C)[0].facets
-        if key not in self.found:
-            orient = orientability(C) == "orientable"
-            self.found[key] = (chi, orient)
+        self._final_blocks(c, self.n, start)
+        if self._test(walks, roots, self.n) is not None:
+            facets = tuple(sorted(self.triangles))
+            orient = orientability(from_facets(facets)) == "orientable"
+            self.found.append((facets, chi, orient))
+        del self.blocks[c + 1:]
+
+    # -- the lexicographic flag test --------------------------------------
+
+    def _block(self, triangles):
+        """Block j, the triangles (j, x, y), as sorted codes and an end mark
+        above every code, so that a block which is a proper prefix of another
+        compares larger, as it does inside the whole sorted facet list."""
+        base = self.n + 1
+        codes = sorted(x * base + y for _, x, y in triangles)
+        return tuple(codes) + self.block_end
+
+    def _final_blocks(self, c, top, start):
+        # the triangles from start on have least label c+1; nothing was added
+        # while c+2..top were least open, as they closed on the way
+        self.blocks.append(self._block(self.triangles[start:]))
+        self.blocks.extend([self.block_end] * (top - c - 1))
+
+    def _cycle(self, u, a, b):
+        """The link cycle of the closed vertex u: a, then b, and on around."""
+        cyc = [a]
+        prev, cur = a, b
+        while cur != a:
+            cyc.append(cur)
+            x, y = self.third[(u, cur) if u < cur else (cur, u)]
+            prev, cur = cur, (y if x == prev else x)
+        return cyc
+
+    def _flag(self, r, a, b):
+        """The walk state of the flag r, a, b before block 2: r has label 1
+        and its link cycle from a towards b labels 2..k+1."""
+        lab = [self.n + 1] * (self.n + 1)  # unlabeled vertices rank last
+        order = [r] + self._cycle(r, a, b)
+        for i, v in enumerate(order, 1):
+            lab[v] = i
+        return lab, order, 2
+
+    def _walk(self, state, c):
+        """Relabel from a flag, block by block, through block c or up to the
+        first vertex whose star is still open.  Returns -1 or 1 at the first
+        block that is smaller or larger than the search's own, else the
+        state to resume from."""
+        lab, order, j = state
+        copied = False
+        while j <= c:
+            u = order[j - 1]
+            if not self.closed(u):
+                break
+            if not copied:
+                lab, order, copied = lab[:], order[:], True
+            block = self._block_of(u, j, lab, order)
+            ref = self.blocks[j]
+            if block != ref:
+                return -1 if block < ref else 1
+            j += 1
+        return lab, order, j
+
+    def _block_of(self, u, j, lab, order):
+        """Block j of a flag's labeling, where u is its vertex j: fill the
+        star of u at the smallest-labeled link end, as the search does,
+        labeling new vertices as they come; the triangles of u with a smaller
+        label are there already."""
+        unlabeled = base = self.n + 1
+        # start the link cycle at a smaller label, so that no gap wraps
+        m = min(self.neighbors[u], key=lab.__getitem__)
+        pair = (u, m) if u < m else (m, u)
+        xs = self._cycle(u, m, next(iter(self.third[pair])))
+        gaps = []  # [lo, hi]: the link path xs[lo..hi] is still missing
+        i, d = 1, len(xs)
+        while i < d:
+            lo = i
+            while i < d and lab[xs[i]] > j:
+                i += 1
+            if i - lo >= 2:
+                gaps.append([lo, i - 1])
+            i += 1
+        codes = []
+        while gaps:
+            best = None
+            for g in gaps:
+                lo_lab, hi_lab = lab[xs[g[0]]], lab[xs[g[1]]]
+                if best is None or lo_lab < e_lab:
+                    best, side, e_lab = g, 0, lo_lab
+                if hi_lab < e_lab:
+                    best, side, e_lab = g, 1, hi_lab
+            if side == 0:
+                best[0] += 1
+                w = xs[best[0]]
+            else:
+                best[1] -= 1
+                w = xs[best[1]]
+            w_lab = lab[w]
+            if w_lab == unlabeled:
+                order.append(w)
+                w_lab = lab[w] = len(order)
+            codes.append(e_lab * base + w_lab if e_lab < w_lab
+                         else w_lab * base + e_lab)
+            if best[0] == best[1]:
+                gaps.remove(best)
+        return tuple(sorted(codes)) + self.block_end
+
+    def _test(self, walks, roots, c):
+        """The prefix test once blocks 1..c are final: carry on the undecided
+        flag walks and start those rooted at newly closed vertices of the
+        root degree.  None if some flag's labeling is smaller, else the
+        walks still undecided and the roots started."""
+        new = [r for r in range(1, self.next_label)
+               if r not in roots and len(self.neighbors[r]) == self.k
+               and self.closed(r)]
+        starts = (self._flag(r, a, b) for r in new for a in self.neighbors[r]
+                  for b in self.third[(r, a) if r < a else (a, r)]
+                  if (r, a, b) != self.own)  # own: the search's labeling
+        alive = []
+        for state in chain(walks, starts):
+            walked = self._walk(state, c)
+            if walked == -1:
+                return None
+            if walked != 1:
+                alive.append(walked)
+        return alive, roots.union(new)
+
+
+def _is_flag_minimal(facets) -> bool:
+    """The leaf test on a labeled closed surface: is its sorted facet list
+    the least of its labelings from the flags at its vertices of minimum
+    degree?"""
+    facets = sorted(tuple(sorted(t)) for t in facets)
+    n = max(t[2] for t in facets)
+    degree = Counter(v for t in facets for v in t)  # triangles = link edges
+    search = _StarClosingSearch(n, min(degree.values()), 0, 0, None)
+    search.own = None
+    for v in range(1, n + 1):
+        search._touch(v)
+    for t in facets:
+        search.add(t)
+    search.blocks += [search._block([t for t in facets if t[0] == j])
+                      for j in range(1, n + 1)]
+    return search._test([], frozenset(), n) is not None
 
 
 def _run_root(args):
@@ -264,14 +430,15 @@ def _census(n: int, chi_required: int | None, threads: int = 1):
     jobs = [(n, k, f1_budget, f2_budget, chi_required)
             for k in range(3, n)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
-    found: dict = {}
+    # a class is found only at its minimum degree: the parts are disjoint
+    found: list = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_root, jobs):
-                found.update(part)
+                found += part
     else:
         for job in jobs:
-            found.update(_run_root(job))
+            found += _run_root(job)
     return found
 
 
@@ -286,12 +453,12 @@ def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,
     found = _census(n, None, threads)
     counts: Counter = Counter()
     reps: dict = {}
-    for key, (chi, orient) in found.items():
+    for facets, chi, orient in found:
         genus = (2 - chi) // 2 if orient else 2 - chi
         sc = SurfaceClass(orient, genus, chi)
         counts[sc] += 1
         if representatives:
-            reps.setdefault(sc, []).append(Complex(key, range(1, n + 1)))
+            reps.setdefault(sc, []).append(Complex(facets, range(1, n + 1)))
     return CensusResult(n, dict(counts), reps)
 
 

@@ -109,7 +109,7 @@ def _relabel_key(facets, perm):
     return tuple(sorted(tuple(sorted(perm[v - 1] for v in F)) for F in facets))
 
 
-def _search(C: Complex):
+def _search(C: Complex, link_dets=None):
     """Individualization-refinement with orbit pruning: the canonical labeling
     and the automorphisms found at leaves equivalent to the best one.
 
@@ -126,6 +126,7 @@ def _search(C: Complex):
     distinct pairs. The step depends only on the dimension and the refined
     partition, so it commutes with relabeling; it splits S3xS3-a-13 into
     singletons, where degree refinement alone leaves one cell of 13.
+    ``link_dets``, if given, are the link determinants already computed.
     """
     n = C.n
     facets = C.facets
@@ -165,22 +166,25 @@ def _search(C: Complex):
     if C.dim >= 3 and len(set(colors)) < n:
         # a stalled refinement is split by the link determinants, which cost
         # one small determinant per vertex and are isomorphism-invariant
-        pairs = list(zip(colors, as_link_determinants(C)))
+        if link_dets is None:
+            link_dets = as_link_determinants(C)
+        pairs = list(zip(colors, link_dets))
         rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
         colors = _refine([rank[pair] for pair in pairs], vert_facets)
     rec(colors, ())
     return best[1], autos
 
 
-def canonical_form(C: Complex):
+def canonical_form(C: Complex, _link_dets=None):
     """A canonical representative and the relabeling that produces it.
 
     Isomorphic complexes map to identical facet lists; the representative is
     the lexicographically smallest relabeled facet list reachable through
     refinement-respecting labelings. In dimension >= 3 that refinement
-    includes the link-determinant split described in ``_search``.
+    includes the link-determinant split described in ``_search``, which
+    reuses ``_link_dets`` when the caller has them.
     """
-    perm, _ = _search(C)
+    perm, _ = _search(C, _link_dets)
     return relabeled(C, perm), perm
 
 
@@ -207,9 +211,10 @@ def are_isomorphic(C1: Complex, C2: Complex) -> bool:
         return False
     if f_vector(C1).counts != f_vector(C2).counts:
         return False
-    if sorted(as_link_determinants(C1)) != sorted(as_link_determinants(C2)):
+    dets1, dets2 = as_link_determinants(C1), as_link_determinants(C2)
+    if sorted(dets1) != sorted(dets2):
         return False
-    return canonical_form(C1)[0] == canonical_form(C2)[0]
+    return canonical_form(C1, dets1)[0] == canonical_form(C2, dets2)[0]
 
 
 def _inverse(p):

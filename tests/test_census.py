@@ -1,7 +1,11 @@
+import hashlib
 import itertools
+import json
+from collections import Counter
 
 import pytest
 
+from mwb import census, iso
 from mwb.bounds import heawood_min_vertices
 from mwb.census import (CensusResult, SurfaceClass, classify_surface,
                         enumerate_spheres, enumerate_surfaces)
@@ -57,7 +61,10 @@ def test_representatives_are_distinct_closed_surfaces():
 
 
 def test_census_deterministic_across_workers():
-    assert enumerate_surfaces(7, threads=2).counts == enumerate_surfaces(7).counts
+    one = enumerate_surfaces(7, representatives=True)
+    two = enumerate_surfaces(7, threads=2, representatives=True)
+    assert two.counts == one.counts
+    assert two.representatives == one.representatives
 
 
 def test_heawood_consistency_up_to_8():
@@ -103,3 +110,115 @@ def test_census_rejects_zero_threads():
     for enumerate_ in (enumerate_surfaces, enumerate_spheres):
         with pytest.raises(InvalidArgument, match="threads"):
             enumerate_(6, threads=0)
+
+
+# --- the orderly search: no canonical forms, one labeling per class ----------
+
+def test_census_makes_no_canonical_forms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census called canonical_form")
+
+    monkeypatch.setattr(iso, "canonical_form", refuse)
+    assert not hasattr(census, "iso")
+    assert enumerate_surfaces(8).counts == {S2: 14, T2: 7, RP2: 16, K2: 6}
+
+
+def test_census_prunes_before_the_leaves(monkeypatch):
+    # the prefix test keeps the completed labelings to a few per class
+    # (7,368 leaves for 655 classes when every labeling was completed)
+    calls = []
+    leaf = census._StarClosingSearch._leaf
+    monkeypatch.setattr(census._StarClosingSearch, "_leaf",
+                        lambda self, *args: calls.append(1) or leaf(self, *args))
+    assert enumerate_surfaces(9).total() == 655
+    assert len(calls) <= 1500
+
+
+def _flag_relabelings(facets):
+    """The labelings of a closed surface from each flag at a vertex of
+    minimum degree, by the search's rules replayed on the whole surface."""
+    star: dict = {}
+    for t in facets:
+        for v in t:
+            star.setdefault(v, []).append(t)
+    k = min(len(s) for s in star.values())
+    out = []
+    for r in sorted(star):
+        if len(star[r]) != k:
+            continue
+        for t0 in star[r]:
+            a, b = (x for x in t0 if x != r)
+            for a, b in ((a, b), (b, a)):
+                cycle = [a, b]
+                while len(cycle) < k:
+                    t = next(t for t in star[r] if cycle[-1] in t
+                             and cycle[-2] not in t)
+                    cycle.append(next(x for x in t if x not in (r, cycle[-1])))
+                lab = {v: i for i, v in enumerate([r] + cycle, 1)}
+                done = set(star[r])
+                order = [r] + cycle
+                j = 1
+                while j < len(order):  # order grows as vertices are labeled
+                    u = order[j]
+                    j += 1
+                    while True:
+                        missing = [t for t in star[u] if t not in done]
+                        if not missing:
+                            break
+                        deg = Counter(x for t in star[u] if t in done
+                                      for x in t if x != u)
+                        e = min((x for x, d in deg.items() if d == 1),
+                                key=lab.get)
+                        t = next(t for t in missing if e in t)
+                        w = next(x for x in t if x not in (u, e))
+                        if w not in lab:
+                            lab[w] = len(lab) + 1
+                            order.append(w)
+                        done.add(t)
+                out.append(tuple(sorted(tuple(sorted(lab[v] for v in t))
+                                        for t in facets)))
+    return out
+
+
+def test_leaf_test_accepts_one_flag_labeling_per_class():
+    for n in range(4, 9):
+        result = enumerate_surfaces(n, representatives=True)
+        for reps in result.representatives.values():
+            for rep in reps:
+                labelings = _flag_relabelings(rep.facets)
+                assert rep.facets in labelings
+                passing = {L for L in labelings if census._is_flag_minimal(L)}
+                assert passing == {rep.facets}
+
+
+# A labeling of an 11-vertex sphere that is not the least of its flag
+# labelings.  Its block 5 is empty: every triangle at vertex 5 holds a
+# smaller label.  The smaller labeling differs from it only after that block.
+SPHERE_11_NOT_LEAST = (
+    (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 6),
+    (3, 5, 7), (3, 6, 8), (3, 7, 8), (4, 5, 7), (4, 6, 9), (4, 7, 9),
+    (6, 8, 10), (6, 9, 10), (7, 8, 11), (7, 9, 10), (7, 10, 11), (8, 10, 11))
+
+
+def test_leaf_test_compares_through_empty_blocks():
+    assert not [t for t in SPHERE_11_NOT_LEAST if t[0] == 5]
+    labelings = _flag_relabelings(SPHERE_11_NOT_LEAST)
+    assert SPHERE_11_NOT_LEAST in labelings
+    passing = {L for L in labelings if census._is_flag_minimal(L)}
+    assert len(passing) == 1
+    assert SPHERE_11_NOT_LEAST not in passing
+
+
+# The sha256 of the representatives of n = 4..8, built as the census
+# workload of the benchmark builds its class-key fingerprint.
+REPRESENTATIVES_SHA256 = \
+    "d845357432cabf0271608ae1fa373f91bde4e9073b9d4602f77e17c6eaf300b8"
+
+
+def test_representatives_are_pinned():
+    keys = sorted([list(map(list, rep.facets)) for n in range(4, 9)
+                   for reps in enumerate_surfaces(
+                       n, representatives=True).representatives.values()
+                   for rep in reps])
+    digest = hashlib.sha256(json.dumps(keys).encode()).hexdigest()
+    assert digest == REPRESENTATIVES_SHA256

@@ -205,6 +205,19 @@ def test_link_determinants_unstall_neighborly_refinement(complexes, monkeypatch)
     assert automorphism_group(C).order == 1
 
 
+def test_are_isomorphic_computes_link_determinants_once(complexes, monkeypatch):
+    # the rejection test's link determinants are reused by the split in
+    # _search: one determinant per vertex link of each complex, 2 x 13
+    calls = []
+    det = iso.as_determinant
+    monkeypatch.setattr(iso, "as_determinant",
+                        lambda C: calls.append(1) or det(C))
+    C = complexes["S3xS3-a-13"]
+    perm = _random_perm(C.n, SplitMix64(5))
+    assert are_isomorphic(C, relabeled(C, perm))
+    assert len(calls) == 2 * C.n
+
+
 @pytest.mark.parametrize("name", ["L31-12", "S3xS2-a-12"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
