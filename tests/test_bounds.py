@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -253,3 +254,38 @@ def test_arnoux_marin_row_is_always_present(complexes, hint):
     assert not e.applicable
     if hint in ("RP^4", "CP^2"):
         assert e.notes == f"{hint} is not 3-dimensional"
+
+
+def _sha256(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_catalog_reports_are_pinned(entries, complexes):
+    reports = [bound_report(complexes[name], e.hints) for name, e in entries.items()]
+    assert _sha256(r.to_kv() for r in reports) == \
+        "def987c5d548da269e10a88f6ea4fc781d877af1ab43b53c214b262e0fe418c9"
+    assert _sha256(r.to_text() for r in reports) == \
+        "bf8b6b9ac2d69417f88fbaddffe23ea31973be2572aaa4150cf6077eefe7056e"
+
+
+HINT_MATRIX = (
+    [TopologyHints(), TopologyHints(is_sphere=False),
+     TopologyHints(simply_connected=False)]
+    + [TopologyHints(connectivity=i) for i in (1, 2, 3)]
+    + [TopologyHints(is_homology_sphere=z) for z in ("Z", "Z2")]
+    + [TopologyHints(known_manifold=m) for m in (
+        "S3", "s^3", "RP3", "L(3,1)", "T3", "S2xS1", "Poincare", "RP^3",
+        "RP^4", "CP^2")])
+
+
+def test_hint_matrix_reports_are_pinned(complexes, csaszar):
+    pool = [complexes[name] for name in
+            ("RP3-11", "L31-12", "S2xS2-11", "S3xS2-a-12")]
+    pool += [boundary_simplex(3), csaszar]
+    lines = []
+    for C in pool:
+        for hints in HINT_MATRIX:
+            r = bound_report(C, hints)
+            lines += [r.to_text(), r.to_kv()]
+    assert _sha256(lines) == \
+        "57c5826034a83f27a0b14b588a56496c6752eedfddaa2c354dc16f3046abeca5"
