@@ -1,4 +1,11 @@
-"""Vertex-count and f-vector bounds, evaluated exactly.
+"""Vertex-count and f-vector bounds, evaluated exactly, one row function each.
+
+``Facts.of`` computes what the bounds read about a complex once per report:
+n, d, the f-vector, chi, the integral homology, the F_2 Betti numbers, the
+pseudomanifold check, surface orientability and the caller's hints. A row
+function takes those facts and returns the ``BoundEntry`` rows of one bound,
+marked not applicable where its hypotheses fail. ``bound_report`` joins the
+rows of ``ROWS`` in order, and the tests call the same row functions.
 
 Every bound is an integer (or exact-fraction) inequality; ``slack`` is
 LHS - RHS in the bound's stated orientation, so ``sharp`` means slack 0.
@@ -8,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 from .homology import HomologyVector, betti, homology, orientability
 from .core import Complex, FVector, f_vector, is_pseudomanifold
-from .errors import InvalidArgument, WrongDimension
+from .errors import InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -81,114 +89,219 @@ class BoundReport:
         return "\n".join(e.as_kv() for e in self.entries)
 
 
-def _entry(report, bound_id, lhs, rhs, conjectural=False, notes=""):
+@dataclass(frozen=True)
+class Facts:
+    """What the rows read about a complex, computed once per report."""
+
+    n: int
+    d: int
+    F: FVector
+    chi: int
+    H: HomologyVector
+    betti: tuple  # F_2 Betti numbers b_0..b_d
+    pseudomanifold: bool
+    orientable: bool | None  # surfaces only
+    hints: TopologyHints
+    manifold: str | None  # the manifold hint, upper case, without spaces
+    projective: tuple | None  # (kind, k, dimension) of an RP^k or CP^k hint
+
+    @classmethod
+    def of(cls, C: Complex, hints: TopologyHints) -> Facts:
+        d = C.dim
+        F = f_vector(C)
+        H = homology(C)
+        b2 = betti(C, 2).ranks
+        pm = bool(is_pseudomanifold(C))
+        orientable = orientability(C) == "orientable" if d == 2 else None
+        manifold = hints.known_manifold
+        if manifold is not None:
+            manifold = manifold.replace(" ", "").upper()
+        kind, _, k = (manifold or "").partition("^")
+        projective = None
+        if kind in ("RP", "CP"):
+            if not (k.isascii() and k.isdigit() and len(k) < 10):
+                raise InvalidArgument("projective space hint must read RP^k or CP^k")
+            k = int(k)
+            projective = (kind, k, k if kind == "RP" else 2 * k)
+        return cls(C.n, d, F, F.euler, H, b2, pm, orientable, hints, manifold,
+                   projective)
+
+    @property
+    def reduced_betti(self) -> tuple:
+        return (self.betti[0] - 1,) + self.betti[1:]
+
+
+def _entry(bound_id, lhs, rhs, conjectural=False, notes=""):
     slack = lhs - rhs
-    e = BoundEntry(bound_id, True, slack >= 0, slack, slack == 0,
-                   conjectural, notes)
-    report.entries.append(e)
-    return e
+    return BoundEntry(bound_id, True, slack >= 0, slack, slack == 0,
+                      conjectural, notes)
 
 
-def _na(report, bound_id, notes=""):
-    e = BoundEntry(bound_id, False, notes=notes)
-    report.entries.append(e)
-    return e
+def _relation(bound_id, holds):
+    """An f-vector identity: slack 0 where it holds, none where it fails."""
+    return BoundEntry(bound_id, True, holds, 0 if holds else None, holds)
+
+
+def _na(bound_id, notes=""):
+    return BoundEntry(bound_id, False, notes=notes)
+
+
+_SIMPLEX = "a single simplex"
+
+
+def _wrong_dimension(f: Facts) -> str:
+    kind, k, _ = f.projective
+    return f"{kind}^{k} is not {f.d}-dimensional"
+
+
+def _kuehnel_kalai(k, n, x):
+    """Both sides of C(n-k-2, k+1) >= C(2k+1, k+1) * x.
+
+    With x = (-1)^k (chi - 2) this is the Kuehnel-Kalai bound for
+    2k-manifolds: Heawood's for k = 1 and Kuehnel's 4-dimensional bound for
+    k = 2. Novik's even-dimensional bounds put F_2 Betti numbers in x.
+    """
+    return comb(n - k - 2, k + 1), comb(2 * k + 1, k + 1) * x
 
 
 # ---------------------------------------------------------------- surfaces
 
+# (chi, orientable) of the orientable genus-2 surface, the Klein bottle and N_3
+EXCEPTIONAL_SURFACES = frozenset({(-2, True), (0, False), (-1, False)})
+
+
+def _heawood(n, chi, exceptional):
+    # an exceptional surface needs one vertex more than the formula
+    lhs, rhs = _kuehnel_kalai(1, n - 1 if exceptional else n, 2 - chi)
+    return _entry("heawood", lhs, rhs,
+                  notes="exceptional surface" if exceptional else "")
+
+
 def heawood_min_vertices(chi: int, exceptional: bool = False) -> int:
-    """Least n admitted by the surface vertex bound for Euler characteristic chi."""
+    """Least n that the heawood row admits for Euler characteristic chi."""
     if chi > 2:
         raise ValueError("a closed surface has chi <= 2")
-    off = 4 if exceptional else 3
-    n = 4
-    while comb(n - off, 2) < 3 * (2 - chi):
-        n += 1
-    return n
+    return next(n for n in count(4) if _heawood(n, chi, exceptional).satisfied)
 
 
 def surface_f_from_n(n: int, chi: int) -> FVector:
     return FVector((n, 3 * n - 3 * chi, 2 * n - 2 * chi), chi)
 
 
+def surface(f: Facts) -> list:
+    """Heawood, Ringel: a closed surface has C(n-3, 2) >= 3(2 - chi), and its
+    f-vector follows from n and chi."""
+    if f.d != 2:
+        return []
+    holds = f.F.counts == surface_f_from_n(f.n, f.chi).counts
+    return [_heawood(f.n, f.chi, (f.chi, f.orientable) in EXCEPTIONAL_SURFACES),
+            _relation("surface-f-relation", holds)]
+
+
 # ----------------------------------------------------- general lower bounds
 
-def brehm_kuehnel_bounds(d: int, hints: TopologyHints) -> list:
-    """Applicable lower bounds on n: (bound_id, minimum, note) triples."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    out = []
-    if hints.is_sphere is False:
-        note = ("equality only possible in dimensions 2, 4, 8, 16"
-                if d in (2, 4, 8, 16) else "")
-        out.append(("non-sphere", 3 * ((d + 1) // 2) + 3, note))
+def _brehm_kuehnel_min(d, i):
+    """Brehm-Kuehnel: a d-manifold that is (i-1)- but not i-connected needs
+    2d + 4 - i vertices; i = 1 gives 2d + 3 without simple connectivity."""
+    return 2 * d + 4 - i
+
+
+def _sphere_product_index(h: HomologyVector, d: int):
+    """Detect homology equal to that of S^(d-i) x S^i; return i or None."""
+    for i in range(1, d // 2 + 1):
+        free = [0] * (d + 1)
+        free[0] += 1
+        free[i] += 1
+        free[d - i] += 1
+        free[d] += 1
+        if h.free == tuple(free) and all(not t for t in h.torsion):
+            return i
+    return None
+
+
+def brehm_kuehnel(f: Facts) -> list:
+    """Brehm-Kuehnel lower bounds on n for non-spheres, for (i-1)- but not
+    i-connected manifolds, for homology sphere products and without simple
+    connectivity."""
+    d, n, hints, H = f.d, f.n, f.hints, f.H
+    sphere_h = H.free == tuple(
+        1 if k in (0, d) else 0 for k in range(d + 1)) and not any(H.torsion)
+    if d >= 2 and (hints.is_sphere is False or not sphere_h):
+        rows = [_entry("bk-non-sphere", n, 3 * ((d + 1) // 2) + 3,
+                       notes="equality only in dimensions 2, 4, 8, 16")]
+    else:
+        rows = [_na("bk-non-sphere", "not known to be a non-sphere")]
+
     i = hints.connectivity
     if i is not None and 1 <= i < d / 2:
-        out.append((f"connected-{i - 1}-not-{i}", 2 * d + 4 - i, ""))
+        rows.append(_entry("bk-connectivity", n, _brehm_kuehnel_min(d, i)))
+    else:
+        rows.append(_na("bk-connectivity", "no connectivity hint"))
+
+    i = _sphere_product_index(H, d)
+    if i is not None:
+        rows.append(_entry("bk-sphere-product-homology", n,
+                           _brehm_kuehnel_min(d, i),
+                           notes=f"homology of a sphere product with i={i}"))
+    else:
+        rows.append(_na("bk-sphere-product-homology", "homology does not match"))
+
     if hints.simply_connected is False:
-        out.append(("non-simply-connected", 6 if d == 2 else 2 * d + 3, ""))
-    return out
+        rows.append(_entry("bk-non-simply-connected", n,
+                           6 if d == 2 else _brehm_kuehnel_min(d, 1)))
+    else:
+        rows.append(_na("bk-non-simply-connected", "no fundamental-group hint"))
+    return rows
 
 
-def kuehnel_4d_check(n: int, chi: int):
-    """4-manifold Euler bound (Kuehnel-Kalai, k = 2); sharp iff 3-neighborly."""
-    if n < 6:
-        raise ValueError("n must be >= 6")
-    return kuehnel_kalai_bound(2, n, chi)
+def kuehnel_4d(f: Facts) -> list:
+    """Kuehnel: a 4-manifold has C(n-4, 3) >= 10(chi - 2), sharp iff it is
+    3-neighborly."""
+    if f.d != 4:
+        return []
+    e = _entry("kuehnel-4d", *_kuehnel_kalai(2, f.n, f.chi - 2))
+    if e.sharp and f.n <= 13 and f.n not in (6, 9):
+        e.notes = ("sharp-but-excluded: no 3-neighborly 4-manifold "
+                   "exists at this vertex count")
+    return [e]
 
 
-def kuehnel_kalai_bound(k: int, n: int, chi: int):
-    """Conjectural generalized Heawood bound for 2k-manifolds."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lhs = comb(n - k - 2, k + 1)
-    rhs = (-1) ** k * comb(2 * k + 1, k + 1) * (chi - 2)
-    return lhs >= rhs, lhs == rhs
+def kuehnel_kalai(f: Facts) -> list:
+    """Kuehnel-Kalai, conjectural for 2k-manifolds with k >= 3 (k = 1 and
+    k = 2 are the heawood and kuehnel-4d rows)."""
+    if f.d % 2 or f.d < 6:
+        return []
+    k = f.d // 2
+    lhs, rhs = _kuehnel_kalai(k, f.n, (-1) ** k * (f.chi - 2))
+    return [_entry("kuehnel-kalai", lhs, rhs, conjectural=True)]
 
 
-def kuehnel_triangle_bounds(d: int, n: int, reduced_betti) -> list:
-    """Conjectural per-j bounds from the Pascal-like triangle of lower bounds.
-
-    Returns (j, lhs, rhs, satisfied, sharp) rows; the j = d/2 bound for even
-    d carries the halved Betti number, compared exactly.
-    """
-    reduced_betti = tuple(reduced_betti)
-    if len(reduced_betti) != d // 2 + 1:
-        raise ValueError("need reduced Betti numbers for j = 0..floor(d/2)")
-    rows = []
-    for j in range((d - 1) // 2 + 1):
-        lhs = comb(n - d + j - 2, j + 1)
-        rhs = comb(d + 2, j + 1) * reduced_betti[j]
-        rows.append((j, lhs, rhs, lhs >= rhs, lhs == rhs))
+def kuehnel_triangle(f: Facts) -> list:
+    """Kuehnel's conjectured Pascal-like triangle of lower bounds, one row
+    per j <= d/2; the j = d/2 row of even d carries the halved Betti number,
+    compared exactly."""
+    d, n, r = f.d, f.n, f.reduced_betti
+    if n == d + 1:
+        return [_na("kuehnel-triangle", _SIMPLEX)]
+    sides = [(j, comb(n - d + j - 2, j + 1), comb(d + 2, j + 1) * r[j])
+             for j in range((d - 1) // 2 + 1)]
     if d % 2 == 0:
         j = d // 2
-        lhs = comb(n - j - 2, j + 1)
-        rhs = Fraction(comb(d + 2, j + 1) * reduced_betti[j], 2)
-        rows.append((j, lhs, rhs, lhs >= rhs, lhs == rhs))
-    return rows
+        sides.append((j, comb(n - j - 2, j + 1),
+                      Fraction(comb(d + 2, j + 1) * r[j], 2)))
+    return [_entry(f"kuehnel-triangle-j{j}", lhs, rhs, conjectural=True)
+            for j, lhs, rhs in sides]
 
 
-def lbt_check(F: FVector, d: int) -> list:
-    """Lower bound theorem rows (k, lhs, rhs, satisfied, sharp) for a
-    d-pseudomanifold f-vector."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    n = F[0]
-    rows = []
-    for k in range(1, d):
-        rhs = comb(d + 1, k) * n - comb(d + 2, k + 1) * k
-        rows.append((k, F[k], rhs, F[k] >= rhs, F[k] == rhs))
-    rhs = d * n - (d - 1) * (d + 2)
-    rows.append((d, F[d], rhs, F[d] >= rhs, F[d] == rhs))
-    return rows
-
-
-def _h_vector(counts, d: int) -> tuple:
-    D = d + 1
-    f = (1,) + tuple(counts)
-    return tuple(sum((-1) ** (k - i) * comb(D - i, k - i) * f[i]
-                     for i in range(k + 1)) for k in range(D + 1))
+def lbt(f: Facts) -> list:
+    """Lower bound theorem (Barnette, Kalai) for d-pseudomanifolds; sharp on
+    stacked spheres."""
+    d, n = f.d, f.n
+    if not (f.pseudomanifold and d >= 2):
+        return [_na("lbt", "not a pseudomanifold")]
+    rhs = [comb(d + 1, k) * n - comb(d + 2, k + 1) * k for k in range(1, d)]
+    rhs.append(d * n - (d - 1) * (d + 2))
+    return [_entry(f"lbt-k{k}", f.F[k], r) for k, r in enumerate(rhs, 1)]
 
 
 def cyclic_f(dim: int, n: int) -> FVector:
@@ -208,10 +321,20 @@ def cyclic_f(dim: int, n: int) -> FVector:
     return FVector(counts, euler)
 
 
-def ubt_check(F: FVector, d: int) -> list:
-    """Upper bound theorem rows (k, f_k, cyclic f_k, satisfied, sharp)."""
-    cyc = cyclic_f(d, F[0])
-    return [(k, F[k], cyc[k], F[k] <= cyc[k], F[k] == cyc[k])
+def ubt(f: Facts) -> list:
+    """Upper bound theorem (Novik for manifolds): f_k is at most that of the
+    cyclic polytope; in even d only while the middle F_2 Betti number is
+    dominated by the reduced lower ones."""
+    d, n, r = f.d, f.n, f.reduced_betti
+    if n == d + 1:
+        return [_na("ubt", _SIMPLEX)]
+    k = d // 2
+    if d % 2 == 0 and f.betti[k] > 2 * r[k - 1] + 2 * sum(
+            r[i] for i in range(1, k - 2)):
+        return [_na("ubt", "middle Betti number outside the stated range")]
+    cyc = cyclic_f(d, n)
+    return [_entry(f"ubt-k{k}", cyc[k], f.F[k],
+                   notes="upper bound: slack = cyclic f_k - f_k")
             for k in range(1, d + 1)]
 
 
@@ -220,70 +343,71 @@ def ubt_check(F: FVector, d: int) -> list:
 @dataclass(frozen=True)
 class GammaEntry:
     gamma: int
-    gamma_star: int | None
     conjectural: bool = False
-    exceptions: tuple = ()  # (n, f1) pairs excluded from gamma* realizability
 
 
 WALKUP_GAMMA = {
-    "S3": GammaEntry(-10, -10),
-    "S2~S1": GammaEntry(0, 0),
-    "S2xS1": GammaEntry(0, 1, exceptions=((9, 36),)),
-    "RP3": GammaEntry(7, 7),
-    "L(3,1)": GammaEntry(18, 18, conjectural=True),
-    "T3": GammaEntry(45, 45, conjectural=True),
+    "S3": GammaEntry(-10),
+    "S2~S1": GammaEntry(0),
+    "S2xS1": GammaEntry(0),
+    "RP3": GammaEntry(7),
+    "L(3,1)": GammaEntry(18, conjectural=True),
+    "T3": GammaEntry(45, conjectural=True),
 }
 OTHER_MIN_GAMMA = 8  # every further 3-manifold
+_GAMMA_KEYS = {name.upper(): name for name in WALKUP_GAMMA}
 
 
-def walkup_gamma_table() -> dict:
-    return dict(WALKUP_GAMMA)
-
-
-def walkup_relation(F: FVector, gamma: int):
-    """Check the 3-manifold f-vector shape and the edge bound f1 >= 4n + gamma."""
-    if len(F.counts) != 4:
-        raise WrongDimension("walkup_relation needs a 3-dimensional f-vector")
-    n, f1, f2, f3 = F.counts
-    consistent = (f2 == 2 * f1 - 2 * n) and (f3 == f1 - n)
-    slack = f1 - (4 * n + gamma)
-    return consistent and slack >= 0, slack
+def walkup(f: Facts) -> list:
+    """Walkup: a 3-manifold M has f_2 = 2 f_1 - 2n, f_3 = f_1 - n and
+    f_1 >= 4n + gamma(M)."""
+    if f.d != 3:
+        return []
+    F, n = f.F, f.n
+    holds = F[2] == 2 * F[1] - 2 * n and F[3] == F[1] - n
+    rows = [_relation("3-manifold-f-relation", holds)]
+    if f.projective is not None and f.projective[2] != 3:
+        return rows + [_na("walkup-gamma", _wrong_dimension(f))]
+    if f.manifold is None:
+        return rows + [_na("walkup-gamma", "manifold not identified")]
+    known = _GAMMA_KEYS.get(f.manifold.replace("^", ""))  # S^3 is S3
+    if known is None:
+        gamma, conjectural = OTHER_MIN_GAMMA, False
+        note = "gamma >= 8 for all other 3-manifolds"
+    else:
+        g = WALKUP_GAMMA[known]
+        gamma, conjectural = g.gamma, g.conjectural
+        note = f"gamma({known})={gamma}"
+    return rows + [_entry("walkup-gamma", F[1], 4 * n + gamma,
+                          conjectural=conjectural, notes=note)]
 
 
 # --------------------------------------------------------------- the rest
 
-def novik_bounds(d: int, n: int, betti_f2) -> list:
-    """Novik's three inequalities inside their stated (n, k) windows.
-
-    Returns (name, applicable, lhs, rhs, satisfied, sharp) rows; outside a
-    window the row is marked not applicable.
-    """
-    b = tuple(betti_f2)
-    rows = []
+def novik(f: Facts) -> list:
+    """Novik's three inequalities over F_2, each inside its stated window of
+    n; outside a window the row is marked not applicable."""
+    d, n, b = f.d, f.n, f.betti
+    if n == d + 1:
+        return [_na("novik", _SIMPLEX)]
     if d % 2 == 0:
         k = d // 2
-        reduced = (b[0] - 1,) + tuple(b[1:])
-        in1 = n <= 3 * k + 3 or n >= 4 * k + 3
-        lhs = comb(n - k - 2, k + 1)
-        rhs = comb(2 * k + 1, k + 1) * (
-            b[k] + 2 * sum(reduced[i] for i in range(k - 1)))
-        rows.append(("novik-even-reduced", in1, lhs, rhs,
-                     lhs >= rhs if in1 else None,
-                     lhs == rhs if in1 else False))
-        in2 = n <= 3 * k + 3 or n >= 7 * k + 3
-        rhs2 = comb(2 * k + 1, k + 1) * (b[k] + 2 * sum(b[i] for i in range(1, k)))
-        rows.append(("novik-even-unreduced", in2, lhs, rhs2,
-                     lhs >= rhs2 if in2 else None,
-                     lhs == rhs2 if in2 else False))
+        near = n <= 3 * k + 3
+        r = f.reduced_betti
+        sides = [
+            ("novik-even-reduced", n >= 4 * k + 3,
+             *_kuehnel_kalai(k, n, b[k] + 2 * sum(r[:k - 1]))),
+            ("novik-even-unreduced", n >= 7 * k + 3,
+             *_kuehnel_kalai(k, n, b[k] + 2 * sum(b[1:k])))]
     else:
         k = (d + 1) // 2
-        in3 = n <= 3 * k + 2 or n >= 4 * k + 1
-        lhs = Fraction(2 * n, n + k + 2) * comb(n - k - 2, k)
-        rhs = comb(2 * k - 1, k) * 2 * sum(b[i] for i in range(1, k))
-        rows.append(("novik-odd", in3, lhs, rhs,
-                     lhs >= rhs if in3 else None,
-                     lhs == rhs if in3 else False))
-    return rows
+        near = n <= 3 * k + 2
+        sides = [("novik-odd", n >= 4 * k + 1,
+                  Fraction(2 * n, n + k + 2) * comb(n - k - 2, k),
+                  comb(2 * k - 1, k) * 2 * sum(b[1:k]))]
+    return [_entry(name, lhs, rhs) if near or far
+            else _na(name, "n outside the stated window")
+            for name, far, lhs, rhs in sides]
 
 
 def arnoux_marin_min(kind: str, dim: int) -> int:
@@ -301,172 +425,39 @@ def arnoux_marin_min(kind: str, dim: int) -> int:
     raise ValueError("kind must be 'RP' or 'CP'")
 
 
-def bagchi_datta_min(d: int) -> int:
-    """Z2-homology spheres need d+9 vertices for 3 <= d <= 6."""
-    if not 3 <= d <= 6:
-        raise ValueError("stated only for 3 <= d <= 6")
-    return d + 9
+def arnoux_marin(f: Facts) -> list:
+    """Arnoux-Marin: the vertex minimum of an RP^k or CP^k hint."""
+    if f.projective is None:
+        return [_na("arnoux-marin", "not a real/complex projective space")]
+    kind, k, dim = f.projective
+    if dim != f.d:
+        return [_na("arnoux-marin", _wrong_dimension(f))]
+    return [_entry("arnoux-marin", f.n, arnoux_marin_min(kind, k))]
+
+
+def homology_sphere(f: Facts) -> list:
+    """Bagchi-Datta: a Z_2-homology sphere with 3 <= d <= 6 needs d + 9
+    vertices; Brehm-Kuehnel: a Z-homology sphere with d >= 6 needs 2d + 3."""
+    z, d = f.hints.is_homology_sphere, f.d
+    if z == "Z2" and 3 <= d <= 6:
+        return [_entry("bagchi-datta", f.n, d + 9)]
+    if z == "Z" and d >= 6:
+        return [_entry("bk-homology-sphere", f.n, _brehm_kuehnel_min(d, 1))]
+    return [_na("bagchi-datta", "no homology-sphere hint in range")]
 
 
 # ------------------------------------------------------------- aggregation
 
-_SURFACE_EXCEPTIONAL = {(-2, True), (0, False), (-1, False)}  # (chi, orientable)
-
-
-def _sphere_product_index(h: HomologyVector, d: int):
-    """Detect homology equal to that of S^(d-i) x S^i; return i or None."""
-    for i in range(1, d // 2 + 1):
-        free = [0] * (d + 1)
-        free[0] += 1
-        free[i] += 1
-        free[d - i] += 1
-        free[d] += 1
-        if h.free == tuple(free) and all(not t for t in h.torsion):
-            return i
-    return None
-
-
-_GAMMA_KEYS = {name.upper(): name for name in WALKUP_GAMMA}
-
-
-def _manifold_key(name: str | None):
-    return None if name is None else name.replace(" ", "").upper()
+ROWS = (surface, brehm_kuehnel, kuehnel_4d, kuehnel_kalai, kuehnel_triangle,
+        lbt, ubt, walkup, novik, arnoux_marin, homology_sphere)
 
 
 def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
-    """Evaluate every applicable bound against a complex."""
-    hints = hints or TopologyHints()
-    d = C.dim
-    F = f_vector(C)
-    n = C.n
-    chi = F.euler
-    H = homology(C)
-    b2 = betti(C, 2).ranks
-    pm = bool(is_pseudomanifold(C))
-    report = BoundReport({"n": n, "d": d, "f": F.counts, "chi": chi,
-                          "homology": str(H), "betti_f2": b2,
-                          "pseudomanifold": pm})
-
-    sphere_h = H.free == tuple(
-        1 if k in (0, d) else 0 for k in range(d + 1)) and not any(H.torsion)
-    not_sphere = hints.is_sphere is False or not sphere_h
-
-    if d == 2:
-        orient = orientability(C) == "orientable"
-        exceptional = (chi, orient) in _SURFACE_EXCEPTIONAL
-        off = 4 if exceptional else 3
-        _entry(report, "heawood", comb(n - off, 2), 3 * (2 - chi),
-               notes="exceptional surface" if exceptional else "")
-        ok = F.counts == surface_f_from_n(n, chi).counts
-        report.entries.append(BoundEntry(
-            "surface-f-relation", True, ok, 0 if ok else None, ok))
-
-    if d >= 2 and not_sphere:
-        _entry(report, "bk-non-sphere", n, 3 * ((d + 1) // 2) + 3,
-               notes="equality only in dimensions 2, 4, 8, 16")
-    else:
-        _na(report, "bk-non-sphere", "not known to be a non-sphere")
-
-    i = hints.connectivity
-    if i is not None and 1 <= i < d / 2:
-        _entry(report, "bk-connectivity", n, 2 * d + 4 - i)
-    else:
-        _na(report, "bk-connectivity", "no connectivity hint")
-
-    spi = _sphere_product_index(H, d)
-    if spi is not None:
-        _entry(report, "bk-sphere-product-homology", n, 2 * d + 4 - spi,
-               notes=f"homology of a sphere product with i={spi}")
-    else:
-        _na(report, "bk-sphere-product-homology", "homology does not match")
-
-    if hints.simply_connected is False:
-        _entry(report, "bk-non-simply-connected", n, 6 if d == 2 else 2 * d + 3)
-    else:
-        _na(report, "bk-non-simply-connected", "no fundamental-group hint")
-
-    if d == 4:
-        e = _entry(report, "kuehnel-4d", comb(n - 4, 3), 10 * (chi - 2))
-        if e.sharp and n <= 13 and n not in (6, 9):
-            e.notes = ("sharp-but-excluded: no 3-neighborly 4-manifold "
-                       "exists at this vertex count")
-
-    if d % 2 == 0 and d >= 6:
-        # k = 1 and k = 2 restate the Heawood and the proved 4-dimensional row
-        k = d // 2
-        _entry(report, "kuehnel-kalai", comb(n - k - 2, k + 1),
-               (-1) ** k * comb(2 * k + 1, k + 1) * (chi - 2),
-               conjectural=True)
-
-    rb = (b2[0] - 1,) + b2[1:d // 2 + 1]
-    for j, lhs, rhs, _, _ in kuehnel_triangle_bounds(d, n, rb):
-        _entry(report, f"kuehnel-triangle-j{j}", lhs, rhs, conjectural=True)
-
-    if pm and d >= 2:
-        for k, lhs, rhs, _, _ in lbt_check(F, d):
-            _entry(report, f"lbt-k{k}", lhs, rhs)
-    else:
-        _na(report, "lbt", "not a pseudomanifold")
-
-    ubt_ok = d % 2 == 1
-    if d % 2 == 0:
-        # middle Betti number dominated by the reduced lower ones, over F_2
-        k = d // 2
-        reduced = (b2[0] - 1,) + b2[1:]
-        ubt_ok = b2[k] <= 2 * reduced[k - 1] + 2 * sum(
-            reduced[i] for i in range(1, k - 2))
-    if ubt_ok:
-        for k, lhs, rhs, _, _ in ubt_check(F, d):
-            _entry(report, f"ubt-k{k}", rhs, lhs,
-                   notes="upper bound: slack = cyclic f_k - f_k")
-    else:
-        _na(report, "ubt", "middle Betti number outside the stated range")
-
-    key = _manifold_key(hints.known_manifold)
-    kind, _, k = (key or "").partition("^")
-    projective_dim = None
-    if kind in ("RP", "CP"):
-        if not (k.isascii() and k.isdigit() and len(k) < 10):
-            raise InvalidArgument("projective space hint must read RP^k or CP^k")
-        k = int(k)
-        projective_dim = k if kind == "RP" else 2 * k
-    wrong_dim = f"{kind}^{k} is not {d}-dimensional"
-
-    if d == 3:
-        ok = F[2] == 2 * F[1] - 2 * n and F[3] == F[1] - n
-        report.entries.append(BoundEntry(
-            "3-manifold-f-relation", True, ok, 0 if ok else None, ok))
-        known = _GAMMA_KEYS.get((key or "").replace("^", ""))  # S^3 is S3
-        if projective_dim not in (None, 3):
-            _na(report, "walkup-gamma", wrong_dim)
-        elif known is not None:
-            g = WALKUP_GAMMA[known]
-            _entry(report, "walkup-gamma", F[1], 4 * n + g.gamma,
-                   conjectural=g.conjectural, notes=f"gamma({known})={g.gamma}")
-        elif key is not None:
-            _entry(report, "walkup-gamma", F[1], 4 * n + OTHER_MIN_GAMMA,
-                   notes="gamma >= 8 for all other 3-manifolds")
-        else:
-            _na(report, "walkup-gamma", "manifold not identified")
-
-    for name, applicable, lhs, rhs, ok, sharp in novik_bounds(d, n, b2):
-        if applicable:
-            _entry(report, name, lhs, rhs)
-        else:
-            _na(report, name, "n outside the stated window")
-
-    if projective_dim is None:
-        _na(report, "arnoux-marin", "not a real/complex projective space")
-    elif projective_dim == d:
-        _entry(report, "arnoux-marin", n, arnoux_marin_min(kind, k))
-    else:
-        _na(report, "arnoux-marin", wrong_dim)
-
-    if hints.is_homology_sphere == "Z2" and 3 <= d <= 6:
-        _entry(report, "bagchi-datta", n, d + 9)
-    elif hints.is_homology_sphere == "Z" and d >= 6:
-        _entry(report, "bk-homology-sphere", n, 2 * d + 3)
-    else:
-        _na(report, "bagchi-datta", "no homology-sphere hint in range")
-
+    """Evaluate every row of ``ROWS`` against a complex."""
+    f = Facts.of(C, hints or TopologyHints())
+    report = BoundReport({"n": f.n, "d": f.d, "f": f.F.counts, "chi": f.chi,
+                          "homology": str(f.H), "betti_f2": f.betti,
+                          "pseudomanifold": f.pseudomanifold})
+    for row in ROWS:
+        report.entries += row(f)
     return report

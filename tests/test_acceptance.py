@@ -3,12 +3,14 @@ published value it reproduces, exactly (integers) unless stated otherwise."""
 import hashlib
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
 from mwb import catalog
-from mwb.bounds import (TopologyHints, bound_report, brehm_kuehnel_bounds,
-                        kuehnel_4d_check)
+from mwb.bounds import (EXCEPTIONAL_SURFACES, Facts, TopologyHints,
+                        bound_report, brehm_kuehnel, heawood_min_vertices,
+                        kuehnel_4d)
 from mwb.census import SurfaceClass, enumerate_spheres, enumerate_surfaces
 from mwb.constructions import boundary_simplex, product, twisted_bundle
 from mwb.core import f_vector, is_pseudomanifold, relabeled
@@ -40,6 +42,20 @@ TABLE_SURFACES_10 = {
     RP2: 1210, K2: 4462, M(False, 3, -1): 11784, M(False, 4, -2): 13657,
     M(False, 5, -3): 7050, M(False, 6, -4): 1022, M(False, 7, -5): 14,
 }
+
+
+def test_heawood_bound_is_met_by_the_published_tables():
+    # an independent oracle: the least n at which each class appears in the
+    # published census equals the least n the heawood row admits
+    first = {}
+    for n, counts in sorted(TABLE_SURFACES.items()) + [(10, TABLE_SURFACES_10)]:
+        for sc in counts:
+            first.setdefault(sc, n)
+    assert first[K2] == 8 and first[M(False, 3, -1)] == 9
+    assert first[M(True, 2, -2)] == 10
+    for sc, n in first.items():
+        exceptional = (sc.chi, sc.orientable) in EXCEPTIONAL_SURFACES
+        assert heawood_min_vertices(sc.chi, exceptional) == n, sc
 
 
 def test_acceptance_1_catalog_verification(complexes, entries):
@@ -169,13 +185,14 @@ def test_acceptance_4_bound_suite(complexes, entries):
     # sharpness fires exactly where equality is asserted
     r = bound_report(complexes["csaszar-torus"], entries["csaszar-torus"].hints)
     assert r.entry("heawood").sharp
-    bk = dict((b, n) for b, n, _ in
-              brehm_kuehnel_bounds(4, TopologyHints(is_sphere=False)))
-    assert bk["non-sphere"] == 9  # sharp for the 9-vertex complex projective plane
+    sphere_4 = Facts.of(boundary_simplex(4), TopologyHints(is_sphere=False))
+    bk = {e.bound_id: e for e in brehm_kuehnel(replace(sphere_4, n=9))}
+    assert bk["bk-non-sphere"].sharp  # the 9-vertex complex projective plane
     r = bound_report(complexes["RP3-11"], entries["RP3-11"].hints)
     walkup = r.entry("walkup-gamma")
     assert walkup.sharp and walkup.satisfied and not walkup.conjectural
-    assert kuehnel_4d_check(16, 24) == (True, True)
+    [e] = kuehnel_4d(replace(sphere_4, n=16, chi=24))
+    assert e.satisfied and e.sharp  # C(12,3) = 220 = 10*22
     print("\nACCEPTANCE 4 (bound suite): PASS")
 
 

@@ -1,17 +1,26 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from mwb.bounds import (TopologyHints, arnoux_marin_min, bagchi_datta_min,
-                        bound_report, brehm_kuehnel_bounds, cyclic_f,
-                        heawood_min_vertices, kuehnel_4d_check,
-                        kuehnel_kalai_bound, kuehnel_triangle_bounds,
-                        lbt_check, novik_bounds, surface_f_from_n, ubt_check,
-                        walkup_gamma_table, walkup_relation, _h_vector)
+from mwb.bounds import (WALKUP_GAMMA, Facts, TopologyHints, arnoux_marin_min,
+                        bound_report, brehm_kuehnel, cyclic_f,
+                        heawood_min_vertices, homology_sphere, kuehnel_4d,
+                        kuehnel_kalai, kuehnel_triangle, lbt, novik, surface,
+                        surface_f_from_n, ubt, walkup)
 from mwb.constructions import boundary_simplex, stack
-from mwb.core import FVector, f_vector
-from mwb.errors import WrongDimension
+from mwb.core import FVector
+
+
+def _facts(C, hints=TopologyHints(), **changes):
+    """The facts of C under hints, with the named ones replaced."""
+    return replace(Facts.of(C, hints), **changes)
+
+
+def _rows(row, f):
+    return {e.bound_id: e for e in row(f)}
 
 
 def test_heawood_minimum_vertices():
@@ -28,85 +37,106 @@ def test_heawood_monotone_in_chi():
 
 
 def test_brehm_kuehnel_lower_bounds():
-    non_sphere = TopologyHints(is_sphere=False)
-    assert dict((b, n) for b, n, _ in brehm_kuehnel_bounds(5, non_sphere))[
-        "non-sphere"] == 12
-    assert dict((b, n) for b, n, _ in brehm_kuehnel_bounds(6, non_sphere))[
-        "non-sphere"] == 12  # raw bound; 13 only via the projective-plane clause
-    assert dict((b, n) for b, n, _ in brehm_kuehnel_bounds(4, non_sphere))[
-        "non-sphere"] == 9
-    nsc = TopologyHints(simply_connected=False)
-    assert dict((b, n) for b, n, _ in brehm_kuehnel_bounds(3, nsc))[
-        "non-simply-connected"] == 9
-    assert dict((b, n) for b, n, _ in brehm_kuehnel_bounds(2, nsc))[
-        "non-simply-connected"] == 6
-    conn = TopologyHints(connectivity=2)
-    assert dict((b, n) for b, n, _ in brehm_kuehnel_bounds(5, conn))[
-        "connected-1-not-2"] == 12
+    def bk(d, n, bound_id, **hints):
+        # a d-sphere told the hints, renumbered to n vertices
+        f = _facts(boundary_simplex(d), TopologyHints(**hints), n=n)
+        return _rows(brehm_kuehnel, f)[bound_id]
+
+    # each bound is sharp at its minimum n
+    assert bk(5, 12, "bk-non-sphere", is_sphere=False).sharp
+    # raw bound; 13 only via the projective-plane clause
+    assert bk(6, 12, "bk-non-sphere", is_sphere=False).sharp
+    assert bk(4, 9, "bk-non-sphere", is_sphere=False).sharp
+    assert bk(3, 9, "bk-non-simply-connected", simply_connected=False).sharp
+    assert bk(2, 6, "bk-non-simply-connected", simply_connected=False).sharp
+    assert bk(5, 12, "bk-connectivity", connectivity=2).sharp
+    assert not bk(5, 12, "bk-non-sphere").applicable
+    [e] = homology_sphere(_facts(boundary_simplex(6),
+                                 TopologyHints(is_homology_sphere="Z"), n=15))
+    assert e.bound_id == "bk-homology-sphere" and e.sharp  # 2d + 3
 
 
 def test_kuehnel_4d_bound():
-    assert kuehnel_4d_check(9, 3) == (True, True)
-    assert kuehnel_4d_check(16, 24) == (True, True)  # C(12,3) = 220 = 10*22
-    assert kuehnel_4d_check(10, 4) == (True, True)
-    assert kuehnel_4d_check(11, 4) == (True, False)
-    assert kuehnel_4d_check(9, 4) == (False, False)
+    base = Facts.of(boundary_simplex(4), TopologyHints())
+
+    def flags(n, chi):
+        [e] = kuehnel_4d(replace(base, n=n, chi=chi))
+        return e.satisfied, e.sharp
+
+    assert flags(9, 3) == (True, True)
+    assert flags(16, 24) == (True, True)  # C(12,3) = 220 = 10*22
+    assert flags(10, 4) == (True, True)
+    assert flags(11, 4) == (True, False)
+    assert flags(9, 4) == (False, False)
 
 
-def test_kuehnel_kalai_specializes_to_heawood():
+def test_kuehnel_kalai_specializes_to_heawood(csaszar):
+    # on a surface that is not exceptional, the heawood row is k = 1
+    base = Facts.of(csaszar, TopologyHints())
     for chi in range(2, -8, -1):
         for n in range(4, 14):
-            from math import comb
             heawood = comb(n - 3, 2) >= 3 * (2 - chi)
-            assert kuehnel_kalai_bound(1, n, chi)[0] == heawood
+            f = replace(base, n=n, chi=chi, orientable=chi != -2)
+            assert _rows(surface, f)["heawood"].satisfied == heawood
 
 
 def test_kuehnel_kalai_cases():
-    assert kuehnel_kalai_bound(2, 9, 3) == (True, True)
-    assert kuehnel_kalai_bound(3, 15, 3)[0] is True
-    assert kuehnel_kalai_bound(4, 15, 3) == (True, True)  # C(9,5) = 126 = 126
+    base = Facts.of(boundary_simplex(6), TopologyHints())
+    [e] = kuehnel_4d(replace(base, d=4, n=9, chi=3))
+    assert e.satisfied and e.sharp
+    [e] = kuehnel_kalai(replace(base, n=15, chi=3))
+    assert e.satisfied and e.conjectural
+    [e] = kuehnel_kalai(replace(base, d=8, n=15, chi=3))
+    assert e.satisfied and e.sharp  # C(9,5) = 126 = 126
 
 
 def test_kuehnel_triangle_rows():
+    def row(d, n, betti, j):
+        f = _facts(boundary_simplex(d), n=n, betti=betti)
+        return _rows(kuehnel_triangle, f)[f"kuehnel-triangle-j{j}"]
+
     # j = 0 row is n >= d+2
-    rows = kuehnel_triangle_bounds(5, 7, (0, 0, 0))
-    j0 = rows[0]
-    assert j0[1] == 0 and j0[2] == 0 and j0[3]
+    e = row(5, 7, (1, 0, 0, 0, 0, 1), 0)
+    assert e.satisfied and e.slack == 0
     # first Betti number 1 forces n >= 2d+3 (sharp at 9 for d=3)
-    rows = kuehnel_triangle_bounds(3, 9, (0, 1))
-    assert rows[1][3] and rows[1][4]
+    assert row(3, 9, (1, 1, 1, 1), 1).sharp
     # sphere product S^3 x S^2: the j=2 bound is sharp at n = 2d+4-i = 12
-    rows = kuehnel_triangle_bounds(5, 12, (0, 0, 1))
-    assert rows[2][3] and rows[2][4]
+    assert row(5, 12, (1, 0, 1, 1, 0, 1), 2).sharp
     # halved middle bound for even d: torus j=1 row reproduces Heawood at n=7
-    rows = kuehnel_triangle_bounds(2, 7, (0, 2))
-    assert rows[1][2] == Fraction(6) and rows[1][3] and rows[1][4]
+    e = row(2, 7, (1, 2, 1), 1)
+    assert e.sharp and isinstance(e.slack, Fraction)  # C(4,2) * 2 / 2 = 6
 
 
 def test_lbt_rows(complexes):
-    rows = lbt_check(f_vector(complexes["RP3-11"]), 3)
-    k1 = rows[0]
-    assert k1[1] == 51 and k1[2] == 34 and k1[3]
-    B = boundary_simplex(4)
-    rows = lbt_check(f_vector(B), 4)
-    assert rows[0][1] == 15 and rows[0][2] == 15 and rows[0][4]
-    rows = lbt_check(FVector((5, 10, 10, 5), 0), 3)
-    assert rows[-1] == (3, 5, 5, True, True)
+    e = _rows(lbt, _facts(complexes["RP3-11"]))["lbt-k1"]
+    assert e.satisfied and e.slack == 51 - 34
+    e = _rows(lbt, _facts(boundary_simplex(4)))["lbt-k1"]
+    assert e.sharp  # f_1 = 15
+    f = _facts(boundary_simplex(3), n=5, F=FVector((5, 10, 10, 5), 0))
+    e = _rows(lbt, f)["lbt-k3"]
+    assert e.satisfied and e.sharp
 
 
 def test_lbt_equality_for_stacked_spheres():
     C = boundary_simplex(3)
     for _ in range(4):
         C = stack(C, C.facets[0])
-        fv = f_vector(C)
-        rows = lbt_check(fv, 3)
-        assert rows[0][4], "k=1 equality must hold for stacked spheres"
+        assert _rows(lbt, _facts(C))["lbt-k1"].sharp, \
+            "k=1 equality must hold for stacked spheres"
 
 
 def test_cyclic_f_vectors():
     assert cyclic_f(3, 9).counts[1] == 36  # 2-neighborly
     assert cyclic_f(3, 6).counts == (6, 15, 18, 9)
     assert cyclic_f(4, 11).counts[:2] == (11, 55)
+
+
+def _h_vector(counts, d):
+    """The h-vector of a d-dimensional f-vector (f_0, ..., f_d)."""
+    D = d + 1
+    f = (1,) + tuple(counts)
+    return tuple(sum((-1) ** (k - i) * comb(D - i, k - i) * f[i]
+                     for i in range(k + 1)) for k in range(D + 1))
 
 
 def test_cyclic_f_satisfies_dehn_sommerville():
@@ -116,46 +146,45 @@ def test_cyclic_f_satisfies_dehn_sommerville():
 
 
 def test_ubt_rows(complexes):
-    rows = ubt_check(f_vector(complexes["L31-12"]), 3)
-    assert all(ok for _, _, _, ok, _ in rows)
-    assert rows[0][1] == 66 and rows[0][2] == 66 and rows[0][4]  # f1 sharp
+    rows = ubt(_facts(complexes["L31-12"]))
+    assert all(e.satisfied for e in rows)
+    assert rows[0].bound_id == "ubt-k1" and rows[0].sharp  # f1 = 66 = C(12,2)
 
 
 def test_walkup_relation(complexes):
-    fv = f_vector(complexes["RP3-11"])
-    ok, slack = walkup_relation(fv, walkup_gamma_table()["RP3"].gamma)
-    assert ok and slack == 0
-    fv = f_vector(complexes["L31-12"])
-    ok, slack = walkup_relation(fv, walkup_gamma_table()["L(3,1)"].gamma)
-    assert ok and slack == 0
-    assert walkup_gamma_table()["L(3,1)"].conjectural
-    assert walkup_gamma_table()["S3"].gamma == -10
-    assert walkup_gamma_table()["S2xS1"].exceptions == ((9, 36),)
-    ok, _ = walkup_relation(FVector((10, 40, 59, 30), 0), 0)
-    assert not ok
-    with pytest.raises(WrongDimension):
-        walkup_relation(FVector((7, 21, 14), 0), 0)
+    for name, hint in (("RP3-11", "RP3"), ("L31-12", "L(3,1)")):
+        f = _facts(complexes[name], TopologyHints(known_manifold=hint))
+        rows = _rows(walkup, f)
+        assert rows["3-manifold-f-relation"].satisfied
+        assert rows["walkup-gamma"].satisfied and rows["walkup-gamma"].slack == 0
+    assert WALKUP_GAMMA["L(3,1)"].conjectural
+    assert WALKUP_GAMMA["S3"].gamma == -10
+    f = _facts(boundary_simplex(3), TopologyHints(known_manifold="S2xS1"),
+               n=10, F=FVector((10, 40, 59, 30), 0))
+    rows = _rows(walkup, f)
+    assert not rows["3-manifold-f-relation"].satisfied  # f_2 != 2 f_1 - 2n
+    assert rows["walkup-gamma"].slack == 0
 
 
-def test_novik_torus_is_sharp():
-    rows = novik_bounds(2, 7, (1, 2, 1))
-    name, applicable, lhs, rhs, ok, sharp = rows[0]
-    assert applicable and ok and sharp and lhs == 6 and rhs == 6
+def test_novik_torus_is_sharp(csaszar):
+    e = _rows(novik, _facts(csaszar))["novik-even-reduced"]
+    assert e.applicable and e.satisfied and e.sharp  # C(4,2) = 6 = 3 * 2
 
 
-def test_novik_windows():
-    rows = novik_bounds(2, 6, (1, 0, 1))
-    assert rows[0][1] is True  # n <= 3k+3 = 6
-    rows = novik_bounds(4, 10, (1, 0, 2, 0, 1))
-    assert rows[0][1] is False  # 9 < 10 < 11: between the stated windows
-    assert rows[0][4] is None
+def test_novik_windows(csaszar, complexes):
+    e = _rows(novik, _facts(csaszar, n=6, betti=(1, 0, 1)))["novik-even-reduced"]
+    assert e.applicable  # n <= 3k+3 = 6
+    f = _facts(complexes["S2xS2-11"], n=10)  # F_2 Betti numbers (1, 0, 2, 0, 1)
+    e = _rows(novik, f)["novik-even-reduced"]
+    assert not e.applicable  # 9 < 10 < 11: between the stated windows
+    assert e.satisfied is None
 
 
 def test_novik_odd_dimension(complexes):
-    rows = novik_bounds(3, 11, (1, 1, 1, 1))
-    name, applicable, lhs, rhs, ok, _ = rows[0]
-    assert applicable and ok
-    assert lhs == Fraction(2 * 11, 11 + 2 + 2) * 21
+    e = _rows(novik, _facts(complexes["RP3-11"]))["novik-odd"]
+    assert e.applicable and e.satisfied
+    # lhs 2n/(n+k+2) C(n-k-2, k), rhs C(2k-1, k) * 2 b_1
+    assert e.slack == Fraction(2 * 11, 11 + 2 + 2) * 21 - 6
 
 
 def test_surface_f_from_n():
@@ -168,9 +197,9 @@ def test_arnoux_marin_and_bagchi_datta():
     assert arnoux_marin_min("RP", 4) == 16
     assert arnoux_marin_min("CP", 2) == 9
     assert arnoux_marin_min("CP", 3) == 17
-    assert bagchi_datta_min(3) == 12
-    with pytest.raises(ValueError):
-        bagchi_datta_min(7)
+    f = _facts(boundary_simplex(3), TopologyHints(is_homology_sphere="Z2"), n=12)
+    [e] = homology_sphere(f)
+    assert e.bound_id == "bagchi-datta" and e.sharp  # d + 9
 
 
 def test_bound_report_catalog_is_clean(complexes, entries):
@@ -235,7 +264,7 @@ def test_walkup_gamma_ignores_case_and_carets(name, table_name):
     # a miss would hold the complex to "gamma >= 8 for all other 3-manifolds"
     e = bound_report(boundary_simplex(3),
                      TopologyHints(known_manifold=name)).entry("walkup-gamma")
-    gamma = walkup_gamma_table()[table_name].gamma
+    gamma = WALKUP_GAMMA[table_name].gamma
     assert e.notes == f"gamma({table_name})={gamma}"
 
 

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from mwb import census, iso
-from mwb.bounds import heawood_min_vertices
+from mwb.bounds import EXCEPTIONAL_SURFACES, heawood_min_vertices
 from mwb.census import (CensusResult, SurfaceClass, classify_surface,
                         enumerate_spheres, enumerate_surfaces)
 from mwb.constructions import boundary_simplex, twisted_bundle
@@ -70,8 +70,7 @@ def test_census_deterministic_across_workers():
 def test_heawood_consistency_up_to_8():
     for n in range(4, 9):
         for sc in enumerate_surfaces(n).counts:
-            exceptional = (sc.chi, sc.orientable) in {(-2, True), (0, False),
-                                                      (-1, False)}
+            exceptional = (sc.chi, sc.orientable) in EXCEPTIONAL_SURFACES
             assert n >= heawood_min_vertices(sc.chi, exceptional)
 
 

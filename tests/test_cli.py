@@ -154,6 +154,21 @@ def test_bounds_homology_sphere_hint_values(capsys, value):
     assert row in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("d", [1, 3, 4, 5])
+def test_bounds_on_a_single_simplex(capsys, tmp_path, d):
+    # the parser accepts one facet on d+1 vertices
+    path = tmp_path / "simplex.tri"
+    path.write_text(f"{d} {d + 1}\n{' '.join(map(str, range(1, d + 2)))}\n")
+    rc = main(["bounds", "--in", str(path)])
+    out, err = capsys.readouterr()
+    assert err == ""
+    for bound_id in ("kuehnel-triangle", "ubt", "novik"):
+        assert f"  {bound_id}: not applicable (a single simplex)\n" in out
+    # a simplex has the homology of a point, not of a sphere
+    assert ("bk-non-sphere: VIOLATED" in out) == (d >= 2)
+    assert rc == (1 if d >= 2 else 0)
+
+
 def test_census_command(capsys):
     assert main(["census", "surfaces", "--n", "6"]) == 0
     out = capsys.readouterr().out
