@@ -5,7 +5,8 @@ n, d, the f-vector, chi, the integral homology, the F_2 Betti numbers, the
 pseudomanifold check, surface orientability and the caller's hints. A row
 function takes those facts and returns the ``BoundEntry`` rows of one bound,
 marked not applicable where its hypotheses fail. ``bound_report`` joins the
-rows of ``ROWS`` in order, and the tests call the same row functions.
+rows of ``ROWS`` in order on a pseudomanifold, and only the ``lbt`` row, which
+says it is not one, on any other complex. The tests call the same rows.
 
 Every bound is an integer (or exact-fraction) inequality; ``slack`` is
 LHS - RHS in the bound's stated orientation, so ``sharp`` means slack 0.
@@ -100,7 +101,7 @@ class Facts:
     H: HomologyVector
     betti: tuple  # F_2 Betti numbers b_0..b_d
     pseudomanifold: bool
-    orientable: bool | None  # surfaces only
+    orientable: bool | None  # pseudomanifold surfaces only
     hints: TopologyHints
     manifold: str | None  # the manifold hint, upper case, without spaces
     projective: tuple | None  # (kind, k, dimension) of an RP^k or CP^k hint
@@ -112,7 +113,7 @@ class Facts:
         H = homology(C)
         b2 = betti(C, 2).ranks
         pm = bool(is_pseudomanifold(C))
-        orientable = orientability(C) == "orientable" if d == 2 else None
+        orientable = orientability(C) == "orientable" if d == 2 and pm else None
         manifold = hints.known_manifold
         if manifold is not None:
             manifold = manifold.replace(" ", "").upper()
@@ -144,9 +145,6 @@ def _relation(bound_id, holds):
 
 def _na(bound_id, notes=""):
     return BoundEntry(bound_id, False, notes=notes)
-
-
-_SIMPLEX = "a single simplex"
 
 
 def _wrong_dimension(f: Facts) -> str:
@@ -281,8 +279,6 @@ def kuehnel_triangle(f: Facts) -> list:
     per j <= d/2; the j = d/2 row of even d carries the halved Betti number,
     compared exactly."""
     d, n, r = f.d, f.n, f.reduced_betti
-    if n == d + 1:
-        return [_na("kuehnel-triangle", _SIMPLEX)]
     sides = [(j, comb(n - d + j - 2, j + 1), comb(d + 2, j + 1) * r[j])
              for j in range((d - 1) // 2 + 1)]
     if d % 2 == 0:
@@ -326,8 +322,6 @@ def ubt(f: Facts) -> list:
     cyclic polytope; in even d only while the middle F_2 Betti number is
     dominated by the reduced lower ones."""
     d, n, r = f.d, f.n, f.reduced_betti
-    if n == d + 1:
-        return [_na("ubt", _SIMPLEX)]
     k = d // 2
     if d % 2 == 0 and f.betti[k] > 2 * r[k - 1] + 2 * sum(
             r[i] for i in range(1, k - 2)):
@@ -388,8 +382,6 @@ def novik(f: Facts) -> list:
     """Novik's three inequalities over F_2, each inside its stated window of
     n; outside a window the row is marked not applicable."""
     d, n, b = f.d, f.n, f.betti
-    if n == d + 1:
-        return [_na("novik", _SIMPLEX)]
     if d % 2 == 0:
         k = d // 2
         near = n <= 3 * k + 3
@@ -453,11 +445,12 @@ ROWS = (surface, brehm_kuehnel, kuehnel_4d, kuehnel_kalai, kuehnel_triangle,
 
 
 def bound_report(C: Complex, hints: TopologyHints | None = None) -> BoundReport:
-    """Evaluate every row of ``ROWS`` against a complex."""
+    """Evaluate every row of ``ROWS`` against a pseudomanifold; any other
+    complex gets only the ``lbt`` row, which says it is not one."""
     f = Facts.of(C, hints or TopologyHints())
     report = BoundReport({"n": f.n, "d": f.d, "f": f.F.counts, "chi": f.chi,
                           "homology": str(f.H), "betti_f2": f.betti,
                           "pseudomanifold": f.pseudomanifold})
-    for row in ROWS:
+    for row in ROWS if f.pseudomanifold else (lbt,):
         report.entries += row(f)
     return report

@@ -18,6 +18,10 @@ of the facet list, so labelings compare block by block.  Each time the least
 open vertex advances, the blocks of the closed stars are final, and a flag at
 a closed vertex whose labeling is already smaller there prunes the subtree.
 Correctness is anchored to the published census counts.
+
+Each open vertex keeps its link paths as a map from each end to the other
+end, joined in constant time as triangles come and restored from an undo
+stack as they go.  Only leaves of even chi <= 0 get an orientation pass.
 """
 from __future__ import annotations
 
@@ -41,6 +45,10 @@ class SurfaceClass:
     orientable: bool
     genus: int
     chi: int
+
+    @classmethod
+    def of(cls, chi: int, orientable: bool) -> SurfaceClass:
+        return cls(orientable, (2 - chi) // 2 if orientable else 2 - chi, chi)
 
     def __str__(self):
         return f"chi={self.chi} orient={'+' if self.orientable else '-'} genus={self.genus}"
@@ -71,10 +79,7 @@ def classify_surface(C: Complex) -> SurfaceClass:
     for v in C.vertices():
         if not is_pseudomanifold(link(C, (v,))):
             raise NotASurface(f"link of vertex {v} is not a single cycle")
-    chi = f_vector(C).euler
-    if orientability(C) == "orientable":
-        return SurfaceClass(True, (2 - chi) // 2, chi)
-    return SurfaceClass(False, 2 - chi, chi)
+    return SurfaceClass.of(f_vector(C).euler, orientability(C) == "orientable")
 
 
 class _StarClosingSearch:
@@ -89,7 +94,8 @@ class _StarClosingSearch:
         self.chi_required = chi_required
         self.third: dict = {}      # sorted vertex pair -> set of third vertices
         self.neighbors: dict = {}  # vertex -> set of skeleton neighbors
-        self.ends: dict = {}       # vertex -> link vertices of link degree 1
+        self.mate: dict = {}       # vertex -> {link path end: its other end}
+        self.undo: list = []       # (z, x, y, ox, oy): x-y added to link z
         self.triangles: list = []
         self.num_edges = 0
         self.next_label = 1
@@ -104,7 +110,7 @@ class _StarClosingSearch:
         if v == self.next_label:
             self.next_label += 1
             self.neighbors[v] = set()
-            self.ends[v] = set()
+            self.mate[v] = {}
 
     def _pairs(self, t):
         a, b, c = t
@@ -114,63 +120,49 @@ class _StarClosingSearch:
         self.triangles.append(t)
         for v in t:
             self._touch(v)
-        ends = self.ends
-        for pair, z in self._pairs(t):
-            s = self.third.get(pair)
+        for (x, y), z in self._pairs(t):
+            s = self.third.get((x, y))
             if s is None:
-                s = self.third[pair] = set()
+                s = self.third[(x, y)] = set()
             s.add(z)
-            x, y = pair
             if len(s) == 1:
                 self.neighbors[x].add(y)
                 self.neighbors[y].add(x)
-                ends[x].add(y)
-                ends[y].add(x)
                 self.num_edges += 1
-            else:
-                ends[x].discard(y)
-                ends[y].discard(x)
+            # the link of z gains the edge x-y: join the paths ending there,
+            # where a vertex new to the link is a path of its own
+            m = self.mate[z]
+            ox, oy = m.pop(x, x), m.pop(y, y)
+            if ox != y:  # else x-y closes the last path into the link cycle
+                m[ox], m[oy] = oy, ox
+            self.undo.append((z, x, y, ox, oy))
 
     def remove(self, t):
         self.triangles.pop()
-        ends = self.ends
-        for pair, z in self._pairs(t):
-            s = self.third[pair]
+        for _ in t:  # the records of t, in reverse order
+            z, x, y, ox, oy = self.undo.pop()
+            m = self.mate[z]
+            if ox != y:
+                del m[ox], m[oy]
+            if ox != x:
+                m[x], m[ox] = ox, x
+            if oy != y:
+                m[y], m[oy] = oy, y
+            s = self.third[(x, y)]
             s.discard(z)
-            x, y = pair
             if not s:
-                del self.third[pair]
+                del self.third[(x, y)]
                 self.neighbors[x].discard(y)
                 self.neighbors[y].discard(x)
-                ends[x].discard(y)
-                ends[y].discard(x)
                 self.num_edges -= 1
-            else:
-                ends[x].add(y)
-                ends[y].add(x)
         for v in reversed(t):
             if v == self.next_label - 1 and not self.neighbors[v]:
                 self.next_label -= 1
-                del self.neighbors[v], self.ends[v]
+                del self.neighbors[v], self.mate[v]
 
     def closed(self, v) -> bool:
         # every labeled vertex keeps the triangle that labeled it
-        return not self.ends[v]
-
-    def _path_from(self, v, x):
-        """Walk the link path of v starting at end x; return its vertex set."""
-        seen = {x}
-        prev = None
-        cur = x
-        while True:
-            nxt = [u for u in self.third[(v, cur) if v < cur else (cur, v)]
-                   if u != prev]
-            if not nxt:
-                return seen
-            prev, cur = cur, nxt[0]
-            if cur in seen:
-                return seen
-            seen.add(cur)
+        return not self.mate[v]
 
     def add_ok(self, t) -> bool:
         a, b, c = t
@@ -188,11 +180,9 @@ class _StarClosingSearch:
                 continue
             if self.closed(u):
                 return False
-            ends = self.ends[u]
-            if x in ends and y in ends:
-                path = self._path_from(u, x)
-                if y in path and len(path) != len(self.neighbors[u]):
-                    return False  # would close a cycle while other paths remain
+            m = self.mate[u]
+            if m.get(x) == y and len(m) > 2:
+                return False  # would close a cycle while other paths remain
         return True
 
     # -- search ------------------------------------------------------------
@@ -235,7 +225,7 @@ class _StarClosingSearch:
         self._extend(v, c, start, walks, roots)
 
     def _extend(self, v, c, start, walks, roots):
-        ends = sorted(self.ends[v])
+        ends = sorted(self.mate[v])
         if not ends:
             return
         e = ends[0]
@@ -271,7 +261,9 @@ class _StarClosingSearch:
         self._final_blocks(c, self.n, start)
         if self._test(walks, roots, self.n) is not None:
             facets = tuple(sorted(self.triangles))
-            orient = orientability(from_facets(facets)) == "orientable"
+            # chi = 2 is the sphere, and odd chi is non-orientable
+            orient = chi == 2 or (chi % 2 == 0 and orientability(
+                from_facets(facets)) == "orientable")
             self.found.append((facets, chi, orient))
         del self.blocks[c + 1:]
 
@@ -419,15 +411,17 @@ def _run_root(args):
     return search.run()
 
 
-def _census(n: int, chi_required: int | None, threads: int = 1):
+def _census(n: int, cap: int, chi_required: int | None, threads: int):
+    if not 4 <= n:
+        raise InvalidArgument(f"n must be >= 4, got {n}")
+    if n > cap:
+        raise CapExceeded(f"n={n} exceeds the census cap {cap}")
     if threads < 1:
         raise InvalidArgument("threads must be >= 1")
-    if chi_required is None:
-        chi_min = 2 - comb(n - 3, 2) // 3
-        f1_budget, f2_budget = 3 * n - 3 * chi_min, 2 * n - 2 * chi_min
-    else:
-        f1_budget, f2_budget = 3 * n - 3 * chi_required, 2 * n - 2 * chi_required
-    jobs = [(n, k, f1_budget, f2_budget, chi_required)
+    # the edge and triangle budgets of the least chi that Heawood's bound
+    # admits on n vertices, or of the required chi
+    chi = 2 - comb(n - 3, 2) // 3 if chi_required is None else chi_required
+    jobs = [(n, k, 3 * n - 3 * chi, 2 * n - 2 * chi, chi_required)
             for k in range(3, n)]
     workers = min(threads, len(jobs), os.cpu_count() or 1)
     # a class is found only at its minimum degree: the parts are disjoint
@@ -446,16 +440,10 @@ def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,
                        threads: int = 1, representatives: bool = False
                        ) -> CensusResult:
     """One representative count per isomorphism class of closed surfaces."""
-    if not 4 <= n:
-        raise InvalidArgument(f"n must be >= 4, got {n}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the census cap {cap}")
-    found = _census(n, None, threads)
     counts: Counter = Counter()
     reps: dict = {}
-    for facets, chi, orient in found:
-        genus = (2 - chi) // 2 if orient else 2 - chi
-        sc = SurfaceClass(orient, genus, chi)
+    for facets, chi, orient in _census(n, cap, None, threads):
+        sc = SurfaceClass.of(chi, orient)
         counts[sc] += 1
         if representatives:
             reps.setdefault(sc, []).append(Complex(facets, range(1, n + 1)))
@@ -465,8 +453,4 @@ def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,
 def enumerate_spheres(n: int, cap: int = SPHERE_CAP_DEFAULT,
                       threads: int = 1) -> int:
     """Number of combinatorial types of triangulated 2-spheres on n vertices."""
-    if not 4 <= n:
-        raise InvalidArgument(f"n must be >= 4, got {n}")
-    if n > cap:
-        raise CapExceeded(f"n={n} exceeds the census cap {cap}")
-    return len(_census(n, 2, threads))
+    return len(_census(n, cap, 2, threads))

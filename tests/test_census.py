@@ -111,6 +111,69 @@ def test_census_rejects_zero_threads():
             enumerate_(6, threads=0)
 
 
+# --- the link-path map and the chi rule -------------------------------------
+
+def _path_end(third, u, x):
+    """Walk the link path of u from its end x; return the other end."""
+    prev, cur = None, x
+    while True:
+        nxt = [w for w in third[(u, cur) if u < cur else (cur, u)]
+               if w != prev]
+        if not nxt:
+            return cur
+        prev, cur = cur, nxt[0]
+
+
+def test_link_path_map_matches_the_links(monkeypatch):
+    nodes, searches = [], []
+    close_next = census._StarClosingSearch._close_next
+    run = census._StarClosingSearch.run
+
+    def checked_close_next(self, *args):
+        for u in range(1, self.next_label):
+            ends = {x for pair, s in self.third.items() if u in pair
+                    and len(s) == 1 for x in pair if x != u}
+            assert set(self.mate[u]) == ends
+            for x, y in self.mate[u].items():
+                assert _path_end(self.third, u, x) == y
+        nodes.append(1)
+        return close_next(self, *args)
+
+    def checked_run(self):
+        found = run(self)
+        assert not (self.triangles or self.third or self.undo or self.mate)
+        assert self.next_label == 1
+        searches.append(1)
+        return found
+
+    monkeypatch.setattr(census._StarClosingSearch, "_close_next",
+                        checked_close_next)
+    monkeypatch.setattr(census._StarClosingSearch, "run", checked_run)
+    assert enumerate_surfaces(7).counts == {S2: 5, T2: 1, RP2: 3}
+    assert len(searches) == 4  # root degrees 3..6
+    assert len(nodes) > 100
+
+
+def test_orientation_is_tested_only_where_chi_leaves_it_open(monkeypatch):
+    calls = []
+    orientability = census.orientability
+    monkeypatch.setattr(census, "orientability",
+                        lambda C: calls.append(1) or orientability(C))
+    assert enumerate_spheres(9) == 50
+    assert len(calls) == 0
+    assert enumerate_surfaces(8).total() == 43
+    assert len(calls) == 13  # the 7 tori and 6 Klein bottles
+    del calls[:]
+    assert enumerate_surfaces(9).total() == 655
+    assert len(calls) == 336
+    # the full orientation pass agrees with the chi rule on every class
+    for n in range(4, 9):
+        result = enumerate_surfaces(n, representatives=True)
+        for sc, reps in result.representatives.items():
+            for rep in reps:
+                assert classify_surface(rep) == sc
+
+
 # --- the orderly search: no canonical forms, one labeling per class ----------
 
 def test_census_makes_no_canonical_forms(monkeypatch):
