@@ -21,7 +21,9 @@ Correctness is anchored to the published census counts.
 
 Each open vertex keeps its link paths as a map from each end to the other
 end, joined in constant time as triangles come and restored from an undo
-stack as they go.  Only leaves of even chi <= 0 get an orientation pass.
+stack as they go.  A branch is cut once the edge ends its vertices still
+miss to reach degree k could not fit in the edge budget.  Only leaves of
+even chi <= 0 get an orientation pass.
 """
 from __future__ import annotations
 
@@ -91,6 +93,7 @@ class _StarClosingSearch:
         self.k = root_degree
         self.f1_budget = f1_budget
         self.f2_budget = f2_budget
+        self.tight = f1_budget < comb(n, 2)  # else the cut below cannot fire
         self.chi_required = chi_required
         self.third: dict = {}      # sorted vertex pair -> set of third vertices
         self.neighbors: dict = {}  # vertex -> set of skeleton neighbors
@@ -231,6 +234,14 @@ class _StarClosingSearch:
         e = ends[0]
         if len(self.triangles) >= self.f2_budget:
             return
+        if self.tight:
+            # every vertex closes with degree >= k and each new edge brings
+            # two edge ends: cut when the missing ends overrun the budget
+            k, nb = self.k, self.neighbors
+            need = k * (self.n + 1 - self.next_label) + sum(
+                max(0, k - len(nb[w])) for w in range(v, self.next_label))
+            if 2 * self.num_edges + need > 2 * self.f1_budget:
+                return
         candidates = ends[1:]
         lk = self.neighbors[v]
         for u in range(v + 1, self.next_label):  # the rest are closed

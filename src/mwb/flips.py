@@ -11,16 +11,21 @@ replayable) whenever an excursion fails to improve it.
 Legal moves are kept incrementally (see ``_State``): after a move only the
 faces in the changed star, and the faces whose insert-face the move created
 or deleted, are re-tested, so the cost of a move scales with the star it
-changes rather than with the complex.  Picks draw from the legal moves
-sorted by remove-face, so every search and walk, and its trace, depends
-only on (input, seed, budget, schedule).
+changes rather than with the complex.  Inside the engine a face is an int
+bitmask over vertex bits, and the subfaces of a facet are its submasks, so
+a star update hashes an int instead of building and hashing a tuple.  Each
+live vertex holds a bit of its own, and the bit of a vanished vertex is
+handed on only once no stale mask can still name it, so masks stay as wide
+as the complex even when labels grow large.  Picks draw from the legal
+moves sorted by remove-face as label tuples, never by mask, so every search
+and walk, and its trace, depends only on (input, seed, budget, schedule).
 """
 from __future__ import annotations
 
 import bisect
-import itertools
 import os
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import core
 from .core import Complex
@@ -89,6 +94,16 @@ class _State:
     """Mutable facet set with a star index (face -> facets containing it)
     and an incrementally maintained legal-move index.
 
+    Inside, a face is an int bitmask over vertex bits.  Bits come from a
+    label -> bit map, not from the labels themselves, so masks stay as wide
+    as the complex however large its labels grow: a new vertex takes a free
+    bit, and a vanished vertex's bit becomes free again only once no kind's
+    index holds a dirty face, so no stale mask can name the new vertex.
+    ``facets`` and the pools hold label tuples in sorted order, so picks and
+    traces never depend on bits; each kind also keeps the set of masks in
+    its pool, so a re-test decodes a mask and touches the sorted list only
+    when a face joins or leaves the pool.
+
     Labels need not stay contiguous while moves are applied (d-moves leave
     gaps); complexes are compacted only on export.  That keeps every move
     exactly invertible in place.
@@ -103,45 +118,96 @@ class _State:
     def __init__(self, C: Complex):
         self.d = C.dim
         self.max_label = C.n
-        self.facets: set = set()
-        self.star: dict = {}
+        self.facets: set = set()  # label tuples
+        self.star: dict = {}      # face mask -> set of facet masks
         self.counts = [0] * (self.d + 1)
+        self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
+        self._labels: list = []   # bit index -> label, the mask width
+        self._free: list = []     # bit indices free to take
+        self._vanished: list = []  # bit indices of vanished vertices, not yet free
         # per kind: sorted remove-faces of the legal moves (kind 0: facets),
         # None until first read
         self._pools: list = [None] * (self.d + 1)
+        self._listed: list = [None] * (self.d + 1)   # kind -> masks in the pool
         self._spheres: list = [None] * (self.d + 1)  # kind -> {A: B}, link(A) = dB
         self._dirty: list = [None] * (self.d + 1)    # kind -> faces to re-test
         self._wants: dict = {}   # B -> [A : link(A) = dB], B a face or not
         self._indexed: list = []  # kinds >= 1 with an index
+        for v in sorted({v for F in C.facets for v in F}):
+            self._add_vertex(v)
         for F in C.facets:
-            self._add_facet(F)
+            self._add_facet(self._mask(F), F)
 
-    def _add_facet(self, F: tuple):
-        self.facets.add(F)
-        star, counts, wants = self.star, self.counts, self._wants
-        for size in range(1, len(F) + 1):
-            for s in itertools.combinations(F, size):
-                st = star.get(s)
-                if st is None:
-                    star[s] = {F}
-                    counts[size - 1] += 1
-                    if s in wants:  # moves inserting s are now blocked
-                        self._dirty[size - 1].update(wants[s])
-                else:
-                    st.add(F)
+    def _add_vertex(self, v: int):
+        if self._free:
+            i = self._free.pop()
+            self._labels[i] = v
+        else:
+            i = len(self._labels)
+            self._labels.append(v)
+        self._bit[v] = 1 << i
 
-    def _remove_facet(self, F: tuple):
-        self.facets.remove(F)
+    def _drop_vertex(self, v: int):
+        self._vanished.append(self._bit.pop(v).bit_length() - 1)
+        self._release()
+
+    def _release(self):
+        # every mask that can still name a vanished vertex is a dirty face
+        if not any(self._dirty[kind] for kind in self._indexed):
+            self._free += self._vanished
+            self._vanished = []
+
+    def _mask(self, face) -> int:
+        return sum(map(self._bit.__getitem__, face))
+
+    def mask_of(self, face):
+        """The mask of a set of distinct live vertices, else None."""
+        try:
+            s = self._mask(face)
+        except KeyError:
+            return None
+        return s if s.bit_count() == len(face) else None
+
+    def face(self, s: int) -> tuple:
+        """The sorted labels of a mask."""
+        labels = self._labels
+        out = []
+        while s:
+            low = s & -s
+            out.append(labels[low.bit_length() - 1])
+            s ^= low
+        return tuple(sorted(out))
+
+    def _add_facet(self, F: int, face: tuple):
+        self.facets.add(face)
         star, counts, wants = self.star, self.counts, self._wants
-        for size in range(1, len(F) + 1):
-            for s in itertools.combinations(F, size):
-                st = star[s]
-                st.discard(F)
-                if not st:
-                    del star[s]
-                    counts[size - 1] -= 1
-                    if s in wants:  # moves inserting s may open up
-                        self._dirty[size - 1].update(wants[s])
+        s = F
+        while s:
+            st = star.get(s)
+            if st is None:
+                star[s] = {F}
+                size = s.bit_count()
+                counts[size - 1] += 1
+                if s in wants:  # moves inserting s are now blocked
+                    self._dirty[size - 1].update(wants[s])
+            else:
+                st.add(F)
+            s = (s - 1) & F
+
+    def _remove_facet(self, F: int, face: tuple):
+        self.facets.remove(face)
+        star, counts, wants = self.star, self.counts, self._wants
+        s = F
+        while s:
+            st = star[s]
+            st.discard(F)
+            if not st:
+                del star[s]
+                size = s.bit_count()
+                counts[size - 1] -= 1
+                if s in wants:  # moves inserting s may open up
+                    self._dirty[size - 1].update(wants[s])
+            s = (s - 1) & F
 
     def f(self) -> tuple:
         return tuple(self.counts)
@@ -149,18 +215,19 @@ class _State:
     def fresh_label(self) -> int:
         return self.max_label + 1
 
-    def _link_simplex(self, kind: int, A: tuple):
+    def _link_simplex(self, kind: int, A: int):
         """B if the link of the face A is the boundary of the kind-simplex B
         (B may or may not be a face), else None."""
         st = self.star.get(A)
         if st is None or len(st) != kind + 1:
             return None
-        U = set().union(*st).difference(A)
-        if len(U) != kind + 1:
-            return None
-        return tuple(sorted(U))
+        U = 0
+        for F in st:
+            U |= F
+        U ^= A
+        return U if U.bit_count() == kind + 1 else None
 
-    def candidate(self, kind: int, A: tuple):
+    def candidate(self, kind: int, A: int):
         """Return the insert-face B if (A, B) is a legal kind-move (kind >= 1),
         else None."""
         B = self._link_simplex(kind, A)
@@ -175,17 +242,18 @@ class _State:
         self._dirty[kind] = set()
         self._indexed.append(kind)
         for A in self.star:
-            if len(A) == size:
+            if A.bit_count() == size:
                 B = self._link_simplex(kind, A)
                 if B is not None:
                     spheres[A] = B
                     self._wants.setdefault(B, []).append(A)
-        pool = self._pools[kind] = sorted(
-            A for A, B in spheres.items() if B not in self.star)
+        listed = self._listed[kind] = {
+            A for A, B in spheres.items() if B not in self.star}
+        pool = self._pools[kind] = sorted(map(self.face, listed))
         return pool
 
-    def _retest(self, kind: int, A: tuple):
-        spheres, pool = self._spheres[kind], self._pools[kind]
+    def _retest(self, kind: int, A: int):
+        spheres = self._spheres[kind]
         old = spheres.get(A)
         B = self._link_simplex(kind, A)
         if B != old:
@@ -198,13 +266,15 @@ class _State:
             if B is not None:
                 spheres[A] = B
                 self._wants.setdefault(B, []).append(A)
-        i = bisect.bisect_left(pool, A)
-        listed = i < len(pool) and pool[i] == A
+        listed = self._listed[kind]
         if B is not None and B not in self.star:
-            if not listed:
-                pool.insert(i, A)
-        elif listed:
-            del pool[i]
+            if A not in listed:
+                listed.add(A)
+                bisect.insort(self._pools[kind], self.face(A))
+        elif A in listed:
+            listed.remove(A)
+            pool = self._pools[kind]
+            del pool[bisect.bisect_left(pool, self.face(A))]
 
     def pool(self, kind: int) -> list:
         """Remove-faces of the legal kind-moves, sorted; do not mutate."""
@@ -216,41 +286,52 @@ class _State:
             for A in dirty:
                 self._retest(kind, A)
             dirty.clear()
+            if self._vanished:
+                self._release()
         return pool
 
     def move(self, kind: int, A: tuple) -> FlipMove:
         """The legal move of a remove-face taken from ``pool(kind)``."""
         if kind == 0:
             return FlipMove(0, A, (self.fresh_label(),))
-        return FlipMove(kind, A, self._spheres[kind][A])
+        return FlipMove(kind, A, self.face(self._spheres[kind][self._mask(A)]))
 
     def legal_moves(self, kind: int):
         return [self.move(kind, A) for A in self.pool(kind)]
 
     def apply(self, m: FlipMove):
-        AB = tuple(sorted((*m.remove, *m.insert)))
-        removed = [tuple(v for v in AB if v != b) for b in m.insert]
-        added = [tuple(v for v in AB if v != a) for a in m.remove]
-        for F in removed:
-            self._remove_facet(F)
-        for F in added:
-            self._add_facet(F)
         if m.kind == 0:
+            self._add_vertex(m.insert[0])
             self.max_label = max(self.max_label, m.insert[0])
+        bit = self._bit
+        AB = self._mask(m.remove) | self._mask(m.insert)
+        vertices = tuple(sorted((*m.remove, *m.insert)))
+        removed = [(AB ^ bit[b], tuple(v for v in vertices if v != b))
+                   for b in m.insert]
+        added = [(AB ^ bit[a], tuple(v for v in vertices if v != a))
+                 for a in m.remove]
+        for F, t in removed:
+            self._remove_facet(F, t)
+        for F, t in added:
+            self._add_facet(F, t)
         facet_pool = self._pools[0]
         if facet_pool is not None:
-            for F in removed:
-                del facet_pool[bisect.bisect_left(facet_pool, F)]
-            for F in added:
-                bisect.insort(facet_pool, F)
-        # the faces whose star changed are the proper subfaces of A u B
-        for kind in self._indexed:
-            dirty = self._dirty[kind]
-            dirty.update(itertools.combinations(AB, self.d - kind + 1))
-            if len(dirty) > 2 * self.counts[self.d - kind]:
-                # a kind the reducer seldom reads (the heating kinds) would
-                # otherwise pile up every face it ever had
-                self.pool(kind)
+            for _, t in removed:
+                del facet_pool[bisect.bisect_left(facet_pool, t)]
+            for _, t in added:
+                bisect.insort(facet_pool, t)
+        if self._indexed:
+            # the faces whose star changed are the proper subfaces of A u B
+            bits = [bit[v] for v in vertices]
+            for kind in self._indexed:
+                dirty = self._dirty[kind]
+                dirty.update(map(sum, combinations(bits, self.d - kind + 1)))
+                if len(dirty) > 2 * self.counts[self.d - kind]:
+                    # a kind the reducer seldom reads (the heating kinds)
+                    # would otherwise pile up every face it ever had
+                    self.pool(kind)
+        if m.kind == self.d:
+            self._drop_vertex(m.remove[0])
 
     def snapshot(self) -> tuple:
         return tuple(sorted(self.facets))
@@ -272,19 +353,22 @@ def _check_legal(state: _State, m: FlipMove):
     if m.kind == 0:
         if A not in state.facets:
             raise IllegalMove(f"{A} is not a facet")
-        if len(m.insert) != 1 or (m.insert[0],) in state.star:
+        if len(m.insert) != 1 or m.insert[0] in state._bit:
             raise IllegalMove(f"0-move must insert a fresh vertex, got {m.insert}")
         return
-    B = state.candidate(m.kind, A)
+    # a label that is not a live vertex has no bit: such a set is no face
+    a, b = state.mask_of(A), state.mask_of(m.insert)
+    B = None if a is None else state.candidate(m.kind, a)
     if B is None:
-        if state.star.get(A) is None:
+        if a not in state.star:
             raise IllegalMove(f"{A} is not a face")
-        if tuple(sorted(m.insert)) in state.star:
+        if b in state.star:
             raise IllegalMove(
                 f"insert-face {tuple(sorted(m.insert))} is already a face")
         raise IllegalMove(f"link of {A} is not the boundary of a simplex")
-    if B != tuple(sorted(m.insert)):
-        raise IllegalMove(f"link of {A} is the boundary of {B}, not of {m.insert}")
+    if B != b:
+        raise IllegalMove(
+            f"link of {A} is the boundary of {state.face(B)}, not of {m.insert}")
 
 
 def apply_move(C: Complex, m: FlipMove) -> Complex:

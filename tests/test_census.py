@@ -196,6 +196,29 @@ def test_census_prunes_before_the_leaves(monkeypatch):
     assert len(calls) <= 1500
 
 
+def test_degree_deficit_lookahead_cuts_nodes_not_leaves(monkeypatch):
+    # a branch whose missing edge ends (k at each unlabeled vertex, k - deg
+    # at each open one) overrun the edge budget is cut; no leaf is lost
+    counts = Counter()
+    for name in ("_close_next", "_leaf"):
+        method = getattr(census._StarClosingSearch, name)
+        monkeypatch.setattr(
+            census._StarClosingSearch, name,
+            lambda self, *args, _name=name, _method=method:
+                counts.update([_name]) or _method(self, *args))
+    runs = {("spheres", 10): (233, 5011, 402),
+            ("spheres", 11): (1249, 31577, 2218),
+            ("surfaces", 8): (43, 1061, 59),
+            ("surfaces", 9): (655, 22635, 934)}  # budget C(9,2): no cut
+    for (what, n), (total, nodes, leaves) in runs.items():
+        counts.clear()
+        if what == "spheres":
+            assert enumerate_spheres(n) == total
+        else:
+            assert enumerate_surfaces(n).total() == total
+        assert (counts["_close_next"], counts["_leaf"]) == (nodes, leaves)
+
+
 def _flag_relabelings(facets):
     """The labelings of a closed surface from each flag at a vertex of
     minimum degree, by the search's rules replayed on the whole surface."""

@@ -389,6 +389,26 @@ def test_cli_survives_fuzzed_files(fuzz_dir, data, kind):
         assert err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("digits", [13, 4001])
+def test_replay_inserts_a_huge_label(capsys, tmp_path, digits):
+    # the flip engine gives each vertex a bit of its own, never 1 << label
+    big = "9" * digits
+    face = " ".join(map(str, _TORUS.load().facets[0]))
+    path = tmp_path / "big.trace"
+    path.write_text(f"0: {face} -> {big}\n2: {big} -> {face}\n")
+    assert main(["replay", "--in", "csaszar-torus", "--trace", str(path)]) == 0
+    assert "f = (7, 21, 14)" in capsys.readouterr().out
+
+
+def test_replay_of_a_huge_non_vertex_exits_2(capsys, tmp_path):
+    path = tmp_path / "big.trace"
+    path.write_text("1: 1 12345678901234 -> 2 3\n")
+    assert main(["replay", "--in", "csaszar-torus", "--trace", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not a face" in err and "Traceback" not in err
+
+
 def test_verify_catalog(capsys):
     assert main(["verify", "catalog"]) == 0
     out = capsys.readouterr().out
