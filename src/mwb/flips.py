@@ -11,14 +11,19 @@ replayable) whenever an excursion fails to improve it.
 Legal moves are kept incrementally (see ``_State``): after a move only the
 faces in the changed star, and the faces whose insert-face the move created
 or deleted, are re-tested, so the cost of a move scales with the star it
-changes rather than with the complex.  Inside the engine a face is an int
-bitmask over vertex bits, and the subfaces of a facet are its submasks, so
-a star update hashes an int instead of building and hashing a tuple.  Each
-live vertex holds a bit of its own, and the bit of a vanished vertex is
-handed on only once no stale mask can still name it, so masks stay as wide
-as the complex even when labels grow large.  Picks draw from the legal
-moves sorted by remove-face as label tuples, never by mask, so every search
-and walk, and its trace, depends only on (input, seed, budget, schedule).
+changes rather than with the complex.  Inside the engine a face, and a
+facet, is an int bitmask over vertex bits, so a move hashes ints instead of
+building and hashing tuples.  The star of every face and the f-vector
+belong to that index: both are built the first time the f-vector or a
+pool of kind >= 1 is read.  Until then only vertex stars are kept, and a
+face's star is the intersection of its vertices' stars, so ``replay`` and
+``apply_move`` update d+1 stars per facet, not 2^(d+1)-1.  Once counted,
+the f-vector moves by a constant per move kind.  Each live vertex holds a
+bit of its own, and the bit of a vanished vertex is handed on only once no
+stale mask can still name it, so masks stay as wide as the complex even
+when labels grow large.  Picks draw from the legal moves sorted by
+remove-face as label tuples, never by mask, so every search and walk, and
+its trace, depends only on (input, seed, budget, schedule).
 """
 from __future__ import annotations
 
@@ -26,6 +31,8 @@ import bisect
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
+from operator import add
 
 from . import core
 from .core import Complex
@@ -90,19 +97,50 @@ class Schedule:
         return False
 
 
+def _face(s: int, labels) -> tuple:
+    """The sorted labels of a mask, given the label of each bit."""
+    out = []
+    while s:
+        low = s & -s
+        out.append(labels[low.bit_length() - 1])
+        s ^= low
+    return tuple(sorted(out))
+
+
+def _f_deltas(d: int) -> list:
+    """Per kind k, the change of each f_j under a k-move: the j-faces B u T
+    (T a proper subset of A) appear, and the j-faces A u S (S a proper
+    subset of B) vanish.  For j <= d both subsets are proper by size."""
+    def c(n, i):
+        return comb(n, i) if i >= 0 else 0
+    return [tuple(c(d - k + 1, j - k) - c(k + 1, j + k - d)
+                  for j in range(d + 1)) for k in range(d + 1)]
+
+
 class _State:
-    """Mutable facet set with a star index (face -> facets containing it)
-    and an incrementally maintained legal-move index.
+    """Mutable set of facet masks with a star index and a legal-move index,
+    both built only as far as something reads them.
 
     Inside, a face is an int bitmask over vertex bits.  Bits come from a
     label -> bit map, not from the labels themselves, so masks stay as wide
     as the complex however large its labels grow: a new vertex takes a free
     bit, and a vanished vertex's bit becomes free again only once no kind's
     index holds a dirty face, so no stale mask can name the new vertex.
-    ``facets`` and the pools hold label tuples in sorted order, so picks and
-    traces never depend on bits; each kind also keeps the set of masks in
-    its pool, so a re-test decodes a mask and touches the sorted list only
-    when a face joins or leaves the pool.
+    ``facets`` holds masks; ``snapshot`` decodes them, and ``mark`` records
+    them with the bit labels for a later ``snapshot``.  The pools hold label
+    tuples in sorted order, so picks and traces never depend on bits; each
+    kind also keeps the set of masks in its pool, so a re-test decodes a
+    mask and touches the sorted list only when a face joins or leaves it.
+
+    ``star`` maps a face to the facet masks containing it.  At first it
+    holds the vertices only: a facet update walks the d+1 bits of the facet,
+    the star of a face is the intersection of its vertices' stars
+    (``_star_of``), and a set is a face iff that star is not empty.  The
+    first ``f()`` or ``pool(kind)`` with kind >= 1 builds the star of every
+    face and counts the f-vector; from then on a facet update walks the
+    facet's submasks, and a k-move changes the f-vector by a constant per
+    kind (``_f_deltas``).  So ``replay`` and ``apply_move`` run on vertex
+    stars.
 
     Labels need not stay contiguous while moves are applied (d-moves leave
     gaps); complexes are compacted only on export.  That keeps every move
@@ -118,9 +156,10 @@ class _State:
     def __init__(self, C: Complex):
         self.d = C.dim
         self.max_label = C.n
-        self.facets: set = set()  # label tuples
+        self.facets: set = set()  # facet masks
         self.star: dict = {}      # face mask -> set of facet masks
-        self.counts = [0] * (self.d + 1)
+        self.counts = None        # the f-vector, once every face has a star
+        self._deltas = _f_deltas(self.d)
         self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
         self._labels: list = []   # bit index -> label, the mask width
         self._free: list = []     # bit indices free to take
@@ -136,7 +175,7 @@ class _State:
         for v in sorted({v for F in C.facets for v in F}):
             self._add_vertex(v)
         for F in C.facets:
-            self._add_facet(self._mask(F), F)
+            self._add_facet(self._mask(F))
 
     def _add_vertex(self, v: int):
         if self._free:
@@ -170,56 +209,94 @@ class _State:
 
     def face(self, s: int) -> tuple:
         """The sorted labels of a mask."""
-        labels = self._labels
-        out = []
-        while s:
-            low = s & -s
-            out.append(labels[low.bit_length() - 1])
-            s ^= low
-        return tuple(sorted(out))
+        return _face(s, self._labels)
 
-    def _add_facet(self, F: int, face: tuple):
-        self.facets.add(face)
-        star, counts, wants = self.star, self.counts, self._wants
+    def _add_facet(self, F: int):
+        self.facets.add(F)
+        star = self.star
         s = F
+        if self.counts is None:  # vertex stars only
+            while s:
+                low = s & -s
+                st = star.get(low)
+                if st is None:
+                    star[low] = {F}
+                else:
+                    st.add(F)
+                s ^= low
+            return
+        wants = self._wants
         while s:
             st = star.get(s)
             if st is None:
                 star[s] = {F}
-                size = s.bit_count()
-                counts[size - 1] += 1
                 if s in wants:  # moves inserting s are now blocked
-                    self._dirty[size - 1].update(wants[s])
+                    self._dirty[s.bit_count() - 1].update(wants[s])
             else:
                 st.add(F)
             s = (s - 1) & F
 
-    def _remove_facet(self, F: int, face: tuple):
-        self.facets.remove(face)
-        star, counts, wants = self.star, self.counts, self._wants
+    def _remove_facet(self, F: int):
+        self.facets.remove(F)
+        star = self.star
         s = F
+        if self.counts is None:  # vertex stars only
+            while s:
+                low = s & -s
+                st = star[low]
+                st.discard(F)
+                if not st:
+                    del star[low]
+                s ^= low
+            return
+        wants = self._wants
         while s:
             st = star[s]
             st.discard(F)
             if not st:
                 del star[s]
-                size = s.bit_count()
-                counts[size - 1] -= 1
                 if s in wants:  # moves inserting s may open up
-                    self._dirty[size - 1].update(wants[s])
+                    self._dirty[s.bit_count() - 1].update(wants[s])
             s = (s - 1) & F
 
+    def _index_faces(self):
+        """Give every face a star, and count the f-vector."""
+        facets, self.facets, self.star = self.facets, set(), {}
+        self.counts = ()  # not None: _add_facet walks the submasks
+        for F in facets:
+            self._add_facet(F)
+        counts = [0] * (self.d + 1)
+        for s in self.star:
+            counts[s.bit_count() - 1] += 1
+        self.counts = tuple(counts)
+
     def f(self) -> tuple:
-        return tuple(self.counts)
+        if self.counts is None:
+            self._index_faces()
+        return self.counts
 
     def fresh_label(self) -> int:
         return self.max_label + 1
 
+    def _star_of(self, s: int):
+        """The facets containing s; empty or None if s is not a face."""
+        star = self.star
+        if self.counts is not None:
+            return star.get(s)
+        low = s & -s
+        st = star.get(low)
+        s ^= low
+        while s and st:
+            low = s & -s
+            st = st.intersection(star.get(low, ()))
+            s ^= low
+        return st
+
     def _link_simplex(self, kind: int, A: int):
         """B if the link of the face A is the boundary of the kind-simplex B
         (B may or may not be a face), else None."""
-        st = self.star.get(A)
-        if st is None or len(st) != kind + 1:
+        st = self._star_of(A)
+        if not st or len(st) != kind + 1:
             return None
         U = 0
         for F in st:
@@ -231,12 +308,13 @@ class _State:
         """Return the insert-face B if (A, B) is a legal kind-move (kind >= 1),
         else None."""
         B = self._link_simplex(kind, A)
-        return None if B is None or B in self.star else B
+        return None if B is None or self._star_of(B) else B
 
     def _build(self, kind: int) -> list:
         if kind == 0:
-            pool = self._pools[0] = sorted(self.facets)
+            pool = self._pools[0] = sorted(map(self.face, self.facets))
             return pool
+        self.f()  # builds the face star
         size = self.d - kind + 1
         spheres = self._spheres[kind] = {}
         self._dirty[kind] = set()
@@ -305,24 +383,23 @@ class _State:
             self.max_label = max(self.max_label, m.insert[0])
         bit = self._bit
         AB = self._mask(m.remove) | self._mask(m.insert)
-        vertices = tuple(sorted((*m.remove, *m.insert)))
-        removed = [(AB ^ bit[b], tuple(v for v in vertices if v != b))
-                   for b in m.insert]
-        added = [(AB ^ bit[a], tuple(v for v in vertices if v != a))
-                 for a in m.remove]
-        for F, t in removed:
-            self._remove_facet(F, t)
-        for F, t in added:
-            self._add_facet(F, t)
+        for b in m.insert:
+            self._remove_facet(AB ^ bit[b])
+        for a in m.remove:
+            self._add_facet(AB ^ bit[a])
         facet_pool = self._pools[0]
         if facet_pool is not None:
-            for _, t in removed:
-                del facet_pool[bisect.bisect_left(facet_pool, t)]
-            for _, t in added:
-                bisect.insort(facet_pool, t)
+            vertices = sorted((*m.remove, *m.insert))
+            for b in m.insert:
+                del facet_pool[bisect.bisect_left(
+                    facet_pool, tuple(v for v in vertices if v != b))]
+            for a in m.remove:
+                bisect.insort(facet_pool, tuple(v for v in vertices if v != a))
+        if self.counts is not None:
+            self.counts = tuple(map(add, self.counts, self._deltas[m.kind]))
         if self._indexed:
             # the faces whose star changed are the proper subfaces of A u B
-            bits = [bit[v] for v in vertices]
+            bits = [bit[v] for v in (*m.remove, *m.insert)]
             for kind in self._indexed:
                 dirty = self._dirty[kind]
                 dirty.update(map(sum, combinations(bits, self.d - kind + 1)))
@@ -333,8 +410,14 @@ class _State:
         if m.kind == self.d:
             self._drop_vertex(m.remove[0])
 
-    def snapshot(self) -> tuple:
-        return tuple(sorted(self.facets))
+    def mark(self) -> tuple:
+        """A cheap record of the complex now, for ``snapshot``."""
+        return frozenset(self.facets), tuple(self._labels)
+
+    def snapshot(self, mark=None) -> tuple:
+        """The sorted facets of the complex now, or of a ``mark``."""
+        masks, labels = mark or (self.facets, self._labels)
+        return tuple(sorted(_face(F, labels) for F in masks))
 
 
 def legal_moves(C: Complex, i: int) -> list:
@@ -351,7 +434,7 @@ def _check_legal(state: _State, m: FlipMove):
     if len(A) != state.d - m.kind + 1:
         raise IllegalMove(f"remove-face {A} has wrong size for a {m.kind}-move")
     if m.kind == 0:
-        if A not in state.facets:
+        if state.mask_of(A) not in state.facets:
             raise IllegalMove(f"{A} is not a facet")
         if len(m.insert) != 1 or m.insert[0] in state._bit:
             raise IllegalMove(f"0-move must insert a fresh vertex, got {m.insert}")
@@ -360,9 +443,9 @@ def _check_legal(state: _State, m: FlipMove):
     a, b = state.mask_of(A), state.mask_of(m.insert)
     B = None if a is None else state.candidate(m.kind, a)
     if B is None:
-        if a not in state.star:
+        if a is None or not state._star_of(a):
             raise IllegalMove(f"{A} is not a face")
-        if b in state.star:
+        if b is not None and state._star_of(b):
             raise IllegalMove(
                 f"insert-face {tuple(sorted(m.insert))} is already a face")
         raise IllegalMove(f"link of {A} is not the boundary of a simplex")
@@ -467,7 +550,7 @@ def reduce(C: Complex, seed: int, budget: int,
     schedule = schedule or Schedule()
     state = _State(C)
     rng = SplitMix64(seed)
-    best = state.snapshot()
+    best = state.mark()  # decoded once, at the end
     best_f = state.f()
     trace: list = []
     since_best: list = []
@@ -511,7 +594,7 @@ def reduce(C: Complex, seed: int, budget: int,
         f = state.f()
         if f < best_f:
             best_f = f
-            best = state.snapshot()
+            best = state.mark()
             since_best.clear()
             stats["best_step"] = stats["moves"]
             heat = 0
@@ -520,7 +603,7 @@ def reduce(C: Complex, seed: int, budget: int,
     stats["best_f"] = best_f
     stats["final_f"] = state.f()
     stats["final"] = core.from_facets(state.snapshot())
-    return core.from_facets(best), trace, stats
+    return core.from_facets(state.snapshot(best)), trace, stats
 
 
 def _reduce_job(args):

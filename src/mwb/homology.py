@@ -9,16 +9,22 @@ column, which keeps fill-in low (the sparse-elimination practice of Dumas,
 Heckenbach, Saunders and Welker, 2003); a row without a unit entry gives
 its entry of smallest absolute value, and remainders take over from there.
 Boundary maps are sparse with +-1 entries, so that fallback is rare (10 of
-2717 pivots over the catalog).  Invariant factors are unique, so the pivot
-rule changes speed only.  All arithmetic is unbounded-integer, at the
-sizes that occur here (a few hundred to ~1100 columns).  Betti numbers over
-Q or Z_p follow from the integral homology by the universal coefficient
-theorem, so the one cache, on `homology`, serves both.
+2717 pivots over the catalog).  The shortest row comes from a heap of
+(length, insertion rank, row) entries, pushed whenever a row operation
+changes a row's length and skipped on the way out once stale, so the pick
+is the first shortest row in insertion order without a scan of every row.
+Invariant factors are unique, so the pivot rule changes speed only; units
+skip the gcd loop that orders the other diagonal entries.  All arithmetic
+is unbounded-integer, at the sizes that occur here (a few hundred to ~1100
+columns).  Betti numbers over Q or Z_p follow from the integral homology
+by the universal coefficient theorem, so the one cache, on `homology`,
+serves both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 from .core import Complex, f_vector, is_pseudomanifold
@@ -88,9 +94,15 @@ def _sparse_boundary(C: Complex, k: int):
     return rows, cols
 
 
-def _pick_pivot(rows, cols):
-    r = min(rows, key=lambda i: len(rows[i]))
-    row = rows[r]
+def _pick_pivot(rows, cols, heap):
+    # an entry is stale once its row is gone or has another length; a row
+    # changes length only in row_axpy, which pushes the new length
+    while True:
+        n, _, r = heap[0]
+        row = rows.get(r)
+        if row is not None and len(row) == n:
+            break
+        heappop(heap)
     units = [j for j, v in row.items() if v in (1, -1)]
     if units:
         return r, min(units, key=lambda j: len(cols[j]))
@@ -108,9 +120,14 @@ def _diagonal_of(rows, cols):
     dropped, which empties column c.  `_invariant_factors` orders the result.
     """
 
+    rank = {r: i for i, r in enumerate(rows)}  # rows never come back
+    heap = [(len(row), rank[r], r) for r, row in rows.items()]
+    heapify(heap)
+
     def row_axpy(dst, src, coef):
         # row[dst] += coef * row[src]
         rdst = rows[dst]
+        n = len(rdst)
         for j, v in rows[src].items():
             new = rdst.get(j, 0) + coef * v
             if new:
@@ -121,10 +138,12 @@ def _diagonal_of(rows, cols):
                 cols[j].discard(dst)
         if not rdst:
             del rows[dst]
+        elif len(rdst) != n:
+            heappush(heap, (len(rdst), rank[dst], dst))
 
     diag = []
     while rows:
-        r, c = _pick_pivot(rows, cols)
+        r, c = _pick_pivot(rows, cols, heap)
         while True:
             p = rows[r][c]
             for i in list(cols[c]):
@@ -150,7 +169,9 @@ def _diagonal_of(rows, cols):
 
 
 def _invariant_factors(diag):
-    factors = [abs(x) for x in diag if x]
+    # a unit divides every entry, so only the other entries need the loop
+    units = sum(abs(x) == 1 for x in diag)
+    factors = [abs(x) for x in diag if abs(x) > 1]
     changed = True
     while changed:
         changed = False
@@ -161,7 +182,7 @@ def _invariant_factors(diag):
                     g = gcd(a, b)
                     factors[i], factors[j] = g, a * b // g
                     changed = True
-    return tuple(sorted(factors))
+    return (1,) * units + tuple(sorted(factors))
 
 
 def smith_normal_form(M):

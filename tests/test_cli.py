@@ -409,6 +409,15 @@ def test_replay_of_a_huge_non_vertex_exits_2(capsys, tmp_path):
     assert "is not a face" in err and "Traceback" not in err
 
 
+def test_replay_of_a_move_whose_link_is_no_simplex_boundary_exits_2(
+        capsys, tmp_path):
+    path = tmp_path / "bad.trace"
+    path.write_text("2: 1 -> 2 3 4\n")
+    assert main(["replay", "--in", "csaszar-torus", "--trace", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: link of (1,) is not the boundary of a simplex\n")
+
+
 def test_verify_catalog(capsys):
     assert main(["verify", "catalog"]) == 0
     out = capsys.readouterr().out

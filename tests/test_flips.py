@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwb.constructions import boundary_simplex, twisted_bundle
-from mwb.core import f_vector, is_pseudomanifold
+from mwb.core import f_vector, from_facets, is_pseudomanifold
 from mwb.errors import BudgetZero, IllegalMove, InvalidArgument
-from mwb.flips import (FlipMove, Schedule, SplitMix64, _State, apply_move,
-                       legal_moves, random_walk, reduce, replay)
+from mwb.flips import (FlipMove, Schedule, SplitMix64, _check_legal, _State,
+                       apply_move, legal_moves, random_walk, reduce, replay)
 from mwb.homology import homology
 from mwb.tri_io import parse_trace, write_trace
 
@@ -54,7 +54,7 @@ def test_middle_move_reversibility(complexes):
         assert apply_move(flipped, back) == C
 
 
-def test_illegal_moves_report_the_violated_clause():
+def test_illegal_moves_report_the_violated_clause(complexes):
     C = boundary_simplex(2)
     with pytest.raises(IllegalMove, match="already a face"):
         apply_move(C, FlipMove(1, (1, 2), (3, 4)))
@@ -64,6 +64,13 @@ def test_illegal_moves_report_the_violated_clause():
         apply_move(C, FlipMove(0, (1, 2, 3), (2,)))
     with pytest.raises(IllegalMove, match="not a facet"):
         apply_move(C, FlipMove(0, (1, 2, 5), (6,)))
+    with pytest.raises(IllegalMove, match=r"link of \(1,\) is not the boundary "
+                                          r"of a simplex"):
+        apply_move(complexes["csaszar-torus"], FlipMove(2, (1,), (2, 3, 4)))
+    stacked = apply_move(C, FlipMove(0, (1, 2, 3), (5,)))
+    with pytest.raises(IllegalMove, match=r"is the boundary of \(1, 2, 3\), "
+                                          r"not of \(1, 2, 4\)"):
+        apply_move(stacked, FlipMove(2, (5,), (1, 2, 4)))
 
 
 def test_random_walk_preserves_invariants(csaszar):
@@ -103,6 +110,20 @@ def test_reduce_trace_replays_to_final_state():
     assert replay(C, trace) == stats["final"]
     assert f_vector(best).counts <= stats["final_f"]
     assert f_vector(best).counts <= stats["start_f"]  # never worse than input
+
+
+def test_reduce_best_is_the_complex_at_best_step(complexes):
+    # reduce keeps its best complex as a mark and decodes it at the end;
+    # the bundle is never improved on in 300 moves, the walked RP3-11 is
+    # improved on late, at move 288
+    walked, _ = random_walk(complexes["RP3-11"], seed=4, steps=60)
+    steps = []
+    for C, seed in ((twisted_bundle(3), 3), (walked, 2)):
+        best, trace, stats = reduce(C, seed=seed, budget=300)
+        steps.append(stats["best_step"])
+        assert best == replay(C, trace[:stats["best_step"]])
+        assert f_vector(best).counts == stats["best_f"]
+    assert steps == [0, 288]
 
 
 def test_reduce_twisted_bundle_reaches_walkup_minimum():
@@ -177,10 +198,13 @@ def _replay_against_oracle(C, trace, read_every=1, seed=0):
     (pseudo-randomly per kind, so dirty faces pile up between reads) compare
     the indexed legal moves with the oracle scan.
 
-    Also checks that the mask width stays within the peak, over the steps,
-    of the live vertices plus those vanished since the last full flush (no
-    dirty face in any kind).  Returns the number of 0-moves applied while
-    such a vanished vertex's bit was still held back."""
+    The facets are read through ``snapshot()``, which decodes the facet
+    masks, and at every read the f-vector the engine keeps by per-kind
+    deltas must equal the one counted from those facets.  Also checks that
+    the mask width stays within the peak, over the steps, of the live
+    vertices plus those vanished since the last full flush (no dirty face
+    in any kind).  Returns the number of 0-moves applied while such a
+    vanished vertex's bit was still held back."""
     state = _State(C)
     rng = SplitMix64(seed)
     peak = vanished = reborn = 0
@@ -189,15 +213,17 @@ def _replay_against_oracle(C, trace, read_every=1, seed=0):
             reborn += m.kind == 0 and vanished > 0
             state.apply(m)
             vanished += m.kind == state.d
-        vertices = {v for F in state.facets for v in F}
+        facets = state.snapshot()
+        vertices = {v for F in facets for v in F}
         assert state.fresh_label() not in vertices
         peak = max(peak, len(vertices) + vanished)
         assert len(state._labels) <= peak, step
         for k in range(state.d + 1):
             if read_every == 1 or rng.randrange(read_every) == 0:
-                want = _scan_legal_moves(state.facets, state.d, k,
+                want = _scan_legal_moves(facets, state.d, k,
                                          state.fresh_label())
                 assert state.legal_moves(k) == want, (step, k)
+                assert state.f() == f_vector(from_facets(facets)).counts, step
         if not any(state._dirty[k] for k in state._indexed):
             vanished = 0
     return reborn
@@ -239,6 +265,44 @@ def test_legal_move_index_matches_oracle_as_bits_are_recycled(name, complexes):
     _, trace = random_walk(C, seed=3, steps=300)
     assert max(v for m in trace for v in m.insert) > 64
     assert _replay_against_oracle(C, trace, read_every=5, seed=3) > 0
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS[1:])
+def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
+    # before the face star is built, a face's star is the intersection of
+    # its vertices' stars; after, it is looked up.  Non-edges are no faces.
+    C, _ = random_walk(complexes[name], seed=7, steps=80)
+    plain, indexed = _State(C), _State(C)
+    indexed.f()
+    faces = set(indexed.star)
+    assert len(faces) == sum(f_vector(C).counts)
+    pairs = {a | b for a, b in itertools.combinations(indexed._bit.values(), 2)}
+    assert pairs - faces
+    for A in faces | pairs:
+        for kind in range(1, C.dim + 1):
+            assert plain.candidate(kind, A) == indexed.candidate(kind, A)
+    assert plain.counts is None
+    assert all(s & (s - 1) == 0 for s in plain.star)
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS[1:])
+def test_replay_runs_on_vertex_stars(name, complexes, monkeypatch):
+    # checking and applying moves, as replay does, never builds the star
+    # of every face, so a move updates d+1 vertex stars, not 2^(d+1)-1
+    C = complexes[name]
+    walked, trace = random_walk(C, seed=5, steps=200)
+    state = _State(C)
+    for m in trace:
+        _check_legal(state, m)
+        state.apply(m)
+        assert all(s & (s - 1) == 0 for s in state.star)
+    assert state.counts is None and not state._indexed
+
+    def no_face_star(self):
+        raise AssertionError("replay built the face star")
+
+    monkeypatch.setattr(_State, "_index_faces", no_face_star)
+    assert replay(C, trace) == walked == from_facets(state.snapshot())
 
 
 @settings(max_examples=12, deadline=None)
