@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -77,3 +79,20 @@ def test_shared_vertex_clean_pair_is_valid():
     coords = {1: (0, 0, 0), 2: (2, 0, 0), 3: (0, 2, 0),
               4: (-1, -1, 1), 5: (-2, -1, 2)}
     assert realization_check(C, coords).valid
+
+def test_verdicts_of_moved_csaszar_vertices_are_pinned(entries):
+    # Csaszar's torus with one vertex moved by one offset in {-1, 0, 1}^3:
+    # 189 drawings, 129 valid, 16 "disjoint triangles", 39 "shared vertex"
+    # and 5 "shared edge" verdicts
+    e = entries["csaszar-torus"]
+    C, base = e.load(), e.load_coordinates()
+    lines = []
+    for v in sorted(base):
+        for off in itertools.product(range(-1, 2), repeat=3):
+            coords = dict(base)
+            coords[v] = tuple(x + d for x, d in zip(base[v], off))
+            verdict = realization_check(C, coords)
+            lines.append(f"{v} {off} {verdict.valid} {verdict.witness}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ("9aba530d2c3440466c59a4eda834d29a"
+                      "637b51c6b6e2e37b2095c3e35fa99656")
