@@ -242,21 +242,19 @@ def cmd_bounds(args):
 
 
 def cmd_census(args):
+    surfaces = args.what == "surfaces"
     cap = args.cap
-    if args.what == "surfaces":
-        if cap is None:
-            cap = census_mod.SURFACE_CAP_DEFAULT
-        else:
-            print(f"warning: cap overridden to {cap}", file=sys.stderr)
+    if cap is None:
+        cap = (census_mod.SURFACE_CAP_DEFAULT if surfaces
+               else census_mod.SPHERE_CAP_DEFAULT)
+    else:
+        print(f"warning: cap overridden to {cap}", file=sys.stderr)
+    if surfaces:
         result = census_mod.enumerate_surfaces(args.n, cap=cap,
                                                threads=args.threads)
         for line in result.lines():
             print(line)
     else:
-        if cap is None:
-            cap = census_mod.SPHERE_CAP_DEFAULT
-        else:
-            print(f"warning: cap overridden to {cap}", file=sys.stderr)
         count = census_mod.enumerate_spheres(args.n, cap=cap,
                                              threads=args.threads)
         print(f"n={args.n} chi=2 orient=+ genus=0 count={count}")

@@ -16,13 +16,10 @@ class GluingMap:
     """Vertex correspondence between two boundary spheres.
 
     ``correspondence`` maps vertices of the removed facet of the second
-    summand to vertices of the removed facet of the first.  With parity
-    "auto" the map may be composed with one transposition so that, when both
-    summands are orientable, the sum respects their propagated orientations.
+    summand to vertices of the removed facet of the first.
     """
 
     correspondence: tuple  # pairs (v_second, v_first)
-    parity: str = "as-given"  # "as-given" | "auto"
 
 
 def boundary_simplex(d: int) -> Complex:
@@ -129,9 +126,10 @@ def connected_sum(C1: Complex, F1, C2: Complex, F2,
                   gluing: GluingMap | None = None) -> Complex:
     """Glue C1 - F1 and C2 - F2 along their boundary spheres.
 
-    Without an explicit ``gluing``, vertices are matched in label order and,
-    when both summands are orientable, the parity is fixed so that the sum
-    respects the propagated orientations of both inputs.
+    An explicit ``gluing`` is used as given.  Without one, vertices are
+    matched in label order and, when both summands are orientable, composed
+    with one transposition if needed so that the sum respects the propagated
+    orientations of both inputs.
     """
     F1 = tuple(sorted(F1))
     F2 = tuple(sorted(F2))
@@ -139,11 +137,10 @@ def connected_sum(C1: Complex, F1, C2: Complex, F2,
         raise NotAFacet(f"{F1} is not a facet of the first summand")
     if F2 not in C2.facets:
         raise NotAFacet(f"{F2} is not a facet of the second summand")
-    if gluing is None:
-        gluing = GluingMap(tuple(zip(F2, F1)), parity="auto")
-    part1, part2, relabel = _glue_facets(C1, F1, C2, F2, gluing.correspondence)
+    pairs = tuple(zip(F2, F1)) if gluing is None else gluing.correspondence
+    part1, part2, relabel = _glue_facets(C1, F1, C2, F2, pairs)
     result = from_facets(part1 + part2)
-    if gluing.parity != "auto":
+    if gluing is not None:
         return result
     s1 = orientation_signs(C1)
     s2 = orientation_signs(C2)
@@ -160,8 +157,8 @@ def connected_sum(C1: Complex, F1, C2: Complex, F2,
     if a == b:
         return result
     # compose the correspondence with one transposition to flip the parity
-    (x2, x1), (y2, y1) = gluing.correspondence[0], gluing.correspondence[1]
-    swapped = ((x2, y1), (y2, x1)) + tuple(gluing.correspondence[2:])
+    (x2, x1), (y2, y1) = pairs[0], pairs[1]
+    swapped = ((x2, y1), (y2, x1)) + pairs[2:]
     part1, part2, _ = _glue_facets(C1, F1, C2, F2, swapped)
     return from_facets(part1 + part2)
 

@@ -41,10 +41,6 @@ class IncompatibleGluing(WorkbenchError):
     """Gluing map is not an isomorphism of the boundary spheres."""
 
 
-class WrongDimension(WorkbenchError):
-    """Operation applies to a different dimension."""
-
-
 class CapExceeded(WorkbenchError):
     """Census size exceeds the configured cap."""
 

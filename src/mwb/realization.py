@@ -1,13 +1,21 @@
 """Straight-line realization checking for triangulated surfaces in R^3.
 
-All predicates are exact over the rationals: a verdict never depends on an
-epsilon when the input coordinates are integers or fractions.  Floating
-inputs are converted exactly and therefore behave like the rationals they
-already are.
+One rule decides every pair of triangles: two triangles of a realization
+meet exactly in the convex hull of the vertices they share, which is empty,
+a point or an edge.  Their intersection is convex and each of its extreme
+points lies on an edge of one of them, so it suffices that every edge of
+each triangle meets the other triangle only inside that hull.
+
+All predicates are exact: the coordinates are scaled once by the common
+denominator of all of them to integers, which changes no verdict, and the
+only divisions left are exact rationals.  No verdict depends on an epsilon.
+Floating inputs are converted exactly and therefore behave like the
+rationals they already are.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,152 +46,52 @@ def _dot(a, b):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _orient(a, b, c, d) -> int:
-    v = _dot(_cross(_sub(b, a), _sub(c, a)), _sub(d, a))
-    return (v > 0) - (v < 0)
-
-
-def _normal(t):
-    return _cross(_sub(t[1], t[0]), _sub(t[2], t[0]))
-
-
-def _drop_axis(n):
-    return max(range(3), key=lambda i: abs(n[i]))
-
-
-def _to2(p, axis):
-    return tuple(p[i] for i in range(3) if i != axis)
-
-
-def _cross2(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _sign(x) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _point_in_tri_2d(x, a, b, c) -> bool:
-    s1 = _sign(_cross2(a, b, x))
-    s2 = _sign(_cross2(b, c, x))
-    s3 = _sign(_cross2(c, a, x))
-    return {s1, s2, s3} <= {0, 1} or {s1, s2, s3} <= {0, -1}
-
-
-def _seg_seg_2d(p, q, r, s) -> bool:
-    d1 = _sign(_cross2(r, s, p))
-    d2 = _sign(_cross2(r, s, q))
-    d3 = _sign(_cross2(p, q, r))
-    d4 = _sign(_cross2(p, q, s))
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-
-    def on_segment(a, b, x):
-        return (_cross2(a, b, x) == 0
-                and min(a[0], b[0]) <= x[0] <= max(a[0], b[0])
-                and min(a[1], b[1]) <= x[1] <= max(a[1], b[1]))
-
-    return (on_segment(r, s, p) or on_segment(r, s, q)
-            or on_segment(p, q, r) or on_segment(p, q, s))
-
-
-def _seg_tri_2d(p, q, a, b, c) -> bool:
-    if _point_in_tri_2d(p, a, b, c) or _point_in_tri_2d(q, a, b, c):
-        return True
-    return (_seg_seg_2d(p, q, a, b) or _seg_seg_2d(p, q, b, c)
-            or _seg_seg_2d(p, q, c, a))
-
-
-def _point_in_tri_3d(x, t) -> bool:
-    if _orient(t[0], t[1], t[2], x) != 0:
-        return False
-    axis = _drop_axis(_normal(t))
-    return _point_in_tri_2d(_to2(x, axis), *(_to2(v, axis) for v in t))
-
-
-def _seg_tri_3d(p, q, t) -> bool:
-    """Closed segment vs closed nondegenerate triangle, exactly."""
+def _functionals(t):
+    """The five (m, k) whose half-spaces m.x >= k cut out the closed
+    triangle t: its plane from both sides, then its three sides, with the
+    inward normals n x (v - u)."""
     a, b, c = t
-    s1 = _orient(a, b, c, p)
-    s2 = _orient(a, b, c, q)
-    if s1 == 0 and s2 == 0:
-        axis = _drop_axis(_normal(t))
-        return _seg_tri_2d(_to2(p, axis), _to2(q, axis),
-                           *(_to2(v, axis) for v in t))
-    if s1 == 0:
-        return _point_in_tri_3d(p, t)
-    if s2 == 0:
-        return _point_in_tri_3d(q, t)
-    if s1 == s2:
-        return False
-    w1 = _orient(p, q, a, b)
-    w2 = _orient(p, q, b, c)
-    w3 = _orient(p, q, c, a)
-    return {w1, w2, w3} <= {0, 1} or {w1, w2, w3} <= {0, -1}
+    n = _cross(_sub(b, a), _sub(c, a))
+    h = _dot(n, a)
+    spaces = [(n, h), ((-n[0], -n[1], -n[2]), -h)]
+    for u, v in ((a, b), (b, c), (c, a)):
+        m = _cross(n, _sub(v, u))
+        spaces.append((m, _dot(m, u)))
+    return spaces
 
 
-def _tri_tri_intersect(t1, t2) -> bool:
-    edges1 = ((t1[0], t1[1]), (t1[1], t1[2]), (t1[0], t1[2]))
-    edges2 = ((t2[0], t2[1]), (t2[1], t2[2]), (t2[0], t2[2]))
-    return (any(_seg_tri_3d(p, q, t2) for p, q in edges1)
-            or any(_seg_tri_3d(p, q, t1) for p, q in edges2))
+def _edge_meets(p, q, t):
+    """The end points of the closed edge pq clipped to the closed triangle
+    with functionals t, or None if they miss each other."""
+    lo, hi = 0, 1
+    for m, k in t:
+        fp, fq = _dot(m, p) - k, _dot(m, q) - k
+        if fp < 0 and fq < 0:
+            return None  # the first two: strictly on one side of the plane
+        if fp < 0:
+            lo = max(lo, Fraction(fp, fp - fq))
+        elif fq < 0:
+            hi = min(hi, Fraction(fp, fp - fq))
+        if lo > hi:
+            return None
+    d = _sub(q, p)
+    return [tuple(p[i] + s * d[i] for i in range(3)) for s in (lo, hi)]
 
 
-def _wedge_enters(v2, d, w1, w2) -> bool:
-    """Does direction d at the 2d apex v2 enter the closed wedge (w1, w2)?"""
-    e1 = (w1[0] - v2[0], w1[1] - v2[1])
-    e2 = (w2[0] - v2[0], w2[1] - v2[1])
-    if e1[0] * e2[1] - e1[1] * e2[0] < 0:
-        e1, e2 = e2, e1
-    c1 = e1[0] * d[1] - e1[1] * d[0]
-    c2 = d[0] * e2[1] - d[1] * e2[0]
-    return c1 >= 0 and c2 >= 0
-
-
-def _shared_vertex_ok(v, t1, t2, pos) -> bool:
-    """Triangles sharing exactly the vertex v must meet only in pos[v]."""
-    p1 = [pos[u] for u in t1]
-    p2 = [pos[u] for u in t2]
-    opp1 = [pos[u] for u in t1 if u != v]
-    opp2 = [pos[u] for u in t2 if u != v]
-    if _seg_tri_3d(opp1[0], opp1[1], p2):
-        return False
-    if _seg_tri_3d(opp2[0], opp2[1], p1):
-        return False
-    pv = pos[v]
-    for u_list, other in (([u for u in t1 if u != v], p2),
-                          ([u for u in t2 if u != v], p1)):
-        axis = _drop_axis(_normal(other))
-        others2 = [_to2(x, axis) for x in other if x != pv]
-        for u in u_list:
-            pu = pos[u]
-            if _orient(other[0], other[1], other[2], pu) != 0:
-                continue  # edge leaves the plane: touches only at pv
-            d2 = _to2(_sub(pu, pv), axis)
-            if _wedge_enters(_to2(pv, axis), d2, others2[0], others2[1]):
-                return False
-    return True
-
-
-def _shared_edge_ok(u, v, t1, t2, pos) -> bool:
-    a1 = next(pos[x] for x in t1 if x not in (u, v))
-    a2 = next(pos[x] for x in t2 if x not in (u, v))
-    if _orient(pos[u], pos[v], a1, a2) != 0:
-        return True  # distinct planes meet exactly in the shared edge
-    n = _normal((pos[u], pos[v], a1))
-    axis = _drop_axis(n)
-    pu, pv = _to2(pos[u], axis), _to2(pos[v], axis)
-    s1 = _sign(_cross2(pu, pv, _to2(a1, axis)))
-    s2 = _sign(_cross2(pu, pv, _to2(a2, axis)))
-    return s1 * s2 < 0
+def _in_hull(x, hull) -> bool:
+    """Is the point x of a triangle in the convex hull of the 0, 1 or 2 of
+    its vertices in hull?  A triangle meets the line through two of its
+    vertices only in their edge, so being on that line is enough."""
+    if len(hull) < 2:
+        return x in hull
+    return _cross(_sub(hull[1], hull[0]), _sub(x, hull[0])) == (0, 0, 0)
 
 
 def realization_check(C: Complex, coordinates: dict) -> RealizationVerdict:
     """Certify a straight-edge, flat-triangle, self-intersection-free drawing.
 
-    Checks (a) disjoint triangles do not meet, (b) triangles sharing a vertex
-    or an edge meet in exactly that vertex or edge, (c) no triangle is
-    degenerate.
+    Checks (a) no two vertices share a point, (b) no triangle is degenerate,
+    (c) any two triangles meet exactly in the hull of their shared vertices.
     """
     if C.dim != 2:
         raise NotASurface("realization checking is for 2-complexes")
@@ -195,26 +103,29 @@ def realization_check(C: Complex, coordinates: dict) -> RealizationVerdict:
     for v, p in pos.items():
         if p in seen:
             return RealizationVerdict(
-                False, f"vertices {seen[p]} and {v} share the point {p}")
+                False, f"vertices {seen[p]} and {v} share the point "
+                       f"({', '.join(map(str, p))})")
         seen[p] = v
-    for F in C.facets:
-        if _normal(tuple(pos[v] for v in F)) == (0, 0, 0):
+    den = math.lcm(*(x.denominator for p in pos.values() for x in p))
+    pos = {v: tuple(x.numerator * (den // x.denominator) for x in p)
+           for v, p in pos.items()}
+    clip = {F: _functionals([pos[v] for v in F]) for F in C.facets}
+    for F, ((n, _), *_) in clip.items():
+        if n == (0, 0, 0):
             return RealizationVerdict(False, f"triangle {F} is degenerate")
     for t1, t2 in itertools.combinations(C.facets, 2):
         shared = sorted(set(t1) & set(t2))
-        if len(shared) == 0:
-            if _tri_tri_intersect(tuple(pos[v] for v in t1),
-                                  tuple(pos[v] for v in t2)):
-                return RealizationVerdict(
-                    False, f"disjoint triangles {t1} and {t2} intersect")
-        elif len(shared) == 1:
-            if not _shared_vertex_ok(shared[0], t1, t2, pos):
-                return RealizationVerdict(
-                    False, f"triangles {t1} and {t2} overlap beyond their "
-                           f"shared vertex {shared[0]}")
-        elif len(shared) == 2:
-            if not _shared_edge_ok(shared[0], shared[1], t1, t2, pos):
-                return RealizationVerdict(
-                    False, f"triangles {t1} and {t2} overlap beyond their "
-                           f"shared edge {tuple(shared)}")
+        hull = [pos[v] for v in shared]
+        if all(_in_hull(x, hull)
+               for s, t in ((t1, t2), (t2, t1))
+               for u, v in itertools.combinations(s, 2)
+               for x in _edge_meets(pos[u], pos[v], clip[t]) or ()):
+            continue
+        if not shared:
+            return RealizationVerdict(
+                False, f"disjoint triangles {t1} and {t2} intersect")
+        what = (f"vertex {shared[0]}" if len(shared) == 1
+                else f"edge {tuple(shared)}")
+        return RealizationVerdict(
+            False, f"triangles {t1} and {t2} overlap beyond their shared {what}")
     return RealizationVerdict(True)

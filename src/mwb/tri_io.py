@@ -32,7 +32,7 @@ def _parse_label(tok: str, line_no: int) -> int:
         return v
     if len(tok) == 1 and "a" <= tok <= "z":
         return 10 + ord(tok) - ord("a")
-    raise ParseError(f"bad vertex label {tok!r}", line_no)
+    raise ParseError(f"bad vertex label {tok[:20]!r}", line_no)
 
 
 def parse(text: str) -> Complex:
@@ -109,18 +109,24 @@ def parse_trace(text: str) -> list:
     return moves
 
 
+_COORD_CHARS = frozenset("+-0123456789./")
+
+
 def _parse_coord(tok: str, line_no: int) -> Fraction:
-    if "e" in tok.lower():  # Fraction("1e999999999") builds a huge integer
-        raise ParseError(f"exponent in coordinate {tok!r}", line_no)
+    # Fraction alone also reads exponents (Fraction("1e999999999") builds a
+    # huge integer), non-ASCII digits and, from Python 3.11 on, "1_0"
     try:
-        return Fraction(tok)
+        if set(tok) <= _COORD_CHARS:
+            return Fraction(tok)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad coordinate {tok!r}", line_no)
+        pass
+    raise ParseError(f"bad coordinate {tok[:20]!r}", line_no)
 
 
 def parse_coords(text: str) -> dict:
-    """Lines `v x y z`; coordinates may be integers, fractions, or decimals
-    without exponent (all converted exactly)."""
+    """Lines `v x y z`, one per vertex; coordinates may be integers,
+    fractions, or decimals without exponent (all converted exactly), written
+    with an ASCII sign, digits, `.` and `/` only."""
     coords = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -130,5 +136,7 @@ def parse_coords(text: str) -> dict:
         if len(toks) != 4:
             raise ParseError("expected 'v x y z'", line_no)
         v = _parse_label(toks[0], line_no)
+        if v in coords:
+            raise ParseError(f"vertex {v} given twice", line_no)
         coords[v] = tuple(_parse_coord(t, line_no) for t in toks[1:])
     return coords

@@ -191,6 +191,16 @@ def test_census_cap_exit_code(capsys):
 
 
 @pytest.mark.parametrize("what", ["surfaces", "spheres"])
+def test_census_cap_override_warns(capsys, what):
+    assert main(["census", what, "--n", "6", "--cap", "500"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "warning: cap overridden to 500\n"
+    assert "n=6 chi=2 orient=+ genus=0 count=2" in out
+    assert main(["census", what, "--n", "6"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("what", ["surfaces", "spheres"])
 def test_census_too_few_vertices_exits_2(capsys, what):
     assert main(["census", what, "--n", "3"]) == 2
     err = capsys.readouterr().err
@@ -337,7 +347,20 @@ _BASES = {  # a valid file of each kind, to mutate
 _PARSERS = {"tri": parse, "coords": parse_coords, "trace": parse_trace}
 _TOKENS = st.sampled_from(
     ["", "0", "1", "2", "7", "8", "12", "-1", "+2", "a", "z", "1/2", "1/0",
-     "0.5", "1e5", "->", ":", "3:", "#", "\u00b3", "\u0663", "\x00", "\xe9"])
+     "0.5", "1e5", "1_0", "->", ":", "3:", "#", "\u00b3", "\u0663", "\x00",
+     "\xe9"])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text + "1 1 1 1\n",  # vertex 1 again
+    lambda text: text.replace("7 0 0 15", "7 0 0 1_5"),
+], ids=["repeated-vertex", "underscore"])
+def test_repeated_vertex_or_underscore_coordinate_exits_2(capsys, tmp_path,
+                                                           edit):
+    bad = tmp_path / "bad.coords"
+    bad.write_text(edit(_BASES["coords"]))
+    _assert_one_line_input_error(
+        capsys, ["realize", "--in", "csaszar-torus", "--coords", str(bad)])
 
 
 @st.composite

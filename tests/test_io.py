@@ -95,6 +95,31 @@ def test_coordinate_parsing():
         parse_coords("\u00b3 0 0 0\n")
 
 
+def test_coordinates_give_each_vertex_once():
+    with pytest.raises(ParseError) as err:
+        parse_coords("1 0 0 0\n1 1 1 1\n")
+    assert str(err.value) == "line 2: vertex 1 given twice"
+
+
+# Fraction() reads "1_0" as 10 from Python 3.11 on, and reads Unicode digits
+@pytest.mark.parametrize("tok", ["1_0", "1_0/3", "0.5_0", "1e5", "\u0663",
+                                 "\uff11", "\u22121", "inf", "nan"])
+def test_coordinates_are_ascii_signs_digits_points_and_slashes(tok):
+    with pytest.raises(ParseError) as err:
+        parse_coords(f"1 0 {tok} 0\n")
+    assert str(err.value) == f"line 1: bad coordinate {tok!r}"
+
+
+def test_bad_tokens_are_echoed_cut_to_20_characters():
+    big = "1" * 4999 + "x"
+    with pytest.raises(ParseError) as err:
+        parse_coords(f"1 0 {big} 0\n")
+    assert str(err.value) == f"line 1: bad coordinate {'1' * 20!r}"
+    with pytest.raises(ParseError) as err:
+        parse_coords(f"{big} 0 0 0\n")
+    assert str(err.value) == f"line 1: bad vertex label {'1' * 20!r}"
+
+
 # tokens near the formats, so that fuzzed text gets past the header
 _NUMBERS = st.sampled_from(["1", "2", "3", "4", "7", "1/2", "-1"])
 _ODD = st.sampled_from(
