@@ -4,21 +4,21 @@ One kernel does all elimination: `_diagonal_of`, a sparse Smith normal form
 over Z by row operations and a remainder step.  It does no column
 operations: by the time one would apply, the pivot column holds the pivot
 alone, so it could change only the pivot row, which is deleted next.
-`_pick_pivot` takes the shortest row, then its unit entry in the sparsest
-column, which keeps fill-in low (the sparse-elimination practice of Dumas,
-Heckenbach, Saunders and Welker, 2003); a row without a unit entry gives
-its entry of smallest absolute value, and remainders take over from there.
-Boundary maps are sparse with +-1 entries, so that fallback is rare (10 of
-2717 pivots over the catalog).  The shortest row comes from a heap of
-(length, insertion rank, row) entries, pushed whenever a row operation
-changes a row's length and skipped on the way out once stale, so the pick
-is the first shortest row in insertion order without a scan of every row.
-Invariant factors are unique, so the pivot rule changes speed only; units
-skip the gcd loop that orders the other diagonal entries.  All arithmetic
-is unbounded-integer, at the sizes that occur here (a few hundred to ~1100
-columns).  Betti numbers over Q or Z_p follow from the integral homology
-by the universal coefficient theorem, so the one cache, on `homology`,
-serves both.
+`_pick_pivot` takes the first shortest row (from a heap), then its unit
+entry in the sparsest column, which keeps fill-in low (Dumas, Heckenbach,
+Saunders and Welker, 2003); a row without a unit entry gives its entry of
+smallest absolute value, and remainders take over from there.  Invariant
+factors are unique, so the pivot rule changes speed only.
+
+`homology` eliminates the maps from the top down and clears them (Chen and
+Kerber, 2011): the unit pivot rows A of the (k+1)-st map, up to its first
+non-unit pivot, are no columns of the k-th.  Until then each row operation
+adds a pivot row to another row, so the block M[A, B] of the rows A and
+their pivot columns B is unimodular, and the boundaries of B with the faces
+outside A are a basis of the k-chains (a reduction pair of Kaczynski,
+Mrozek and Slusarek, 1998).  The k-th map is zero on the boundaries, so its
+columns outside A keep its invariant factors.  Betti numbers over Q or Z_p
+follow by universal coefficients; the one cache, on `homology`, serves all.
 """
 from __future__ import annotations
 
@@ -81,12 +81,14 @@ def boundary_matrix(C: Complex, k: int):
     return M
 
 
-def _sparse_boundary(C: Complex, k: int):
-    """The k-th boundary operator as row dicts and column index sets."""
+def _sparse_boundary(C: Complex, k: int, skip=()):
+    """The k-th boundary map as row dicts and column sets, less ``skip``."""
     rows_of = {F: i for i, F in enumerate(C.faces(k - 1))}
     rows: dict = {}
     cols: dict = {}
     for j, G in enumerate(C.faces(k)):
+        if j in skip:
+            continue
         for i in range(k + 1):
             r = rows_of[G[:i] + G[i + 1:]]
             rows.setdefault(r, {})[j] = -1 if i % 2 else 1
@@ -109,7 +111,7 @@ def _pick_pivot(rows, cols, heap):
     return r, min(row, key=lambda j: abs(row[j]))
 
 
-def _diagonal_of(rows, cols):
+def _diagonal_of(rows, cols, cleared=None):
     """Diagonalize a sparse integer matrix in place; return diagonal entries.
 
     Row operations clear the pivot column; a nonzero remainder (by floor
@@ -118,8 +120,8 @@ def _diagonal_of(rows, cols):
     r is deleted next: so an entry of row r that p does not divide is just
     replaced by its remainder and made the pivot, and otherwise row r is
     dropped, which empties column c.  `_invariant_factors` orders the result.
+    A set ``cleared`` receives the unit pivot rows up to the first non-unit.
     """
-
     rank = {r: i for i, r in enumerate(rows)}  # rows never come back
     heap = [(len(row), rank[r], r) for r, row in rows.items()]
     heapify(heap)
@@ -144,6 +146,10 @@ def _diagonal_of(rows, cols):
     diag = []
     while rows:
         r, c = _pick_pivot(rows, cols, heap)
+        if cleared is not None and rows[r][c] in (1, -1):
+            cleared.add(r)
+        else:
+            cleared = None  # from here on, rows outside the set mix in
         while True:
             p = rows[r][c]
             for i in list(cols[c]):
@@ -169,20 +175,16 @@ def _diagonal_of(rows, cols):
 
 
 def _invariant_factors(diag):
-    # a unit divides every entry, so only the other entries need the loop
-    units = sum(abs(x) == 1 for x in diag)
-    factors = [abs(x) for x in diag if abs(x) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                if b % a:
-                    g = gcd(a, b)
-                    factors[i], factors[j] = g, a * b // g
-                    changed = True
-    return (1,) * units + tuple(sorted(factors))
+    # Z_a + Z_b = Z_gcd + Z_lcm, and once pass i is done, factors[i] divides
+    # every later entry; a unit divides every entry, so units skip the pass
+    factors = [x for x in diag if x > 1]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            if b % a:
+                g = gcd(a, b)
+                factors[i], factors[j] = g, a * b // g
+    return (1,) * diag.count(1) + tuple(factors)
 
 
 def smith_normal_form(M):
@@ -204,8 +206,10 @@ def homology(C: Complex) -> HomologyVector:
     d = C.dim
     fv = f_vector(C).counts
     factors = [()] * (d + 2)
-    for k in range(1, d + 1):
-        factors[k] = _invariant_factors(_diagonal_of(*_sparse_boundary(C, k)))
+    cleared = [set() for _ in range(d + 1)]  # k-faces left out of the k-th map
+    for k in range(d, 0, -1):
+        M = _sparse_boundary(C, k, cleared[k])
+        factors[k] = _invariant_factors(_diagonal_of(*M, cleared[k - 1]))
     free = tuple(fv[k] - len(factors[k]) - len(factors[k + 1])
                  for k in range(d + 1))
     torsion = tuple(tuple(t for t in factors[k + 1] if t > 1) for k in range(d + 1))

@@ -8,13 +8,15 @@ counts here are small (n <= ~25), so simplicity wins over asymptotics.
 
 Refinement by face degrees stalls on neighborly complexes, where every
 vertex has the same degrees. In dimension >= 3 a stalled first refinement
-is therefore split once by the vertex-link determinants, an invariant
+is therefore split once by the vertices' triangle degrees, an invariant
 applied at refinement time in the manner of McKay-Piperno, *Practical graph
 isomorphism II* (arXiv:1301.1493).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 from .core import Complex, f_vector, link, relabeled
 
@@ -109,7 +111,7 @@ def _relabel_key(facets, perm):
     return tuple(sorted(tuple(sorted(perm[v - 1] for v in F)) for F in facets))
 
 
-def _search(C: Complex, link_dets=None):
+def _search(C: Complex):
     """Individualization-refinement with orbit pruning: the canonical labeling
     and the automorphisms found at leaves equivalent to the best one.
 
@@ -122,11 +124,11 @@ def _search(C: Complex, link_dets=None):
 
     Before the search, the initial colours are refined once. If the complex
     has dimension >= 3 and some cell still holds more than one vertex, each
-    vertex is recoloured by the rank of (colour, link determinant) among the
-    distinct pairs. The step depends only on the dimension and the refined
-    partition, so it commutes with relabeling; it splits S3xS3-a-13 into
-    singletons, where degree refinement alone leaves one cell of 13.
-    ``link_dets``, if given, are the link determinants already computed.
+    vertex is recoloured by the rank of (colour, triangle degrees) among the
+    distinct pairs, where a vertex's triangle degrees are the sorted facet
+    counts of its triangles. The step depends only on the dimension and the
+    refined partition, so it commutes with relabeling; it splits S3xS3-a-13
+    into singletons, where degree refinement alone leaves one cell of 13.
     """
     n = C.n
     facets = C.facets
@@ -164,27 +166,24 @@ def _search(C: Complex, link_dets=None):
 
     colors = _refine(_initial_colors(C), vert_facets)
     if C.dim >= 3 and len(set(colors)) < n:
-        # a stalled refinement is split by the link determinants, which cost
-        # one small determinant per vertex and are isomorphism-invariant
-        if link_dets is None:
-            link_dets = as_link_determinants(C)
-        pairs = list(zip(colors, link_dets))
+        tri = Counter(T for F in facets for T in combinations(F, 3))
+        pairs = [(c, tuple(sorted(k for T, k in tri.items() if v in T)))
+                 for v, c in enumerate(colors, start=1)]
         rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
         colors = _refine([rank[pair] for pair in pairs], vert_facets)
     rec(colors, ())
     return best[1], autos
 
 
-def canonical_form(C: Complex, _link_dets=None):
+def canonical_form(C: Complex):
     """A canonical representative and the relabeling that produces it.
 
     Isomorphic complexes map to identical facet lists; the representative is
     the lexicographically smallest relabeled facet list reachable through
     refinement-respecting labelings. In dimension >= 3 that refinement
-    includes the link-determinant split described in ``_search``, which
-    reuses ``_link_dets`` when the caller has them.
+    includes the triangle-degree split described in ``_search``.
     """
-    perm, _ = _search(C, _link_dets)
+    perm, _ = _search(C)
     return relabeled(C, perm), perm
 
 
@@ -211,10 +210,7 @@ def are_isomorphic(C1: Complex, C2: Complex) -> bool:
         return False
     if f_vector(C1).counts != f_vector(C2).counts:
         return False
-    dets1, dets2 = as_link_determinants(C1), as_link_determinants(C2)
-    if sorted(dets1) != sorted(dets2):
-        return False
-    return canonical_form(C1, dets1)[0] == canonical_form(C2, dets2)[0]
+    return canonical_form(C1)[0] == canonical_form(C2)[0]
 
 
 def _inverse(p):

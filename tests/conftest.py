@@ -41,12 +41,13 @@ def complexes(entries):
 
 
 @st.composite
-def small_complexes(draw):
-    """Pure complexes of dimension 1..3 on up to 8 vertices, any n >= d+1."""
-    d = draw(st.integers(1, 3))
-    n = draw(st.integers(d + 1, 8))
+def small_complexes(draw, max_dim=3, max_n=8, max_facets=12):
+    """Pure complexes of dimension 1..max_dim on up to max_n vertices, any
+    n >= d+1."""
+    d = draw(st.integers(1, max_dim))
+    n = draw(st.integers(d + 1, max_n))
     facet = st.sets(st.integers(1, n), min_size=d + 1, max_size=d + 1)
-    return from_facets(draw(st.lists(facet, min_size=1, max_size=12)))
+    return from_facets(draw(st.lists(facet, min_size=1, max_size=max_facets)))
 
 
 @pytest.fixture()

@@ -105,6 +105,23 @@ def test_iso_exit_codes(tmp_path, capsys, complexes):
     assert main(["iso", "--in", a, "--in2", b]) == 1
 
 
+def test_iso_of_one_dimensional_complexes(tmp_path, capsys):
+    # no vertex links are taken, so 1-complexes need no 0-dimensional link
+    paths = {}
+    for name, text in (("triangle", "1 3\n1 2\n2 3\n1 3\n"),
+                       ("relabeled", "1 3\n2 3\n3 1\n1 2\n"),
+                       ("two", "1 6\n1 2\n2 3\n1 3\n4 5\n5 6\n4 6\n"),
+                       ("hexagon", "1 6\n1 2\n2 3\n3 4\n4 5\n5 6\n1 6\n")):
+        paths[name] = str(tmp_path / f"{name}.tri")
+        with open(paths[name], "w") as f:
+            f.write(text)
+    assert main(["iso", "--in", paths["triangle"],
+                 "--in2", paths["relabeled"]]) == 0
+    assert capsys.readouterr().out == "isomorphic\n"
+    assert main(["iso", "--in", paths["two"], "--in2", paths["hexagon"]]) == 1
+    assert capsys.readouterr().out == "not isomorphic\n"
+
+
 def test_auto_and_det(capsys, rp3_path):
     assert main(["auto", "--in", rp3_path]) == 0
     assert "order 48" in capsys.readouterr().out

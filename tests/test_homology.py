@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from conftest import small_complexes
 from mwb.constructions import boundary_simplex
 from mwb.core import f_vector, from_facets, relabeled
 from mwb.errors import InvalidArgument, NotPseudomanifold
-from mwb.flips import SplitMix64
-from mwb.homology import (_diagonal_of, _sparse_boundary, betti,
-                          boundary_matrix, homology, orientability,
+from mwb.flips import SplitMix64, random_walk
+from mwb.homology import (HomologyVector, _diagonal_of, _sparse_boundary,
+                          betti, boundary_matrix, homology, orientability,
                           smith_normal_form)
 
 
@@ -120,6 +121,129 @@ def test_pivot_heap_picks_the_first_shortest_row(complexes, monkeypatch):
         for k in range(1, C.dim + 1):
             _diagonal_of(*_sparse_boundary(C, k))
     assert len(same) == 407 and all(same)  # 407: the sum of the ranks
+
+
+# --- clearing: homology() leaves out the unit pivot rows of the map above ---
+
+def _homology_per_map(C, snf):
+    """Homology from the invariant factors ``snf`` gives for each dense
+    boundary matrix on its own, with every column kept."""
+    d = C.dim
+    fv = f_vector(C).counts
+    factors = [()] + [snf(boundary_matrix(C, k))[0]
+                      for k in range(1, d + 1)] + [()]
+    free = tuple(fv[k] - len(factors[k]) - len(factors[k + 1])
+                 for k in range(d + 1))
+    torsion = tuple(tuple(t for t in factors[k + 1] if t > 1)
+                    for k in range(d + 1))
+    return HomologyVector(free, torsion)
+
+
+def _check_clearing(C):
+    H = homology.__wrapped__(C)  # uncached, so every map is eliminated here
+    assert H == _homology_per_map(C, smith_normal_form)
+    assert H == _homology_per_map(C, _sympy_factors)
+
+
+@pytest.fixture(scope="module")
+def torsion_complexes(rp2_6, complexes):
+    """rp2_6, RP3-11 and L31-12, a random walk of each, and each walk with
+    one facet removed: all but the punctured projective plane have Z_2 or
+    Z_3 torsion."""
+    out = {"rp2_6": rp2_6, "RP3-11": complexes["RP3-11"],
+           "L31-12": complexes["L31-12"]}
+    for i, name in enumerate(list(out)):
+        walked = random_walk(out[name], seed=4000 + i, steps=40)[0]
+        out[name + "-walk"] = walked
+        out[name + "-walk-minus-facet"] = from_facets(walked.facets[1:])
+    return out
+
+
+@pytest.mark.parametrize("name", [
+    base + suffix for base in ("rp2_6", "RP3-11", "L31-12")
+    for suffix in ("", "-walk", "-walk-minus-facet")])
+def test_clearing_matches_per_map_snf_and_sympy(name, torsion_complexes):
+    _check_clearing(torsion_complexes[name])
+
+
+@settings(max_examples=150, deadline=None)
+@given(C=small_complexes(max_dim=4, max_n=9, max_facets=16))
+def test_clearing_matches_per_map_snf_and_sympy_on_random_complexes(C):
+    _check_clearing(C)
+
+
+def _cleared_rows(D2):
+    rows, cols = {}, {}
+    for i, row in enumerate(D2):
+        for j, v in enumerate(row):
+            if v:
+                rows.setdefault(i, {})[j] = v
+                cols.setdefault(j, set()).add(i)
+    cleared = set()
+    _diagonal_of(rows, cols, cleared)
+    return cleared
+
+
+def _check_clearing_lemma(D1, D2):
+    # D1 D2 = 0: the columns of D1 left after clearing by D2 keep its factors
+    cleared = _cleared_rows(D2)
+    kept = [[v for j, v in enumerate(row) if j not in cleared] for row in D1]
+    assert smith_normal_form(kept) == smith_normal_form(D1)
+    return cleared
+
+
+def test_clearing_stops_at_the_first_non_unit_pivot():
+    # row 0 of D2 gives the first pivot, 6; the remainder steps then leave
+    # row 0 as (0, -1), row 0 minus three times row 1, which is no cleared
+    # row: dropping column 0 of D1 would leave the factor 2
+    D1 = [[1, -2, -2]]
+    D2 = [[6, -10], [2, -3], [1, -2]]
+    assert _check_clearing_lemma(D1, D2) == set()
+    # with a unit pivot first, its row is cleared
+    assert _check_clearing_lemma([[1, -1, 0]], [[1], [1], [0]]) == {0}
+
+
+@st.composite
+def _chain_pairs(draw):
+    """Integer D1 and D2 with D1 D2 = 0: D2's columns are integer
+    combinations of a basis of D1's null space over Q, scaled to Z."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    D1 = [draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+          for _ in range(m)]
+    basis = []
+    for v in Matrix(D1).nullspace():
+        scale = math.lcm(*(x.q for x in v))
+        basis.append([int(x * scale) for x in v])
+    p = draw(st.integers(1, 5))
+    R = [draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p))
+         for _ in basis]
+    D2 = [[sum(R[t][j] * b[i] for t, b in enumerate(basis)) for j in range(p)]
+          for i in range(n)]
+    return D1, D2
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_chain_pairs())
+def test_clearing_lemma_on_random_chain_pairs(pair):
+    _check_clearing_lemma(*pair)
+
+
+def test_clearing_drops_columns_of_the_map_below(complexes, monkeypatch):
+    # the unit pivot rows of the top map of S3xS3-a-13 leave 521 of the 728
+    # columns of its 5th boundary map; the maps are eliminated top down
+    homology_module = importlib.import_module("mwb.homology")
+    diagonal_of = homology_module._diagonal_of
+    columns = []
+
+    def spy(rows, cols, *args):
+        columns.append(len(cols))
+        return diagonal_of(rows, cols, *args)
+
+    monkeypatch.setattr(homology_module, "_diagonal_of", spy)
+    C = complexes["S3xS3-a-13"]
+    assert len(C.faces(5)) == 728
+    assert str(homology.__wrapped__(C)) == "(Z, 0, 0, Z^2, 0, 0, Z)"
+    assert columns[:2] == [208, 521]
 
 
 def test_rp2_boundary_has_one_even_invariant_factor(rp2_6):

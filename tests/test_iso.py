@@ -177,11 +177,11 @@ def test_rp3_automorphisms_preserve_determinant_classes(complexes):
 CANONICAL_FORM_SHA256 = {
     "csaszar-torus": "5fc007b3b722b73d25b9305911094d1365be350b2652a51e0ff9e597f97a7105",
     "RP3-11": "e10c90a1b4baabbfe70291eacc882726cfb0c5d645044cdae67c3b44b4cf6924",
-    "L31-12": "d3442590381bffd939c7330e30338fa06ce5a459ce2ff812273e4b39a8729f45",
+    "L31-12": "3ac7c7dee1cc00587cf96fb349ed40bcb367ae695babfe3c8e9623237a4be7fa",
     "S2xS2-11": "3adfaa0bc154b65ff673fe798be4b61c888ba11d9f17928b5328af3bf56b962e",
     "S3twS1-12": "635c0e4bcb92a90792c53f495096fdbccb78dd6861e045e276eaea5f441c6ee1",
-    "S3xS2-a-12": "620760c5df4b87b46727e7d8b0791fe759330dfb2044ff8f7dbf843c7bea1eb7",
-    "S3xS3-a-13": "5482a070a2dcb858d52bb695c35d16962056ac807b8860266440095a6a1fbd26",
+    "S3xS2-a-12": "d1d99bc51de09cf67b8eebee5988804c5195d883ab6a2c6f21912b6f78dc6c32",
+    "S3xS3-a-13": "c6510ded44f3ee00368cdf9b6d8c30298b6d4b208db915d48b3f9f8d724a4882",
 }
 
 
@@ -192,9 +192,10 @@ def test_catalog_canonical_forms_are_pinned(complexes):
         assert hashlib.sha256(write(form).encode()).hexdigest() == digest, name
 
 
-def test_link_determinants_unstall_neighborly_refinement(complexes, monkeypatch):
-    # every vertex of S3xS3-a-13 has the same face degrees; without the link
-    # determinant split the search tried all 13 first vertices (170 refines)
+def test_triangle_degrees_unstall_neighborly_refinement(complexes, monkeypatch):
+    # every vertex of S3xS3-a-13 has the same face degrees; without a split
+    # of the stalled cell the search tried all 13 first vertices (170
+    # refines), and edge degrees alone took 228
     calls = []
     refine = iso._refine
     monkeypatch.setattr(iso, "_refine",
@@ -205,9 +206,10 @@ def test_link_determinants_unstall_neighborly_refinement(complexes, monkeypatch)
     assert automorphism_group(C).order == 1
 
 
-def test_are_isomorphic_computes_link_determinants_once(complexes, monkeypatch):
-    # the rejection test's link determinants are reused by the split in
-    # _search: one determinant per vertex link of each complex, 2 x 13
+def test_are_isomorphic_and_canonical_form_compute_no_determinant(
+        complexes, monkeypatch):
+    # the stalled cell is split by triangle degrees, so neither the
+    # isomorphism test nor the canonical form takes a link or a determinant
     calls = []
     det = iso.as_determinant
     monkeypatch.setattr(iso, "as_determinant",
@@ -215,7 +217,8 @@ def test_are_isomorphic_computes_link_determinants_once(complexes, monkeypatch):
     C = complexes["S3xS3-a-13"]
     perm = _random_perm(C.n, SplitMix64(5))
     assert are_isomorphic(C, relabeled(C, perm))
-    assert len(calls) == 2 * C.n
+    canonical_form(complexes["L31-12"])
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["L31-12", "S3xS2-a-12"])
@@ -285,6 +288,9 @@ def test_automorphism_group_matches_brute_force_on_named_complexes(
 
 
 def test_walked_sphere_takes_the_link_determinant_split(walked_sphere):
+    # the link determinants split the 6-vertex cell; the search's own split,
+    # by triangle degrees, does not, as every triangle of a 3-manifold lies
+    # in two facets, so individualization does that work
     C = walked_sphere
     assert (C.n, len(C.facets)) == (8, 19)
     colors = iso._refine(iso._initial_colors(C), iso._vertex_facets(C))
