@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 
-from .core import Complex, f_vector, from_facets, is_pseudomanifold, link
+from .core import Complex, f_vector, from_facets, is_combinatorial_manifold
 from .errors import CapExceeded, InvalidArgument, NotASurface
 from .homology import orientability
 
@@ -76,11 +76,11 @@ class CensusResult:
 
 def classify_surface(C: Complex) -> SurfaceClass:
     """Orientability and genus of a closed surface."""
-    if C.dim != 2 or not is_pseudomanifold(C):
+    if C.dim != 2:
         raise NotASurface("not a closed 2-pseudomanifold")
-    for v in C.vertices():
-        if not is_pseudomanifold(link(C, (v,))):
-            raise NotASurface(f"link of vertex {v} is not a single cycle")
+    verdict = is_combinatorial_manifold(C)
+    if not verdict:
+        raise NotASurface(f"not a closed surface: {verdict.witness}")
     return SurfaceClass.of(f_vector(C).euler, orientability(C) == "orientable")
 
 
@@ -95,12 +95,11 @@ class _StarClosingSearch:
         self.f2_budget = f2_budget
         self.tight = f1_budget < comb(n, 2)  # else the cut below cannot fire
         self.chi_required = chi_required
-        self.third: dict = {}      # sorted vertex pair -> set of third vertices
+        self.third: dict = {}      # edge (sorted pair) -> third vertices, never empty
         self.neighbors: dict = {}  # vertex -> set of skeleton neighbors
         self.mate: dict = {}       # vertex -> {link path end: its other end}
         self.undo: list = []       # (z, x, y, ox, oy): x-y added to link z
         self.triangles: list = []
-        self.num_edges = 0
         self.next_label = 1
         self.found: list = []      # (facets, chi, orientable), one per class
         self.blocks: list = [None]  # blocks[j]: block j of the own labeling
@@ -131,7 +130,6 @@ class _StarClosingSearch:
             if len(s) == 1:
                 self.neighbors[x].add(y)
                 self.neighbors[y].add(x)
-                self.num_edges += 1
             # the link of z gains the edge x-y: join the paths ending there,
             # where a vertex new to the link is a path of its own
             m = self.mate[z]
@@ -157,7 +155,6 @@ class _StarClosingSearch:
                 del self.third[(x, y)]
                 self.neighbors[x].discard(y)
                 self.neighbors[y].discard(x)
-                self.num_edges -= 1
         for v in reversed(t):
             if v == self.next_label - 1 and not self.neighbors[v]:
                 self.next_label -= 1
@@ -176,7 +173,7 @@ class _StarClosingSearch:
                 return False
             if not s:
                 new_edges += 1
-        if self.num_edges + new_edges > self.f1_budget:
+        if len(self.third) + new_edges > self.f1_budget:
             return False
         for u, x, y in ((a, b, c), (b, a, c), (c, a, b)):
             if u >= self.next_label:
@@ -240,7 +237,7 @@ class _StarClosingSearch:
             k, nb = self.k, self.neighbors
             need = k * (self.n + 1 - self.next_label) + sum(
                 max(0, k - len(nb[w])) for w in range(v, self.next_label))
-            if 2 * self.num_edges + need > 2 * self.f1_budget:
+            if 2 * len(self.third) + need > 2 * self.f1_budget:
                 return
         candidates = ends[1:]
         lk = self.neighbors[v]
@@ -266,7 +263,7 @@ class _StarClosingSearch:
         return True
 
     def _leaf(self, c, start, walks, roots):
-        chi = self.n - self.num_edges + len(self.triangles)
+        chi = self.n - len(self.third) + len(self.triangles)
         if self.chi_required is not None and chi != self.chi_required:
             return
         self._final_blocks(c, self.n, start)

@@ -3,7 +3,8 @@
 A complex is stored as a lexicographically sorted tuple of facets, each facet
 a strictly increasing tuple of vertex labels 1..n.  Labels are compacted on
 construction; the original labels survive in ``source_labels`` so that links
-and stars can report ambient vertices.
+and stars can report ambient vertices.  A complex pickles as its facets and
+``source_labels`` alone.
 """
 from __future__ import annotations
 
@@ -62,6 +63,9 @@ class Complex:
 
     def __hash__(self):
         return hash(self.facets)
+
+    def __reduce__(self):
+        return Complex, (self.facets, self.source_labels)
 
     def __repr__(self):
         return f"Complex(dim={self.dim}, n={self.n}, facets={len(self.facets)})"
@@ -191,17 +195,14 @@ def is_pseudomanifold(C: Complex) -> ManifoldVerdict:
 def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> ManifoldVerdict:
     """Certify every vertex link PL-homeomorphic to a boundary simplex.
 
-    Links of dimension >= 3 are reduced with bistellar flips first: a link
-    that reaches the boundary of a simplex within ``flip_budget`` moves is a
-    PL sphere, and its homology is never computed.  Only a link that misses
-    gets the sphere-homology screen, which turns "unknown" into "no" when it
-    fails.  Links of dimension <= 2 get the screen alone, and it decides
-    them: a connected 1-pseudomanifold is a circle, and a 2-pseudomanifold
-    is a closed surface with vertices identified, each identification adding
-    rank to H_1, so only S^2 has sphere homology.  Every vertex link has
-    dimension d-1, so one sphere homology serves them all.  A non-sphere
-    link of dimension >= 3 spends the whole budget before its screen says
-    "no".  A ``flip_budget`` below 1 raises BudgetZero.
+    A link that passed the pseudomanifold test is, in dimension 1, a circle,
+    and in dimension 2 a closed connected surface (chi <= 2) with vertices
+    identified, each identification lowering chi, so it is S^2 iff chi = 2.
+    Links of dimension >= 3 are reduced with bistellar flips: a link that
+    reaches the boundary of a simplex within ``flip_budget`` moves is a PL
+    sphere.  Only a link that misses gets the sphere-homology screen, which
+    turns "unknown" into "no" when it fails, so a non-sphere link spends the
+    whole budget first.  A ``flip_budget`` below 1 raises BudgetZero.
     """
     from .flips import Schedule, reduce as flip_reduce
     from .homology import HomologyVector, homology
@@ -221,17 +222,17 @@ def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> Manifold
         lpm = is_pseudomanifold(L)
         if not lpm:
             return ManifoldVerdict("no", f"link of vertex {v}: {lpm.witness}")
+        if dL == 1 or (dL == 2 and f_vector(L).euler == 2):
+            continue  # a circle, or a surface with chi = 2: S^2
         if dL >= 3:
             best, _, _ = flip_reduce(L, seed=1, budget=flip_budget,
                                      schedule=Schedule(target_f0=dL + 2))
             if best.n == dL + 2:
                 continue
-        if homology(L) != sphere:
+        # a surface with chi != 2, or a link the flips missed
+        if dL == 2 or homology(L) != sphere:
             return ManifoldVerdict(
                 "no", f"link of vertex {v} does not have sphere homology")
-        if dL >= 3:
-            unknown = ManifoldVerdict(
-                "unknown",
-                f"link of vertex {v} not reduced to a boundary simplex "
-                f"within {flip_budget} moves")
+        unknown = ManifoldVerdict("unknown", f"link of vertex {v} not reduced to "
+                                  f"a boundary simplex within {flip_budget} moves")
     return ManifoldVerdict("yes") if unknown is None else unknown

@@ -16,20 +16,22 @@ facet, is an int bitmask over vertex bits, so a move hashes ints instead of
 building and hashing tuples.  The star of every face and the f-vector
 belong to that index: both are built the first time the f-vector or a
 pool of kind >= 1 is read.  Until then only vertex stars are kept, and a
-face's star is the intersection of its vertices' stars, so ``replay`` and
-``apply_move`` update d+1 stars per facet, not 2^(d+1)-1.  Once counted,
-the f-vector moves by a constant per move kind.  Each live vertex holds a
-bit of its own, and the bit of a vanished vertex is handed on only once no
-stale mask can still name it, so masks stay as wide as the complex even
-when labels grow large.  Picks draw from the legal moves sorted by
+face's star is the intersection of its vertices' stars, so ``replay``, and
+``apply_move`` through it, update d+1 stars per facet, not 2^(d+1)-1.  Once
+counted, the f-vector moves by a constant per move kind.  Each live vertex
+holds a bit of its own, and the bit of a vanished vertex is handed on only
+once no stale mask can still name it, so masks stay as wide as the complex
+even when labels grow large.  Picks draw from the legal moves sorted by
 remove-face as label tuples, never by mask, so every search and walk, and
-its trace, depends only on (input, seed, budget, schedule).
+its trace, depends only on (input, seed, budget, schedule); ``tri_io``
+writes and reads the text of a trace.
 """
 from __future__ import annotations
 
 import bisect
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 from operator import add
@@ -69,11 +71,6 @@ class FlipMove:
 
     def inverse(self, d: int) -> "FlipMove":
         return FlipMove(d - self.kind, self.insert, self.remove)
-
-    def as_line(self) -> str:
-        a = " ".join(map(str, self.remove))
-        b = " ".join(map(str, self.insert))
-        return f"{self.kind}: {a} -> {b}"
 
 
 # heating phases: 10 moves at first, growing by half per phase up to 200
@@ -139,8 +136,7 @@ class _State:
     first ``f()`` or ``pool(kind)`` with kind >= 1 builds the star of every
     face and counts the f-vector; from then on a facet update walks the
     facet's submasks, and a k-move changes the f-vector by a constant per
-    kind (``_f_deltas``).  So ``replay`` and ``apply_move`` run on vertex
-    stars.
+    kind (``_f_deltas``).  So ``replay`` runs on vertex stars.
 
     Labels need not stay contiguous while moves are applied (d-moves leave
     gaps); complexes are compacted only on export.  That keeps every move
@@ -454,37 +450,25 @@ def _check_legal(state: _State, m: FlipMove):
             f"link of {A} is the boundary of {state.face(B)}, not of {m.insert}")
 
 
-def apply_move(C: Complex, m: FlipMove) -> Complex:
-    """Apply a legal move; raises IllegalMove with the violated clause.
-
-    The result is canonicalized, so after a d-move the labels above the
-    removed vertex shift down by one.
-    """
-    state = _State(C)
-    _check_legal(state, m)
-    state.apply(m)
-    return core.from_facets(state.snapshot())
-
-
-def replay(C: Complex, trace, checkpoint_every: int | None = None):
-    """Re-apply a recorded move sequence, validating every step.
+def replay(C: Complex, trace) -> Complex:
+    """Re-apply a recorded move sequence; raises IllegalMove with the
+    violated clause at the first illegal move.
 
     Labels are kept exactly as recorded while replaying (no intermediate
     compaction), matching what the reducer does; the final complex is
-    canonicalized.  With ``checkpoint_every`` the return value is
-    (final, [complexes sampled every that many moves]).
+    canonicalized, so after a d-move the labels above the removed vertex
+    shift down by one.
     """
     state = _State(C)
-    checkpoints = []
-    for i, m in enumerate(trace, start=1):
+    for m in trace:
         _check_legal(state, m)
         state.apply(m)
-        if checkpoint_every and i % checkpoint_every == 0:
-            checkpoints.append(core.from_facets(state.snapshot()))
-    final = core.from_facets(state.snapshot())
-    if checkpoint_every:
-        return final, checkpoints
-    return final
+    return core.from_facets(state.snapshot())
+
+
+def apply_move(C: Complex, m: FlipMove) -> Complex:
+    """Apply one legal move: ``replay`` of a one-move trace."""
+    return replay(C, (m,))
 
 
 def random_walk(C: Complex, seed: int, steps: int):
@@ -606,46 +590,38 @@ def reduce(C: Complex, seed: int, budget: int,
     return core.from_facets(state.snapshot(best)), trace, stats
 
 
-def _reduce_job(args):
-    facets, seed, budget, schedule = args
-    best, trace, stats = reduce(core.from_facets(facets), seed, budget, schedule)
-    stats = dict(stats)
-    stats["final"] = stats["final"].facets
-    return core.f_vector(best).counts, seed, best.facets, trace, stats
-
-
 def reduce_multi(C: Complex, seeds, budget: int,
                  schedule: Schedule | None = None, threads: int = 1):
     """Run reduce over several seeds; returns (best, seed, trace, stats).
 
     The winner is the first seed, in the given order, whose best complex
-    reaches the schedule target; if none does, the (objective, seed)-minimal
-    run wins.  So the result does not depend on ``threads``: sequentially
-    the scan ends at the winner, and a pool of at most
-    min(threads, len(seeds), os.cpu_count()) processes runs every seed.
+    reaches the schedule target; if none does, the run with the least
+    (stats["best_f"], seed) wins.  So the result does not depend on
+    ``threads``: sequentially the scan ends at the winner, and a pool of at
+    most min(threads, len(seeds), os.cpu_count()) processes, each sent the
+    pickled complex, runs every seed.
     """
     seeds = list(seeds)
     if not seeds:
         raise InvalidArgument("need at least one seed")
     if threads < 1:
         raise InvalidArgument("threads must be >= 1")
-    jobs = [(C.facets, seed, budget, schedule) for seed in seeds]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    run = partial(reduce, C, budget=budget, schedule=schedule)
+    target = schedule.reached if schedule is not None else lambda f: False
+    workers = min(threads, len(seeds), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_reduce_job, jobs))
+            results = list(pool.map(run, seeds))
     else:
         results = []
-        for job in jobs:
-            results.append(_reduce_job(job))
-            if schedule is not None and schedule.reached(results[-1][0]):
+        for seed in seeds:
+            results.append(run(seed))
+            if target(results[-1][2]["best_f"]):
                 break
-    reached = [t for t in results
-               if schedule is not None and schedule.reached(t[0])]
-    f, seed, best_facets, trace, stats = (
-        reached[0] if reached else min(results, key=lambda t: (t[0], t[1])))
-    stats = dict(stats)
-    stats["final"] = core.from_facets(stats["final"])
-    return core.from_facets(best_facets), seed, trace, stats
+    runs = [(stats["best_f"], seed, best, trace, stats)
+            for seed, (best, trace, stats) in zip(seeds, results)]
+    _, seed, best, trace, stats = next(
+        (r for r in runs if target(r[0])), min(runs, key=lambda r: r[:2]))
+    return best, seed, trace, stats

@@ -129,6 +129,8 @@ def _search(C: Complex):
     counts of its triangles. The step depends only on the dimension and the
     refined partition, so it commutes with relabeling; it splits S3xS3-a-13
     into singletons, where degree refinement alone leaves one cell of 13.
+    Where all triangles have one facet count, as in a 3-pseudomanifold, the
+    colour already fixes the triangle degrees, so the step is skipped.
     """
     n = C.n
     facets = C.facets
@@ -167,10 +169,11 @@ def _search(C: Complex):
     colors = _refine(_initial_colors(C), vert_facets)
     if C.dim >= 3 and len(set(colors)) < n:
         tri = Counter(T for F in facets for T in combinations(F, 3))
-        pairs = [(c, tuple(sorted(k for T, k in tri.items() if v in T)))
-                 for v, c in enumerate(colors, start=1)]
-        rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-        colors = _refine([rank[pair] for pair in pairs], vert_facets)
+        if len(set(tri.values())) > 1:
+            pairs = [(c, tuple(sorted(k for T, k in tri.items() if v in T)))
+                     for v, c in enumerate(colors, start=1)]
+            rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+            colors = _refine([rank[pair] for pair in pairs], vert_facets)
     rec(colors, ())
     return best[1], autos
 

@@ -5,7 +5,7 @@ Input labels may be decimal or the single characters a-z for 10-35 (the
 shorthand used in printed facet tables); output is always decimal, with
 facets and vertices sorted, so writing is byte-deterministic and
 parse(write(C)) == C for every complex. A trace has one move per line,
-`k: a .. -> b ..`, in decimal.
+`k: a .. -> b ..`, in decimal, and parse_trace(write_trace(t)) == t.
 """
 from __future__ import annotations
 
@@ -90,7 +90,8 @@ def save(path, C: Complex) -> None:
 
 
 def write_trace(trace) -> str:
-    return "\n".join(m.as_line() for m in trace) + ("\n" if trace else "")
+    return "".join(f"{m.kind}: {' '.join(map(str, m.remove))} -> "
+                   f"{' '.join(map(str, m.insert))}\n" for m in trace)
 
 
 def parse_trace(text: str) -> list:

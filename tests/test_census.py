@@ -10,7 +10,7 @@ from mwb.bounds import EXCEPTIONAL_SURFACES, heawood_min_vertices
 from mwb.census import (CensusResult, SurfaceClass, classify_surface,
                         enumerate_spheres, enumerate_surfaces)
 from mwb.constructions import boundary_simplex, twisted_bundle
-from mwb.core import is_pseudomanifold
+from mwb.core import from_facets, is_pseudomanifold
 from mwb.errors import CapExceeded, InvalidArgument, NotASurface, WorkbenchError
 from mwb.iso import are_isomorphic
 
@@ -30,6 +30,20 @@ def test_classify_surfaces(csaszar, rp2_6):
 def test_classify_rejects_non_surfaces(complexes):
     with pytest.raises(NotASurface):
         classify_surface(complexes["RP3-11"])
+
+
+def test_classify_rejects_a_pinched_surface_with_its_witness():
+    # an octahedron stacked on two opposite triangles, the two stacked
+    # vertices identified: every edge lies in two triangles, but the link of
+    # vertex 7 is two triangles
+    octahedron = [F for F in itertools.product((1, 2), (3, 4), (5, 6))
+                  if F not in ((1, 3, 5), (2, 4, 6))]
+    cones = [(7,) + e for F in ((1, 3, 5), (2, 4, 6))
+             for e in itertools.combinations(F, 2)]
+    with pytest.raises(NotASurface, match="link of vertex 7"):
+        classify_surface(from_facets(octahedron + cones))
+    with pytest.raises(NotASurface, match="ridge"):
+        classify_surface(from_facets([[1, 2, 3], [1, 2, 4]]))
 
 
 def test_small_counts():

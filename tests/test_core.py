@@ -1,11 +1,14 @@
 import importlib
 import itertools
+import pickle
 
 import pytest
 
+from mwb.census import enumerate_surfaces
 from mwb.constructions import boundary_simplex, suspension
-from mwb.core import (f_vector, from_facets, is_combinatorial_manifold,
-                      is_k_neighborly, is_pseudomanifold, link, relabeled, star)
+from mwb.core import (ManifoldVerdict, f_vector, from_facets,
+                      is_combinatorial_manifold, is_k_neighborly,
+                      is_pseudomanifold, link, relabeled, star)
 from mwb.errors import BudgetZero, NotAFace, NotPure, UnsupportedDimension
 from mwb.homology import homology
 from mwb.iso import as_determinant
@@ -195,6 +198,50 @@ def test_combinatorial_manifold_flips_before_homology(monkeypatch, complexes):
     verdict = is_combinatorial_manifold(complexes["S3xS3-a-13"], flip_budget=1)
     assert verdict.status == "unknown"
     assert len(calls) == 13
+
+
+def test_links_of_dimension_at_most_2_take_no_homology(monkeypatch, complexes,
+                                                       rp2_6):
+    module = importlib.import_module("mwb.homology")
+    calls = []
+    monkeypatch.setattr(module, "homology",
+                        lambda L: calls.append(L) or homology(L))
+    for name in ("csaszar-torus", "RP3-11", "L31-12"):
+        assert is_combinatorial_manifold(complexes[name]).status == "yes"
+    verdict = is_combinatorial_manifold(suspension(rp2_6))
+    assert verdict == ManifoldVerdict(
+        "no", "link of vertex 7 does not have sphere homology")
+    S = suspension(_pinched_sphere())
+    S = relabeled(S, [S.n + 1 - v for v in S.vertices()])
+    verdict = is_combinatorial_manifold(S)
+    assert verdict == ManifoldVerdict(
+        "no", "link of vertex 1 does not have sphere homology")
+    assert calls == []
+
+
+def test_surface_links_are_spheres_exactly_when_homology_says_so(rp2_6):
+    # chi = 2 against the sphere-homology screen it replaces, on suspensions
+    # of every 7-vertex surface, the 6-vertex RP^2, a pinched sphere and the
+    # boundary of a tetrahedron
+    result = enumerate_surfaces(7, representatives=True)
+    surfaces = [S for reps in result.representatives.values() for S in reps]
+    surfaces += [rp2_6, _pinched_sphere(), boundary_simplex(2)]
+    sphere = homology(boundary_simplex(2))
+    for S in surfaces:
+        verdict = is_combinatorial_manifold(suspension(S))
+        assert verdict.status == ("yes" if homology(S) == sphere else "no")
+
+
+def test_complex_pickles_as_facets_and_source_labels(complexes):
+    C = complexes["RP3-11"]
+    for K in (C, link(C, (3,)), star(C, (2, 5))):
+        K.faces(1), K.ridges()  # fill the caches
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            K2 = pickle.loads(pickle.dumps(K, protocol))
+            assert K2 == K and hash(K2) == hash(K)
+            assert (K2.n, K2.dim, K2.source_labels) == (
+                K.n, K.dim, K.source_labels)
+            assert K2._faces_cache == {} and K2._ridge_cache is None
 
 
 def test_combinatorial_manifold_rejects_zero_budget(csaszar):

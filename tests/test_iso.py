@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,38 @@ def test_triangle_degrees_unstall_neighborly_refinement(complexes, monkeypatch):
     canonical_form(C)
     assert len(calls) <= 3
     assert automorphism_group(C).order == 1
+
+
+def test_refine_calls_per_catalog_canonical_form(complexes, monkeypatch):
+    # in a 3-pseudomanifold every triangle lies in two facets, so the
+    # triangle-degree split is skipped and costs no refinement
+    calls = []
+    refine = iso._refine
+    monkeypatch.setattr(iso, "_refine",
+                        lambda *args: calls.append(1) or refine(*args))
+    got = {}
+    for name, C in complexes.items():
+        calls.clear()
+        canonical_form(C)
+        got[name] = len(calls)
+    assert got == {"csaszar-torus": 11, "RP3-11": 22, "L31-12": 9,
+                   "S2xS2-11": 1, "S3twS1-12": 1, "S3xS2-a-12": 2,
+                   "S3xS3-a-13": 2}
+
+
+def test_skipped_triangle_degree_split_is_a_no_op(complexes, walked_sphere):
+    # where every triangle has the same facet count, ranking the pairs
+    # (colour, triangle degrees) gives back the refined colours
+    walks = [random_walk(complexes[name], seed=7, steps=60)[0]
+             for name in ("RP3-11", "L31-12")]
+    for C in [complexes["RP3-11"], complexes["L31-12"], walked_sphere] + walks:
+        colors = iso._refine(iso._initial_colors(C), iso._vertex_facets(C))
+        tri = Counter(T for F in C.facets for T in itertools.combinations(F, 3))
+        assert set(tri.values()) == {2}
+        pairs = [(c, tuple(sorted(k for T, k in tri.items() if v in T)))
+                 for v, c in enumerate(colors, start=1)]
+        rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
+        assert [rank[pair] for pair in pairs] == colors
 
 
 def test_are_isomorphic_and_canonical_form_compute_no_determinant(
