@@ -23,18 +23,19 @@ Each open vertex keeps its link paths as a map from each end to the other
 end, joined in constant time as triangles come and restored from an undo
 stack as they go.  A branch is cut once the edge ends its vertices still
 miss to reach degree k could not fit in the edge budget.  Only leaves of
-even chi <= 0 get an orientation pass.
+even chi <= 0 get an orientation pass.  The edge budget 3(n - chi), of the
+least chi admitted, is the only budget: a closed surface has 3 f2 = 2 f1, and
+a connected one with f1 <= 3n - 6 edges has chi >= 2, so it is the sphere.
 """
 from __future__ import annotations
 
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 
-from .core import Complex, f_vector, from_facets, is_combinatorial_manifold
+from .core import (Complex, f_vector, from_facets, is_combinatorial_manifold,
+                   process_map)
 from .errors import CapExceeded, InvalidArgument, NotASurface
 from .homology import orientability
 
@@ -66,12 +67,9 @@ class CensusResult:
         return sum(self.counts.values())
 
     def lines(self):
-        out = []
-        for sc in sorted(self.counts, key=lambda s: (-s.chi, not s.orientable)):
-            out.append(f"n={self.n} chi={sc.chi} "
-                       f"orient={'+' if sc.orientable else '-'} "
-                       f"genus={sc.genus} count={self.counts[sc]}")
-        return out
+        return [f"n={self.n} {sc} count={self.counts[sc]}"
+                for sc in sorted(self.counts,
+                                 key=lambda s: (-s.chi, not s.orientable))]
 
 
 def classify_surface(C: Complex) -> SurfaceClass:
@@ -85,16 +83,14 @@ def classify_surface(C: Complex) -> SurfaceClass:
 
 
 class _StarClosingSearch:
-    """Backtracking generator of closed surfaces with exactly n vertices."""
+    """Backtracking generator of closed surfaces with exactly n vertices and
+    at most ``f1_budget`` edges, which bound the triangles: 3 f2 <= 2 f1."""
 
-    def __init__(self, n: int, root_degree: int, f1_budget: int, f2_budget: int,
-                 chi_required: int | None):
+    def __init__(self, n: int, root_degree: int, f1_budget: int):
         self.n = n
         self.k = root_degree
         self.f1_budget = f1_budget
-        self.f2_budget = f2_budget
         self.tight = f1_budget < comb(n, 2)  # else the cut below cannot fire
-        self.chi_required = chi_required
         self.third: dict = {}      # edge (sorted pair) -> third vertices, never empty
         self.neighbors: dict = {}  # vertex -> set of skeleton neighbors
         self.mate: dict = {}       # vertex -> {link path end: its other end}
@@ -178,8 +174,6 @@ class _StarClosingSearch:
         for u, x, y in ((a, b, c), (b, a, c), (c, a, b)):
             if u >= self.next_label:
                 continue
-            if self.closed(u):
-                return False
             m = self.mate[u]
             if m.get(x) == y and len(m) > 2:
                 return False  # would close a cycle while other paths remain
@@ -189,8 +183,6 @@ class _StarClosingSearch:
 
     def run(self):
         k = self.k
-        if k + 1 > self.n or k < 3:
-            return self.found
         root = [(1, i, i + 1) for i in range(2, k + 1)] + [(1, 2, k + 1)]
         for t in root:
             self.add(t)
@@ -225,12 +217,7 @@ class _StarClosingSearch:
         self._extend(v, c, start, walks, roots)
 
     def _extend(self, v, c, start, walks, roots):
-        ends = sorted(self.mate[v])
-        if not ends:
-            return
-        e = ends[0]
-        if len(self.triangles) >= self.f2_budget:
-            return
+        e, *candidates = sorted(self.mate[v])
         if self.tight:
             # every vertex closes with degree >= k and each new edge brings
             # two edge ends: cut when the missing ends overrun the budget
@@ -239,7 +226,6 @@ class _StarClosingSearch:
                 max(0, k - len(nb[w])) for w in range(v, self.next_label))
             if 2 * len(self.third) + need > 2 * self.f1_budget:
                 return
-        candidates = ends[1:]
         lk = self.neighbors[v]
         for u in range(v + 1, self.next_label):  # the rest are closed
             if u not in lk and not self.closed(u):
@@ -264,8 +250,6 @@ class _StarClosingSearch:
 
     def _leaf(self, c, start, walks, roots):
         chi = self.n - len(self.third) + len(self.triangles)
-        if self.chi_required is not None and chi != self.chi_required:
-            return
         self._final_blocks(c, self.n, start)
         if self._test(walks, roots, self.n) is not None:
             facets = tuple(sorted(self.triangles))
@@ -402,7 +386,7 @@ def _is_flag_minimal(facets) -> bool:
     facets = sorted(tuple(sorted(t)) for t in facets)
     n = max(t[2] for t in facets)
     degree = Counter(v for t in facets for v in t)  # triangles = link edges
-    search = _StarClosingSearch(n, min(degree.values()), 0, 0, None)
+    search = _StarClosingSearch(n, min(degree.values()), 0)
     search.own = None
     for v in range(1, n + 1):
         search._touch(v)
@@ -413,10 +397,8 @@ def _is_flag_minimal(facets) -> bool:
     return search._test([], frozenset(), n) is not None
 
 
-def _run_root(args):
-    n, k, f1_budget, f2_budget, chi_required = args
-    search = _StarClosingSearch(n, k, f1_budget, f2_budget, chi_required)
-    return search.run()
+def _run_root(job):
+    return _StarClosingSearch(*job).run()
 
 
 def _census(n: int, cap: int, chi_required: int | None, threads: int):
@@ -424,24 +406,12 @@ def _census(n: int, cap: int, chi_required: int | None, threads: int):
         raise InvalidArgument(f"n must be >= 4, got {n}")
     if n > cap:
         raise CapExceeded(f"n={n} exceeds the census cap {cap}")
-    if threads < 1:
-        raise InvalidArgument("threads must be >= 1")
-    # the edge and triangle budgets of the least chi that Heawood's bound
-    # admits on n vertices, or of the required chi
+    # the edge budget of the least chi that Heawood's bound admits on n
+    # vertices, or of the required chi
     chi = 2 - comb(n - 3, 2) // 3 if chi_required is None else chi_required
-    jobs = [(n, k, 3 * n - 3 * chi, 2 * n - 2 * chi, chi_required)
-            for k in range(3, n)]
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    jobs = [(n, k, 3 * n - 3 * chi) for k in range(3, n)]
     # a class is found only at its minimum degree: the parts are disjoint
-    found: list = []
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_run_root, jobs):
-                found += part
-    else:
-        for job in jobs:
-            found += _run_root(job)
-    return found
+    return list(chain.from_iterable(process_map(_run_root, jobs, threads)))
 
 
 def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,

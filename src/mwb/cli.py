@@ -36,12 +36,11 @@ def _load(path):
 def _decimal_arg(text, what):
     """The value of an ASCII decimal option token, else InvalidArgument."""
     text = text.strip()
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() converts
-            pass
-    raise InvalidArgument(f"{what} must be a decimal integer, got {text[:20]!r}")
+    value = tri_io.decimal(text)
+    if value is None:
+        raise InvalidArgument(
+            f"{what} must be a decimal integer, got {text[:20]!r}")
+    return value
 
 
 def _decimals_arg(text, what):
@@ -159,13 +158,11 @@ def cmd_construct(args):
         F2 = (_decimals_arg(args.facet2, "vertex label") if args.facet2
               else B.facets[0])
         C = cons.connected_sum(A, F1, B, F2)
-    elif kind == "stack":
+    else:  # stack, the last of the parser's choices
         A = _load(args.infile)
         F = (_decimals_arg(args.facet, "vertex label") if args.facet
              else A.facets[0])
         C = cons.stack(A, F)
-    else:
-        raise WorkbenchError(f"unknown construction {kind!r}")
     fv = f_vector(C)
     print(f"constructed dim={C.dim} n={C.n} f={fv.counts}")
     if args.out:
@@ -257,7 +254,8 @@ def cmd_census(args):
     else:
         count = census_mod.enumerate_spheres(args.n, cap=cap,
                                              threads=args.threads)
-        print(f"n={args.n} chi=2 orient=+ genus=0 count={count}")
+        print(f"n={args.n} {census_mod.SurfaceClass.of(2, True)} "
+              f"count={count}")
     return OK
 
 

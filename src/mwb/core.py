@@ -9,11 +9,13 @@ and stars can report ambient vertices.  A complex pickles as its facets and
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import BudgetZero, NotAFace, NotPure, UnsupportedDimension
+from .errors import (BudgetZero, InvalidArgument, NotAFace, NotPure,
+                     UnsupportedDimension)
 
 Face = tuple  # strictly increasing tuple of vertex labels
 
@@ -236,3 +238,19 @@ def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> Manifold
         unknown = ManifoldVerdict("unknown", f"link of vertex {v} not reduced to "
                                   f"a boundary simplex within {flip_budget} moves")
     return ManifoldVerdict("yes") if unknown is None else unknown
+
+
+def process_map(fn, jobs, threads: int):
+    """``fn`` over ``jobs`` in order, on min(threads, len(jobs), cpu_count)
+    processes.  One worker gives the lazy ``map(fn, jobs)``, which a caller
+    may stop early; a pool, imported only here, runs every job and returns a
+    list."""
+    if threads < 1:
+        raise InvalidArgument("threads must be >= 1")
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
+        return map(fn, jobs)
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs))

@@ -29,7 +29,6 @@ writes and reads the text of a trace.
 from __future__ import annotations
 
 import bisect
-import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -484,10 +483,9 @@ def random_walk(C: Complex, seed: int, steps: int):
     rng = SplitMix64(seed)
     trace = []
     for _ in range(steps):
+        # never empty: the kind-0 pool lists the facets
         pools = [(k, pool) for k in range(state.d + 1)
                  if (pool := state.pool(k))]
-        if not pools:
-            break
         kind, pool = rng.choice(pools)
         m = state.move(kind, rng.choice(pool))
         state.apply(m)
@@ -596,32 +594,20 @@ def reduce_multi(C: Complex, seeds, budget: int,
 
     The winner is the first seed, in the given order, whose best complex
     reaches the schedule target; if none does, the run with the least
-    (stats["best_f"], seed) wins.  So the result does not depend on
-    ``threads``: sequentially the scan ends at the winner, and a pool of at
-    most min(threads, len(seeds), os.cpu_count()) processes, each sent the
-    pickled complex, runs every seed.
+    (stats["best_f"], seed) wins.  One scan in seed order over
+    ``core.process_map`` applies this rule, so ``threads`` cannot change the
+    winner: one worker stops at it, and a pool runs every seed first.
     """
     seeds = list(seeds)
     if not seeds:
         raise InvalidArgument("need at least one seed")
-    if threads < 1:
-        raise InvalidArgument("threads must be >= 1")
-    run = partial(reduce, C, budget=budget, schedule=schedule)
-    target = schedule.reached if schedule is not None else lambda f: False
-    workers = min(threads, len(seeds), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, seeds))
-    else:
-        results = []
-        for seed in seeds:
-            results.append(run(seed))
-            if target(results[-1][2]["best_f"]):
-                break
-    runs = [(stats["best_f"], seed, best, trace, stats)
-            for seed, (best, trace, stats) in zip(seeds, results)]
-    _, seed, best, trace, stats = next(
-        (r for r in runs if target(r[0])), min(runs, key=lambda r: r[:2]))
-    return best, seed, trace, stats
+    reached = (schedule or Schedule()).reached
+    runs = core.process_map(
+        partial(reduce, C, budget=budget, schedule=schedule), seeds, threads)
+    least = None
+    for seed, (best, trace, stats) in zip(seeds, runs):
+        if reached(stats["best_f"]):
+            return best, seed, trace, stats
+        if least is None or (stats["best_f"], seed) < least[0]:
+            least = (stats["best_f"], seed), (best, seed, trace, stats)
+    return least[1]

@@ -16,18 +16,19 @@ from .errors import ParseError
 from .flips import FlipMove
 
 
-def _decimal(tok: str, line_no: int) -> int | None:
-    """The value of an ASCII decimal token, None for any other token."""
-    if not (tok.isascii() and tok.isdigit()):
-        return None  # str.isdigit alone also passes superscript digits
-    try:
-        return int(tok)
-    except ValueError:  # more digits than int() converts
-        raise ParseError(f"number of {len(tok)} digits is too long", line_no)
+def decimal(tok: str) -> int | None:
+    """The value of an ASCII decimal token, None for any other token and for
+    one of more digits than int() converts."""
+    if tok.isascii() and tok.isdigit():  # isdigit alone passes superscripts
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    return None
 
 
 def _parse_label(tok: str, line_no: int) -> int:
-    v = _decimal(tok, line_no)
+    v = decimal(tok)
     if v is not None:
         return v
     if len(tok) == 1 and "a" <= tok <= "z":
@@ -45,7 +46,7 @@ def parse(text: str) -> Complex:
             continue
         toks = line.split()
         if header is None:
-            header = tuple(_decimal(t, line_no) for t in toks)
+            header = tuple(map(decimal, toks))
             if len(header) != 2 or None in header:
                 raise ParseError("header must be 'd n'", line_no)
             if header[0] < 1 or header[1] < header[0] + 1:
@@ -102,7 +103,7 @@ def parse_trace(text: str) -> list:
             continue
         head, colon, rest = line.partition(":")
         a, arrow, b = rest.partition("->")
-        kind, remove, insert = ([_decimal(t, line_no) for t in part.split()]
+        kind, remove, insert = ([decimal(t) for t in part.split()]
                                 for part in (head, a, b))
         if not (colon and arrow) or len(kind) != 1 or None in kind + remove + insert:
             raise ParseError("bad move line, expected 'k: a .. -> b ..'", line_no)

@@ -57,8 +57,6 @@ def fake_pool(monkeypatch):
     Returns the list of ``max_workers`` values the pools were opened with;
     no worker process is started.
     """
-    from mwb import census
-
     sizes = []
 
     class FakePool:
@@ -75,6 +73,5 @@ def fake_pool(monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return sizes

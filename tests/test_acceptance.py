@@ -115,7 +115,7 @@ def test_acceptance_2_census_counts():
 
 
 @pytest.mark.skipif(not os.environ.get("MW_RUN_SLOW"),
-                    reason="optional n=10 gate (~2 min); set MW_RUN_SLOW=1")
+                    reason="optional n=10 gate (~1 min); set MW_RUN_SLOW=1")
 def test_acceptance_2_optional_census_n10():
     assert enumerate_surfaces(10).counts == TABLE_SURFACES_10
     print("\nACCEPTANCE 2b (optional n=10 census): PASS")

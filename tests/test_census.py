@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -117,6 +120,19 @@ def test_census_pool_is_capped(fake_pool):
         enumerate_surfaces(6).counts
     assert enumerate_spheres(5, threads=100_000) == 1  # 2 root degrees
     assert fake_pool == [2, 2]
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    # the pool is imported only where --threads starts one
+    src = os.path.dirname(os.path.dirname(census.__file__))
+    code = ("import sys, mwb, mwb.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing')"
+            " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_census_rejects_zero_threads():

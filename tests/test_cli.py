@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwb import catalog
+from mwb import constructions as cons
 from mwb.cli import MAX_SEEDS, _parse_seeds, main
 from mwb.errors import WorkbenchError
 from mwb.flips import random_walk
@@ -285,6 +286,7 @@ _MALFORMED_OPTIONS = {
     "seed-arabic-indic-digit": ["reduce", "--in", "RP3-11",
                                 "--seed", "\u0663"],
     "seed-underscore": ["reduce", "--in", "RP3-11", "--seed", "1_0"],
+    "seed-too-long-for-int": ["reduce", "--in", "RP3-11", "--seed", "9" * 5000],
     "reduce-budget-not-a-number": ["reduce", "--in", "RP3-11",
                                    "--budget", "abc"],
     "reduce-threads-not-a-number": ["reduce", "--in", "RP3-11", "--seeds",
@@ -473,3 +475,110 @@ def test_catalog_dir_override(tmp_path, monkeypatch, complexes):
     monkeypatch.setenv("MW_CATALOG_DIR", str(tmp_path))
     from mwb import catalog
     assert catalog.entry("csaszar-torus").load() == complexes["csaszar-torus"]
+
+
+# --- constructions written to files, det, replay --out, hints, catalog -----
+
+@pytest.fixture()
+def circle_and_sphere(tmp_path):
+    from mwb.constructions import boundary_simplex
+    paths = {"circle": tmp_path / "s1.tri", "sphere": tmp_path / "s2.tri"}
+    save(paths["circle"], boundary_simplex(1))
+    save(paths["sphere"], boundary_simplex(2))
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("argv, build", [
+    (["product", "--in", "circle", "--in2", "circle"],
+     lambda c: cons.product(c["circle"], c["circle"])),
+    (["join", "--in", "circle", "--in2", "sphere"],
+     lambda c: cons.join(c["circle"], c["sphere"])),
+    (["sum", "--in", "sphere", "--in2", "sphere", "--facet", "1,2,4",
+      "--facet2", "2 3 4"],
+     lambda c: cons.connected_sum(c["sphere"], (1, 2, 4),
+                                  c["sphere"], (2, 3, 4))),
+    (["sum", "--in", "sphere", "--in2", "sphere"],
+     lambda c: cons.connected_sum(c["sphere"], (1, 2, 3),
+                                  c["sphere"], (1, 2, 3))),
+    (["stack", "--in", "sphere", "--facet", "2,3,4"],
+     lambda c: cons.stack(c["sphere"], (2, 3, 4))),
+    (["stack", "--in", "sphere"],
+     lambda c: cons.stack(c["sphere"], (1, 2, 3))),
+])
+def test_construct_writes_the_built_complex(capsys, tmp_path,
+                                            circle_and_sphere, argv, build):
+    paths = circle_and_sphere
+    argv = [paths.get(a, a) for a in argv]
+    out = str(tmp_path / "out.tri")
+    assert main(["construct", *argv, "--out", out]) == 0
+    C = build({name: load(path) for name, path in paths.items()})
+    assert load(out) == C
+    from mwb.core import f_vector
+    assert capsys.readouterr().out == \
+        f"constructed dim={C.dim} n={C.n} f={f_vector(C).counts}\n"
+
+
+def test_det_without_links(capsys):
+    from mwb.iso import as_determinant
+    assert main(["det", "--in", "csaszar-torus"]) == 0
+    expected = as_determinant(catalog.entry("csaszar-torus").load())
+    assert capsys.readouterr().out == f"{expected}\n"
+
+
+def test_replay_writes_the_result(capsys, tmp_path, complexes):
+    C = complexes["csaszar-torus"]
+    result, trace = random_walk(C, seed=7, steps=30)
+    path = tmp_path / "walk.trace"
+    path.write_text(write_trace(trace))
+    out = str(tmp_path / "out.tri")
+    assert main(["replay", "--in", "csaszar-torus", "--trace", str(path),
+                 "--out", out]) == 0
+    assert load(out) == result
+
+
+def test_verify_manifold_of_two_spheres_on_a_vertex_exits_1(capsys, tmp_path):
+    path = tmp_path / "wedge.tri"
+    path.write_text("2 7\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n"
+                    "1 5 6\n1 5 7\n1 6 7\n5 6 7\n")
+    assert main(["verify", "manifold", "--in", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("no: ")
+
+
+@pytest.mark.parametrize("hint", ["simply-connected", "sphere",
+                                  "is_sphere=yes", "is-sphere=1"])
+def test_sphere_hints_are_accepted(capsys, tmp_path, hint):
+    sphere = str(tmp_path / "s3.tri")
+    assert main(["construct", "boundary", "--dim", "3", "--out", sphere]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--in", sphere, "--hint", hint]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "lbt" in out
+
+
+@pytest.mark.parametrize("hint", ["bogus=1", "bogus"])
+def test_unknown_hint_exits_2(capsys, hint):
+    _assert_one_line_input_error(
+        capsys, ["bounds", "--in", "RP3-11", "--hint", hint])
+
+
+def test_verify_catalog_reports_a_corrupted_entry(capsys, tmp_path,
+                                                  monkeypatch):
+    from importlib import resources
+    data = resources.files("mwb.data")
+    for e in catalog.catalog():
+        base = e.filename.rsplit(".", 1)[0]
+        for name in (e.filename, base + ".coords"):
+            if data.joinpath(name).is_file():
+                (tmp_path / name).write_text(data.joinpath(name).read_text())
+    # csaszar-torus with the labels 6 and 7 swapped: the same torus, no
+    # longer drawn without self-intersections by its coordinates
+    path = tmp_path / "csaszar-torus.tri"
+    head, header, facets = path.read_text().partition("2 7\n")
+    path.write_text(head + header + facets.translate(str.maketrans("67", "76")))
+    monkeypatch.setenv("MW_CATALOG_DIR", str(tmp_path))
+    assert main(["verify", "catalog"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("FAIL csaszar-torus: realization: triangles (1, 3, 6) "
+                        "and (1, 4, 5) overlap beyond their shared vertex 1")
+    assert len(lines) == 7
+    assert all(line.startswith("PASS ") for line in lines[1:])

@@ -144,3 +144,27 @@ def test_orientable_bundle_homology():
 def test_bundles_are_combinatorial_manifolds():
     assert is_combinatorial_manifold(twisted_bundle(3)).status == "yes"
     assert is_combinatorial_manifold(orientable_bundle(3)).status == "yes"
+
+
+def test_connected_sum_of_two_projective_planes_is_a_klein_bottle(rp2_6):
+    # neither summand is orientable: the label-order gluing is kept as is
+    K = connected_sum(rp2_6, rp2_6.facets[0], rp2_6, rp2_6.facets[-1])
+    assert f_vector(K).counts == (9, 27, 18) and f_vector(K).euler == 0
+    assert is_combinatorial_manifold(K)
+    assert homology(K) == homology(twisted_bundle(2))
+    assert K == connected_sum(
+        rp2_6, rp2_6.facets[0], rp2_6, rp2_6.facets[-1],
+        gluing=GluingMap(tuple(zip(rp2_6.facets[-1], rp2_6.facets[0]))))
+
+
+def test_connected_sum_keeps_an_explicit_gluing(csaszar):
+    F = csaszar.facets[0]
+    label_order = GluingMap(tuple(zip(F, F)))
+    S = connected_sum(csaszar, F, csaszar, F, gluing=label_order)
+    # without a gluing, the label order is composed with a transposition
+    # here so that the sum respects both orientations
+    default = connected_sum(csaszar, F, csaszar, F)
+    assert S != default
+    assert f_vector(S).counts == f_vector(default).counts == (11, 39, 26)
+    assert is_combinatorial_manifold(S)
+    assert homology(S) == homology(default)

@@ -8,8 +8,10 @@ from mwb.census import enumerate_surfaces
 from mwb.constructions import boundary_simplex, suspension
 from mwb.core import (ManifoldVerdict, f_vector, from_facets,
                       is_combinatorial_manifold, is_k_neighborly,
-                      is_pseudomanifold, link, relabeled, star)
-from mwb.errors import BudgetZero, NotAFace, NotPure, UnsupportedDimension
+                      is_pseudomanifold, link, process_map, relabeled,
+                      star)
+from mwb.errors import (BudgetZero, InvalidArgument, NotAFace, NotPure,
+                        UnsupportedDimension)
 from mwb.homology import homology
 from mwb.iso import as_determinant
 
@@ -282,3 +284,19 @@ def test_relabeled_moves_source_labels_with_their_vertices():
                 for F in K.facets}
 
     assert ambient(R) == ambient(C)
+
+
+def test_a_circle_is_a_combinatorial_manifold():
+    assert is_combinatorial_manifold(boundary_simplex(1)).status == "yes"
+    assert is_combinatorial_manifold(
+        from_facets([[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]])).status == "yes"
+
+
+def test_process_map_with_one_worker_is_lazy():
+    calls = []
+    results = process_map(calls.append, [1, 2, 3], threads=1)
+    assert calls == []
+    next(results)
+    assert calls == [1]
+    with pytest.raises(InvalidArgument, match="^threads must be >= 1$"):
+        process_map(calls.append, [1], threads=0)

@@ -331,3 +331,11 @@ def test_gate5_walk_traces_are_pinned(i, name, complexes):
     _, trace = random_walk(complexes[name], seed=1000 + i, steps=1000)
     digest = hashlib.sha256(write_trace(trace).encode()).hexdigest()
     assert digest == WALK_TRACE_SHA256[name]
+
+
+def test_move_kinds_above_the_dimension_are_refused(csaszar):
+    with pytest.raises(InvalidArgument, match=r"^move kind 3 out of range 0\.\.2$"):
+        legal_moves(csaszar, 3)
+    with pytest.raises(IllegalMove,
+                       match="^kind 3 out of range for dimension 2$"):
+        replay(csaszar, [FlipMove(3, (1,), (2, 3, 4, 5))])

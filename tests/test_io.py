@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -147,3 +149,22 @@ def test_parsers_raise_only_parse_error(text):
 def test_parse_write_round_trip_property(C):
     assert parse(write(C)) == C
     assert write(parse(write(C))) == write(C)
+
+
+def test_a_number_too_long_for_int_is_a_bad_token():
+    # more digits than int() converts, where the interpreter has that limit
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() converts any number of digits here")
+    big = "9" * (limit + 1)
+    cases = [
+        (parse, f"2 4\n1 2 3\n1 2 {big}\n",
+         f"line 3: bad vertex label {big[:20]!r}"),
+        (parse, f"2 {big}\n1 2 3\n", "line 1: header must be 'd n'"),
+        (parse_trace, f"0: 1 2 3 -> {big}\n",
+         "line 1: bad move line, expected 'k: a .. -> b ..'"),
+    ]
+    for read, text, message in cases:
+        with pytest.raises(ParseError) as err:
+            read(text)
+        assert str(err.value) == message

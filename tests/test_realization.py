@@ -204,3 +204,11 @@ def test_realization_agrees_with_a_clipping_oracle(pair):
     if not valid:
         kind = ["disjoint", "shared vertex", "shared edge"][len(shared)]
         assert kind in verdict.witness
+
+
+def test_collinear_vertices_make_a_degenerate_triangle():
+    C = boundary_simplex(2)
+    coords = {1: (0, 0, 0), 2: (1, 1, 1), 3: (2, 2, 2), 4: (0, 0, 1)}
+    verdict = realization_check(C, coords)
+    assert not verdict.valid
+    assert verdict.witness == "triangle (1, 2, 3) is degenerate"
