@@ -173,11 +173,12 @@ def verify_catalog() -> list:
             problems.append(f"chi {fv.euler} != {e.expected_chi}")
         if homology(C) != e.expected_homology:
             problems.append(f"homology {homology(C)} != {e.expected_homology}")
-        if not is_pseudomanifold(C):
+        pm = is_pseudomanifold(C)
+        if not pm:
             problems.append("not a pseudomanifold")
         if e.neighborly > 1 and not is_k_neighborly(C, e.neighborly):
             problems.append(f"not {e.neighborly}-neighborly")
-        if e.orientable is not None:
+        if e.orientable is not None and pm:  # orienting needs a pseudomanifold
             if (orientability(C) == "orientable") != e.orientable:
                 problems.append("orientability mismatch")
         if e.expected_as_determinant is not None:

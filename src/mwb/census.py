@@ -21,11 +21,15 @@ Correctness is anchored to the published census counts.
 
 Each open vertex keeps its link paths as a map from each end to the other
 end, joined in constant time as triangles come and restored from an undo
-stack as they go.  A branch is cut once the edge ends its vertices still
-miss to reach degree k could not fit in the edge budget.  Only leaves of
-even chi <= 0 get an orientation pass.  The edge budget 3(n - chi), of the
-least chi admitted, is the only budget: a closed surface has 3 f2 = 2 f1, and
-a connected one with f1 <= 3n - 6 edges has chi >= 2, so it is the sphere.
+stack as they go; a closed vertex keeps its link cycle, walked once until
+the vertex reopens.  A flag's block 2 is first compared by its least code
+alone, which the vertex labeled 3 fixes.  A branch is cut once the edge ends
+its vertices still miss to reach degree k could not fit in the edge budget.
+Only leaves of even chi <= 0 are oriented, by propagating an orientation
+across the edges of the search's own triangles.  The edge budget 3(n - chi),
+of the least chi admitted, is the only budget: a closed surface has
+3 f2 = 2 f1, and a connected one with f1 <= 3n - 6 edges has chi >= 2, so it
+is the sphere.
 """
 from __future__ import annotations
 
@@ -34,8 +38,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 
-from .core import (Complex, f_vector, from_facets, is_combinatorial_manifold,
-                   process_map)
+from .core import Complex, f_vector, is_combinatorial_manifold, process_map
 from .errors import CapExceeded, InvalidArgument, NotASurface
 from .homology import orientability
 
@@ -94,6 +97,7 @@ class _StarClosingSearch:
         self.third: dict = {}      # edge (sorted pair) -> third vertices, never empty
         self.neighbors: dict = {}  # vertex -> set of skeleton neighbors
         self.mate: dict = {}       # vertex -> {link path end: its other end}
+        self.cycles: dict = {}     # closed vertex -> link cycle, walked once
         self.undo: list = []       # (z, x, y, ox, oy): x-y added to link z
         self.triangles: list = []
         self.next_label = 1
@@ -110,73 +114,78 @@ class _StarClosingSearch:
             self.neighbors[v] = set()
             self.mate[v] = {}
 
-    def _pairs(self, t):
-        a, b, c = t
-        return ((a, b), c), ((a, c), b), ((b, c), a)
-
-    def add(self, t):
+    def add(self, t) -> bool:
+        """Add the triangle t; False if it closes a star below the root
+        degree, which min-degree rooting forbids."""
         self.triangles.append(t)
-        for v in t:
-            self._touch(v)
-        for (x, y), z in self._pairs(t):
-            s = self.third.get((x, y))
+        a, b, c = t
+        if c >= self.next_label:
+            for v in t:
+                self._touch(v)
+        third, nb, mate, undo = self.third, self.neighbors, self.mate, self.undo
+        ok = True
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            s = third.get((x, y))
             if s is None:
-                s = self.third[(x, y)] = set()
-            s.add(z)
-            if len(s) == 1:
-                self.neighbors[x].add(y)
-                self.neighbors[y].add(x)
+                third[(x, y)] = {z}
+                nb[x].add(y)
+                nb[y].add(x)
+            else:
+                s.add(z)
             # the link of z gains the edge x-y: join the paths ending there,
             # where a vertex new to the link is a path of its own
-            m = self.mate[z]
+            m = mate[z]
             ox, oy = m.pop(x, x), m.pop(y, y)
-            if ox != y:  # else x-y closes the last path into the link cycle
+            if ox != y:
                 m[ox], m[oy] = oy, ox
-            self.undo.append((z, x, y, ox, oy))
+            elif len(nb[z]) < self.k:  # x-y closed the link of z, too early
+                ok = False
+            undo.append((z, x, y, ox, oy))
+        return ok
 
     def remove(self, t):
         self.triangles.pop()
+        third, nb, mate, undo = self.third, self.neighbors, self.mate, self.undo
         for _ in t:  # the records of t, in reverse order
-            z, x, y, ox, oy = self.undo.pop()
-            m = self.mate[z]
+            z, x, y, ox, oy = undo.pop()
+            m = mate[z]
             if ox != y:
                 del m[ox], m[oy]
+            else:  # z reopens, and its link cycle goes
+                self.cycles.pop(z, None)
             if ox != x:
                 m[x], m[ox] = ox, x
             if oy != y:
                 m[y], m[oy] = oy, y
-            s = self.third[(x, y)]
+            s = third[(x, y)]
             s.discard(z)
             if not s:
-                del self.third[(x, y)]
-                self.neighbors[x].discard(y)
-                self.neighbors[y].discard(x)
-        for v in reversed(t):
-            if v == self.next_label - 1 and not self.neighbors[v]:
-                self.next_label -= 1
-                del self.neighbors[v], self.mate[v]
-
-    def closed(self, v) -> bool:
-        # every labeled vertex keeps the triangle that labeled it
-        return not self.mate[v]
+                del third[(x, y)]
+                nb[x].discard(y)
+                nb[y].discard(x)
+        if t[2] == self.next_label - 1:
+            for v in reversed(t):
+                if v == self.next_label - 1 and not nb[v]:
+                    self.next_label -= 1
+                    del nb[v], mate[v]
 
     def add_ok(self, t) -> bool:
         a, b, c = t
-        new_edges = 0
-        for pair, z in self._pairs(t):
-            s = self.third.get(pair, ())
-            if len(s) > 1 or z in s:
-                return False
-            if not s:
+        third, new_edges = self.third, 0
+        for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
+            s = third.get((x, y))
+            if s is None:
                 new_edges += 1
-        if len(self.third) + new_edges > self.f1_budget:
+            elif len(s) > 1 or z in s:
+                return False
+        if len(third) + new_edges > self.f1_budget:
             return False
+        mate, top = self.mate, self.next_label
         for u, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-            if u >= self.next_label:
-                continue
-            m = self.mate[u]
-            if m.get(x) == y and len(m) > 2:
-                return False  # would close a cycle while other paths remain
+            if u < top:
+                m = mate[u]
+                if m.get(x) == y and len(m) > 2:
+                    return False  # would close a cycle while other paths remain
         return True
 
     # -- search ------------------------------------------------------------
@@ -193,8 +202,9 @@ class _StarClosingSearch:
         return self.found
 
     def _least_open(self, c):
+        # mate[v] is {} once v is closed: v keeps the triangle that labeled it
         for v in range(c + 1, self.next_label):
-            if not self.closed(v):
+            if self.mate[v]:
                 return v
         return None
 
@@ -226,27 +236,18 @@ class _StarClosingSearch:
                 max(0, k - len(nb[w])) for w in range(v, self.next_label))
             if 2 * len(self.third) + need > 2 * self.f1_budget:
                 return
-        lk = self.neighbors[v]
+        lk, mate = self.neighbors[v], self.mate
         for u in range(v + 1, self.next_label):  # the rest are closed
-            if u not in lk and not self.closed(u):
+            if u not in lk and mate[u]:
                 candidates.append(u)
         if self.next_label <= self.n:
             candidates.append(self.next_label)
-        for w in candidates:
-            t = tuple(sorted((v, e, w)))
-            if not self.add_ok(t):
-                continue
-            self.add(t)
-            if self._degree_rule_ok(t):
-                self._close_next(c, start, walks, roots)
-            self.remove(t)
-
-    def _degree_rule_ok(self, t) -> bool:
-        # min-degree rooting: no vertex may close below the root degree
-        for v in t:
-            if self.closed(v) and len(self.neighbors[v]) < self.k:
-                return False
-        return True
+        for w in candidates:  # e and w are open, so both exceed v
+            t = (v, e, w) if e < w else (v, w, e)
+            if self.add_ok(t):
+                if self.add(t):
+                    self._close_next(c, start, walks, roots)
+                self.remove(t)
 
     def _leaf(self, c, start, walks, roots):
         chi = self.n - len(self.third) + len(self.triangles)
@@ -254,10 +255,28 @@ class _StarClosingSearch:
         if self._test(walks, roots, self.n) is not None:
             facets = tuple(sorted(self.triangles))
             # chi = 2 is the sphere, and odd chi is non-orientable
-            orient = chi == 2 or (chi % 2 == 0 and orientability(
-                from_facets(facets)) == "orientable")
+            orient = chi == 2 or (chi % 2 == 0 and self._orientable())
             self.found.append((facets, chi, orient))
         del self.blocks[c + 1:]
+
+    def _orientable(self) -> bool:
+        """Orient the triangles across their edges from the first one; False
+        once an edge would be run twice in one direction."""
+        third = self.third
+        x, y, z = self.triangles[0]
+        runs, stack = {(x, y), (y, z), (z, x)}, [(x, y, z)]
+        while stack:
+            x, y, z = stack.pop()
+            for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
+                if (q, p) in runs:
+                    continue  # the other triangle at p-q is oriented
+                w, s = third[(p, q) if p < q else (q, p)]
+                w = s if w == r else w
+                if (p, w) in runs or (w, q) in runs:
+                    return False
+                runs.update(((q, p), (p, w), (w, q)))
+                stack.append((q, p, w))
+        return True
 
     # -- the lexicographic flag test --------------------------------------
 
@@ -275,21 +294,27 @@ class _StarClosingSearch:
         self.blocks.append(self._block(self.triangles[start:]))
         self.blocks.extend([self.block_end] * (top - c - 1))
 
-    def _cycle(self, u, a, b):
-        """The link cycle of the closed vertex u: a, then b, and on around."""
-        cyc = [a]
-        prev, cur = a, b
-        while cur != a:
-            cyc.append(cur)
-            x, y = self.third[(u, cur) if u < cur else (cur, u)]
-            prev, cur = cur, (y if x == prev else x)
+    def _cycle(self, u):
+        """The link cycle of the closed vertex u, walked once and cached."""
+        cyc = self.cycles.get(u)
+        if cyc is None:
+            a = min(self.neighbors[u])
+            prev, cur = a, min(self.third[(u, a) if u < a else (a, u)])
+            cyc = self.cycles[u] = [a]
+            while cur != a:
+                cyc.append(cur)
+                x, y = self.third[(u, cur) if u < cur else (cur, u)]
+                prev, cur = cur, (y if x == prev else x)
         return cyc
 
     def _flag(self, r, a, b):
         """The walk state of the flag r, a, b before block 2: r has label 1
         and its link cycle from a towards b labels 2..k+1."""
         lab = [self.n + 1] * (self.n + 1)  # unlabeled vertices rank last
-        order = [r] + self._cycle(r, a, b)
+        cyc = self._cycle(r)
+        i = cyc.index(a)
+        order = [r] + (cyc[i::-1] + cyc[:i:-1] if cyc[i - 1] == b
+                       else cyc[i:] + cyc[:i])
         for i, v in enumerate(order, 1):
             lab[v] = i
         return lab, order, 2
@@ -303,8 +328,18 @@ class _StarClosingSearch:
         copied = False
         while j <= c:
             u = order[j - 1]
-            if not self.closed(u):
+            if self.mate[u]:
                 break
+            if j == 2:
+                # r = order[0] alone has a smaller label in the link of u, and
+                # b = order[2], label 3, meets r and w there: the least code
+                # of block 2 is b-w, with the next label for an unlabeled w
+                b = order[2]
+                w, x = self.third[(u, b) if u < b else (b, u)]
+                w = x if w == order[0] else w
+                code = 3 * (self.n + 1) + min(lab[w], len(order) + 1)
+                if code != self.blocks[2][0]:
+                    return -1 if code < self.blocks[2][0] else 1
             if not copied:
                 lab, order, copied = lab[:], order[:], True
             block = self._block_of(u, j, lab, order)
@@ -320,42 +355,37 @@ class _StarClosingSearch:
         labeling new vertices as they come; the triangles of u with a smaller
         label are there already."""
         unlabeled = base = self.n + 1
-        # start the link cycle at a smaller label, so that no gap wraps
-        m = min(self.neighbors[u], key=lab.__getitem__)
-        pair = (u, m) if u < m else (m, u)
-        xs = self._cycle(u, m, next(iter(self.third[pair])))
-        gaps = []  # [lo, hi]: the link path xs[lo..hi] is still missing
-        i, d = 1, len(xs)
-        while i < d:
-            lo = i
-            while i < d and lab[xs[i]] > j:
-                i += 1
-            if i - lo >= 2:
-                gaps.append([lo, i - 1])
-            i += 1
+        xs = self._cycle(u)
+        # the missing link paths run between the vertices of smaller label;
+        # the cycle is doubled so that the last of them reaches the first
+        small = [i for i, x in enumerate(xs) if lab[x] < j]
+        small.append(small[0] + len(xs))
+        xs = xs + xs
+        # [label, index, step, slot of the other end]: an end of a missing
+        # path, which moves inward as the path fills
+        ends, steps = [], 0
+        for lo, hi in zip(small, small[1:]):
+            if hi - lo > 2:
+                k = len(ends)
+                ends += ([lab[xs[lo + 1]], lo + 1, 1, k + 1],
+                         [lab[xs[hi - 1]], hi - 1, -1, k])
+                steps += hi - lo - 2
         codes = []
-        while gaps:
-            best = None
-            for g in gaps:
-                lo_lab, hi_lab = lab[xs[g[0]]], lab[xs[g[1]]]
-                if best is None or lo_lab < e_lab:
-                    best, side, e_lab = g, 0, lo_lab
-                if hi_lab < e_lab:
-                    best, side, e_lab = g, 1, hi_lab
-            if side == 0:
-                best[0] += 1
-                w = xs[best[0]]
-            else:
-                best[1] -= 1
-                w = xs[best[1]]
+        for _ in range(steps):
+            end = min(ends)
+            e_lab, i, step, k = end
+            i += step
+            w = xs[i]
             w_lab = lab[w]
             if w_lab == unlabeled:
                 order.append(w)
                 w_lab = lab[w] = len(order)
             codes.append(e_lab * base + w_lab if e_lab < w_lab
                          else w_lab * base + e_lab)
-            if best[0] == best[1]:
-                gaps.remove(best)
+            if i == ends[k][1]:  # the path is filled: both ends rank last
+                end[0] = ends[k][0] = base * base
+            else:
+                end[0], end[1] = w_lab, i
         return tuple(sorted(codes)) + self.block_end
 
     def _test(self, walks, roots, c):
@@ -365,7 +395,7 @@ class _StarClosingSearch:
         walks still undecided and the roots started."""
         new = [r for r in range(1, self.next_label)
                if r not in roots and len(self.neighbors[r]) == self.k
-               and self.closed(r)]
+               and not self.mate[r]]
         starts = (self._flag(r, a, b) for r in new for a in self.neighbors[r]
                   for b in self.third[(r, a) if r < a else (a, r)]
                   if (r, a, b) != self.own)  # own: the search's labeling

@@ -15,6 +15,7 @@ from mwb.census import (CensusResult, SurfaceClass, classify_surface,
 from mwb.constructions import boundary_simplex, twisted_bundle
 from mwb.core import from_facets, is_pseudomanifold
 from mwb.errors import CapExceeded, InvalidArgument, NotASurface, WorkbenchError
+from mwb.homology import orientability
 from mwb.iso import are_isomorphic
 
 S2 = SurfaceClass(True, 0, 2)
@@ -155,7 +156,7 @@ def _path_end(third, u, x):
 
 
 def test_link_path_map_matches_the_links(monkeypatch):
-    nodes, searches = [], []
+    nodes, searches, cached = [], [], []
     close_next = census._StarClosingSearch._close_next
     run = census._StarClosingSearch.run
 
@@ -166,12 +167,21 @@ def test_link_path_map_matches_the_links(monkeypatch):
             assert set(self.mate[u]) == ends
             for x, y in self.mate[u].items():
                 assert _path_end(self.third, u, x) == y
+        # a cached link cycle belongs to a closed vertex and runs once
+        # through every edge of its link, as a fresh walk of the link does
+        for u, cyc in self.cycles.items():
+            link = {frozenset(t) - {u} for t in self.triangles if u in t}
+            assert not self.mate[u]
+            assert len(set(cyc)) == len(cyc) == len(link)
+            assert {frozenset(e) for e in zip(cyc, cyc[1:] + cyc[:1])} == link
+        cached.append(len(self.cycles))
         nodes.append(1)
         return close_next(self, *args)
 
     def checked_run(self):
         found = run(self)
-        assert not (self.triangles or self.third or self.undo or self.mate)
+        assert not (self.triangles or self.third or self.undo or self.mate
+                    or self.cycles)
         assert self.next_label == 1
         searches.append(1)
         return found
@@ -182,13 +192,49 @@ def test_link_path_map_matches_the_links(monkeypatch):
     assert enumerate_surfaces(7).counts == {S2: 5, T2: 1, RP2: 3}
     assert len(searches) == 4  # root degrees 3..6
     assert len(nodes) > 100
+    assert sum(map(bool, cached)) > 100  # most nodes hold cached cycles
+
+
+def _search_of(facets):
+    """A star-closing search holding the closed surface with these facets,
+    labeled 1..n, as the leaf test builds it."""
+    n = max(max(t) for t in facets)
+    search = census._StarClosingSearch(n, 3, 0)
+    for v in range(1, n + 1):
+        search._touch(v)
+    for t in sorted(tuple(sorted(t)) for t in facets):
+        search.add(t)
+    return search
+
+
+def test_orientation_in_the_search_agrees_with_homology(monkeypatch, csaszar,
+                                                        rp2_6):
+    for C, orientable in ((csaszar, True), (rp2_6, False)):
+        assert _search_of(C.facets)._orientable() is orientable
+        assert (orientability(C) == "orientable") is orientable
+    # every leaf of even chi, kept or not, spheres included
+    verdicts = Counter()
+    leaf = census._StarClosingSearch._leaf
+
+    def checked_leaf(self, *args):
+        if (self.n - len(self.third) + len(self.triangles)) % 2 == 0:
+            orient = self._orientable()
+            assert orient == (orientability(from_facets(self.triangles))
+                              == "orientable")
+            verdicts[orient] += 1
+        return leaf(self, *args)
+
+    monkeypatch.setattr(census._StarClosingSearch, "_leaf", checked_leaf)
+    for n in range(4, 9):
+        enumerate_surfaces(n)
+    assert verdicts == {True: 40, False: 10}
 
 
 def test_orientation_is_tested_only_where_chi_leaves_it_open(monkeypatch):
     calls = []
-    orientability = census.orientability
-    monkeypatch.setattr(census, "orientability",
-                        lambda C: calls.append(1) or orientability(C))
+    orientable = census._StarClosingSearch._orientable
+    monkeypatch.setattr(census._StarClosingSearch, "_orientable",
+                        lambda self: calls.append(1) or orientable(self))
     assert enumerate_spheres(9) == 50
     assert len(calls) == 0
     assert enumerate_surfaces(8).total() == 43
@@ -224,6 +270,41 @@ def test_census_prunes_before_the_leaves(monkeypatch):
                         lambda self, *args: calls.append(1) or leaf(self, *args))
     assert enumerate_surfaces(9).total() == 655
     assert len(calls) <= 1500
+
+
+def test_block_2_prefilter_is_exact(monkeypatch):
+    # _walk decides block 2 from its least code alone when that differs from
+    # the search's own; the verdict must be that of the whole block
+    decided, blocks = Counter(), []
+    walk = census._StarClosingSearch._walk
+    block_of = census._StarClosingSearch._block_of
+
+    def counted_block_of(self, u, j, lab, order):
+        blocks.append(j)
+        return block_of(self, u, j, lab, order)
+
+    def checked_walk(self, state, c):
+        lab, order, j = state
+        if j == 2 <= c and not self.mate[order[1]]:
+            block = block_of(self, order[1], 2, lab[:], order[:])
+            ref = self.blocks[2]
+            del blocks[:]
+            verdict = walk(self, state, 2)
+            if verdict in (-1, 1) and not blocks:  # the prefilter's verdict
+                assert verdict == (block > ref) - (block < ref)
+                decided[verdict] += 1
+            else:
+                assert (verdict == -1) == (block < ref)
+                assert (verdict == 1) == (block > ref)
+        return walk(self, state, c)
+
+    monkeypatch.setattr(census._StarClosingSearch, "_walk", checked_walk)
+    monkeypatch.setattr(census._StarClosingSearch, "_block_of",
+                        counted_block_of)
+    for n in range(4, 9):
+        enumerate_surfaces(n)
+    assert enumerate_spheres(10) == 233
+    assert decided == {-1: 48, 1: 623}
 
 
 def test_degree_deficit_lookahead_cuts_nodes_not_leaves(monkeypatch):

@@ -561,8 +561,9 @@ def test_unknown_hint_exits_2(capsys, hint):
         capsys, ["bounds", "--in", "RP3-11", "--hint", hint])
 
 
-def test_verify_catalog_reports_a_corrupted_entry(capsys, tmp_path,
-                                                  monkeypatch):
+def _catalog_copy(tmp_path, monkeypatch):
+    """Copy the bundled catalog files to tmp_path and load them from there;
+    returns the path of the copied csaszar-torus.tri."""
     from importlib import resources
     data = resources.files("mwb.data")
     for e in catalog.catalog():
@@ -570,15 +571,39 @@ def test_verify_catalog_reports_a_corrupted_entry(capsys, tmp_path,
         for name in (e.filename, base + ".coords"):
             if data.joinpath(name).is_file():
                 (tmp_path / name).write_text(data.joinpath(name).read_text())
+    monkeypatch.setenv("MW_CATALOG_DIR", str(tmp_path))
+    return tmp_path / "csaszar-torus.tri"
+
+
+def test_verify_catalog_reports_a_corrupted_entry(capsys, tmp_path,
+                                                  monkeypatch):
     # csaszar-torus with the labels 6 and 7 swapped: the same torus, no
     # longer drawn without self-intersections by its coordinates
-    path = tmp_path / "csaszar-torus.tri"
+    path = _catalog_copy(tmp_path, monkeypatch)
     head, header, facets = path.read_text().partition("2 7\n")
     path.write_text(head + header + facets.translate(str.maketrans("67", "76")))
-    monkeypatch.setenv("MW_CATALOG_DIR", str(tmp_path))
     assert main(["verify", "catalog"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ("FAIL csaszar-torus: realization: triangles (1, 3, 6) "
                         "and (1, 4, 5) overlap beyond their shared vertex 1")
+    assert len(lines) == 7
+    assert all(line.startswith("PASS ") for line in lines[1:])
+
+
+def test_verify_catalog_fails_an_entry_that_is_no_pseudomanifold(
+        capsys, tmp_path, monkeypatch):
+    # the triangles (1, 2, 3) and (1, 2, 4) of csaszar-torus replaced by
+    # (1, 3, 4) and (2, 3, 4): the edge 3-4 then lies in four triangles, so
+    # the entry fails, and no later check may abort the whole command
+    path = _catalog_copy(tmp_path, monkeypatch)
+    text = path.read_text()
+    assert "\n1 2 3\n1 2 4\n" in text
+    path.write_text(text.replace("\n1 2 3\n1 2 4\n", "\n1 3 4\n2 3 4\n"))
+    assert main(["verify", "catalog"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "FAIL csaszar-torus: f-vector (7, 20, 14) != (7, 21, 14); chi 1 != 0; "
+        "homology (Z, Z, Z) != (Z, Z^2, Z); not a pseudomanifold; "
+        "not 2-neighborly")
     assert len(lines) == 7
     assert all(line.startswith("PASS ") for line in lines[1:])
