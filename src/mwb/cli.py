@@ -118,7 +118,7 @@ def cmd_reduce(args):
     schedule = flips.Schedule(
         target_f0=args.target_f0,
         target_f=(_decimals_arg(args.target_f, "f-vector entry")
-                  if args.target_f else None))
+                  if args.target_f is not None else None))
     if args.seeds:
         best, seed, trace, stats = flips.reduce_multi(
             C, _parse_seeds(args.seeds), args.budget, schedule,
@@ -135,7 +135,8 @@ def cmd_reduce(args):
     if args.trace:
         with open(args.trace, "w", encoding="ascii") as fh:
             fh.write(tri_io.write_trace(trace))
-    if (args.target_f0 or args.target_f) and not schedule.reached(fv.counts):
+    targeted = args.target_f0 is not None or args.target_f is not None
+    if targeted and not schedule.reached(fv.counts):
         return BUDGET
     return OK
 

@@ -5,8 +5,8 @@ B not yet present in the complex and replaces A*dB by dA*B.  0-moves stack a
 facet over a fresh vertex; d-moves delete a vertex whose link is a boundary
 simplex.  The reducer greedily prefers moves that lower the lexicographic
 f-vector, escapes local minima with bounded random "heating" phases, and
-returns to the best complex (by explicit inverse moves, so traces stay
-replayable) whenever an excursion fails to improve it.
+returns to the best complex whenever an excursion fails to improve it (the
+trace records inverse moves, so it stays replayable; the state jumps back).
 
 Legal moves are kept incrementally (see ``_State``): after a move only the
 faces in the changed star, and the faces whose insert-face the move created
@@ -151,10 +151,15 @@ class _State:
     def __init__(self, C: Complex):
         self.d = C.dim
         self.max_label = C.n
+        self._deltas = _f_deltas(self.d)
+        self.restore(C.facets)
+
+    def restore(self, facets):
+        """Become the complex of these facets (label tuples) as a fresh state
+        would, but keep ``max_label``, so fresh labels never repeat."""
         self.facets: set = set()  # facet masks
         self.star: dict = {}      # face mask -> set of facet masks
         self.counts = None        # the f-vector, once every face has a star
-        self._deltas = _f_deltas(self.d)
         self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
         self._labels: list = []   # bit index -> label, the mask width
         self._free: list = []     # bit indices free to take
@@ -167,9 +172,9 @@ class _State:
         self._dirty: list = [None] * (self.d + 1)    # kind -> faces to re-test
         self._wants: dict = {}   # B -> [A : link(A) = dB], B a face or not
         self._indexed: list = []  # kinds >= 1 with an index
-        for v in sorted({v for F in C.facets for v in F}):
+        for v in sorted({v for F in facets for v in F}):
             self._add_vertex(v)
-        for F in C.facets:
+        for F in facets:
             self._add_facet(self._mask(F))
 
     def _add_vertex(self, v: int):
@@ -180,10 +185,6 @@ class _State:
             i = len(self._labels)
             self._labels.append(v)
         self._bit[v] = 1 << i
-
-    def _drop_vertex(self, v: int):
-        self._vanished.append(self._bit.pop(v).bit_length() - 1)
-        self._release()
 
     def _release(self):
         # every mask that can still name a vanished vertex is a dirty face
@@ -306,22 +307,21 @@ class _State:
         return None if B is None or self._star_of(B) else B
 
     def _build(self, kind: int) -> list:
-        if kind == 0:
-            pool = self._pools[0] = sorted(map(self.face, self.facets))
-            return pool
-        self.f()  # builds the face star
-        size = self.d - kind + 1
-        spheres = self._spheres[kind] = {}
-        self._dirty[kind] = set()
-        self._indexed.append(kind)
-        for A in self.star:
-            if A.bit_count() == size:
-                B = self._link_simplex(kind, A)
-                if B is not None:
-                    spheres[A] = B
-                    self._wants.setdefault(B, []).append(A)
-        listed = self._listed[kind] = {
-            A for A, B in spheres.items() if B not in self.star}
+        listed = self.facets
+        if kind:
+            self.f()  # builds the face star
+            size = self.d - kind + 1
+            spheres = self._spheres[kind] = {}
+            self._dirty[kind] = set()
+            self._indexed.append(kind)
+            for A in self.star:
+                if A.bit_count() == size:
+                    B = self._link_simplex(kind, A)
+                    if B is not None:
+                        spheres[A] = B
+                        self._wants.setdefault(B, []).append(A)
+            listed = self._listed[kind] = {
+                A for A, B in spheres.items() if B not in self.star}
         pool = self._pools[kind] = sorted(map(self.face, listed))
         return pool
 
@@ -402,8 +402,9 @@ class _State:
                     # a kind the reducer seldom reads (the heating kinds)
                     # would otherwise pile up every face it ever had
                     self.pool(kind)
-        if m.kind == self.d:
-            self._drop_vertex(m.remove[0])
+        if m.kind == self.d:  # the removed vertex's bit waits in _vanished
+            self._vanished.append(self._bit.pop(m.remove[0]).bit_length() - 1)
+            self._release()
 
     def mark(self) -> tuple:
         """A cheap record of the complex now, for ``snapshot``."""
@@ -523,31 +524,28 @@ def reduce(C: Complex, seed: int, budget: int,
     """Search for a lexicographically f-vector-minimal triangulation.
 
     Deterministic in (input, seed, budget, schedule).  Returns the best
-    complex found, the applied move trace (replayable; it includes the
-    inverse moves used to back out of failed excursions), and a statistics
+    complex found, the move trace (replayable; it includes the inverse
+    moves that back out of failed excursions and count against the budget,
+    though the state jumps back instead of applying them), and a statistics
     dict whose "final" entry is the complex the walk ended on.
     """
     if budget <= 0:
         raise BudgetZero("move budget must be positive")
     schedule = schedule or Schedule()
+    if schedule.target_f is not None and len(schedule.target_f) != C.dim + 1:
+        raise InvalidArgument(f"target f-vector needs {C.dim + 1} entries")
     state = _State(C)
     rng = SplitMix64(seed)
-    best = state.mark()  # decoded once, at the end
+    best = state.mark()  # decoded on a revert and at the end
     best_f = state.f()
     trace: list = []
     since_best: list = []
     stats = {"moves": 0, "heating_phases": 0, "reverts": 0, "best_step": 0,
              "start_f": state.f()}
-
-    def do(move):
-        state.apply(move)
-        trace.append(move)
-        stats["moves"] += 1
-
     heat = 0
     heat_len = HEAT_INIT
     fails = 0
-    while stats["moves"] < budget and not schedule.reached(best_f):
+    while len(trace) < budget and not schedule.reached(best_f):
         move = None
         if heat == 0:
             move = _pick_improving(state, rng)
@@ -556,10 +554,13 @@ def reduce(C: Complex, seed: int, budget: int,
                 fails += 1
                 if since_best and fails % 3 == 0:
                     stats["reverts"] += 1
-                    while since_best and stats["moves"] < budget:
-                        do(since_best.pop().inverse(state.d))
-                    if since_best:
-                        break  # budget ran out mid-revert
+                    while since_best and len(trace) < budget:
+                        trace.append(since_best.pop().inverse(state.d))
+                    state.restore(state.snapshot(best))
+                    for m in since_best:
+                        state.apply(m)
+                    if len(trace) == budget:
+                        break  # the revert used up the budget
                 heat = int(heat_len)
                 heat_len = min(HEAT_CAP, heat_len * HEAT_GROWTH)
                 stats["heating_phases"] += 1
@@ -571,17 +572,19 @@ def reduce(C: Complex, seed: int, budget: int,
                 if not since_best:
                     break  # stuck at best with no heating moves at all
                 continue
-        do(move)
+        state.apply(move)
+        trace.append(move)
         since_best.append(move)
         f = state.f()
         if f < best_f:
             best_f = f
             best = state.mark()
             since_best.clear()
-            stats["best_step"] = stats["moves"]
+            stats["best_step"] = len(trace)
             heat = 0
             heat_len = HEAT_INIT
             fails = 0
+    stats["moves"] = len(trace)
     stats["best_f"] = best_f
     stats["final_f"] = state.f()
     stats["final"] = core.from_facets(state.snapshot())

@@ -122,7 +122,7 @@ def test_acceptance_2_optional_census_n10():
 
 
 @pytest.mark.skipif(not os.environ.get("MW_RUN_SLOW"),
-                    reason="optional: the published 11-vertex minimum (~1 min)")
+                    reason="optional: the published 11-vertex minimum (~10 s)")
 def test_acceptance_3_optional_reaches_the_published_minimum():
     from mwb.flips import reduce_multi
     P = product(boundary_simplex(2), boundary_simplex(2))
@@ -149,9 +149,13 @@ def test_acceptance_3_flip_reduction():
             break
     assert winner is not None, "no seed reached 12 vertices"
     s2_seed, best, trace = winner
-    # bit-identical trace (also pinned in bench/fingerprints.json)
+    # bit-identical trace (also pinned in bench/fingerprints.json); 8,523
+    # of its moves are the inverse moves of the 21 reverts
     assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == \
         "6201f5f7f36542d6312a78e38a71ac91756f8825c3eaf387b5bd2495e01f0e29"
+    assert s2_seed == 1
+    assert (stats["moves"], stats["reverts"], stats["heating_phases"]) == \
+        (18_225, 21, 78)
     assert homology(best) == expected_h
     every = max(2000, len(trace) // 8)
     for k in [*range(every, len(trace) + 1, every), len(trace)]:
@@ -170,6 +174,10 @@ def test_acceptance_3_flip_reduction():
             hit = best
             break
     assert hit is not None, "no seed reached (9, 36, 54, 27)"
+    # seed 1 hits; its trace is also pinned in bench/fingerprints.json
+    assert seed == 1
+    assert hashlib.sha256(write_trace(trace).encode()).hexdigest() == \
+        "aba87c9aef520c2c8ab7e406c44bd3cbd87b2c8c7735d53fb02f423031c9817b"
     assert homology(hit) == expected_h
     elapsed = time.time() - start
     assert elapsed < 900, f"flip reduction took {elapsed:.0f}s"

@@ -97,6 +97,13 @@ def test_reduce_unreached_target_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+def test_reduce_unreached_target_f0_of_zero_exits_3(capsys):
+    # a target of 0 vertices is a target, not its absence
+    rc = main(["reduce", "--in", "RP3-11", "--seed", "1", "--budget", "5",
+               "--target-f0", "0"])
+    assert rc == 3
+
+
 def test_iso_exit_codes(tmp_path, capsys, complexes):
     a = str(tmp_path / "a.tri")
     b = str(tmp_path / "b.tri")
@@ -269,6 +276,8 @@ _MALFORMED_OPTIONS = {
     "reduce-zero-threads": ["reduce", "--in", "RP3-11", "--seeds", "1-2",
                             "--budget", "10", "--threads", "0"],
     "target-f-not-a-number": ["reduce", "--in", "RP3-11", "--target-f", "1,x"],
+    "target-f-wrong-length": ["reduce", "--in", "RP3-11",
+                              "--target-f", "11,51,80"],
     "facet-not-a-number": ["construct", "stack", "--in", "RP3-11",
                            "--facet", "1,x"],
     "boundary-dim-0": ["construct", "boundary", "--dim", "0"],

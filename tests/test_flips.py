@@ -126,6 +126,53 @@ def test_reduce_best_is_the_complex_at_best_step(complexes):
     assert steps == [0, 288]
 
 
+def test_reduce_cut_at_any_budget_is_a_prefix_that_replays():
+    # seed 3 reverts during moves 51-100 and 209-300; these budgets end
+    # before, in, at the end of and after a revert.  reduce jumps back to
+    # its best complex, replay re-checks and applies every inverse move
+    C = twisted_bundle(3)
+    _, full, _ = reduce(C, seed=3, budget=300)
+    for budget in (50, 51, 80, 100, 101, 250, 300):
+        _, trace, stats = reduce(C, seed=3, budget=budget)
+        assert len(trace) == budget
+        assert trace == full[:budget]
+        assert replay(C, trace) == stats["final"]
+
+
+def test_restore_matches_backing_out_by_inverse_moves(complexes):
+    # a walk with 0- and d-moves; one state goes 20 steps, marks, goes 40
+    # more and restores the mark, the other applies the 40 inverse moves
+    C = complexes["RP3-11"]
+    _, walk = random_walk(C, seed=5, steps=60)
+    assert {m.kind for m in walk[20:]} >= {0, C.dim}
+    jumped, backed = _State(C), _State(C)
+    for state in (jumped, backed):
+        for k in range(C.dim + 1):
+            state.pool(k)  # build every index, as the reducer does
+        for m in walk[:20]:
+            state.apply(m)
+    mark = jumped.mark()
+    for m in walk[20:]:
+        jumped.apply(m)
+        backed.apply(m)
+    jumped.restore(jumped.snapshot(mark))
+    for m in reversed(walk[20:]):
+        backed.apply(m.inverse(C.dim))
+    assert jumped.snapshot() == backed.snapshot()
+    assert jumped.fresh_label() == backed.fresh_label() > C.n + 1
+    for k in range(C.dim + 1):
+        assert jumped.pool(k) == backed.pool(k)
+        assert jumped.legal_moves(k) == backed.legal_moves(k)
+    assert jumped.f() == backed.f()
+
+
+def test_reduce_rejects_a_target_f_vector_of_the_wrong_length():
+    C = twisted_bundle(3)
+    for target in ((9, 36, 54), (9, 36, 54, 27, 0)):
+        with pytest.raises(InvalidArgument, match="needs 4 entries"):
+            reduce(C, seed=1, budget=10, schedule=Schedule(target_f=target))
+
+
 def test_reduce_twisted_bundle_reaches_walkup_minimum():
     C = twisted_bundle(3)
     best, trace, stats = reduce(C, seed=1, budget=100_000,
