@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
-from .homology import HomologyVector, betti, homology, orientability
+from .homology import HomologyVector, betti, homology
 from .core import Complex, FVector, f_vector, is_pseudomanifold
 from .errors import InvalidArgument
 
@@ -113,7 +113,9 @@ class Facts:
         H = homology(C)
         b2 = betti(C, 2).ranks
         pm = bool(is_pseudomanifold(C))
-        orientable = orientability(C) == "orientable" if d == 2 and pm else None
+        # a strongly connected closed pseudomanifold is orientable exactly
+        # when its top homology is Z
+        orientable = H.free[d] == 1 if d == 2 and pm else None
         manifold = hints.known_manifold
         if manifold is not None:
             manifold = manifold.replace(" ", "").upper()

@@ -12,6 +12,7 @@ from importlib import resources
 
 from . import iso, tri_io
 from .bounds import TopologyHints
+from .census import SurfaceClass
 from .core import Complex, f_vector, is_k_neighborly, is_pseudomanifold
 from .homology import HomologyVector, homology, orientability
 from .realization import realization_check
@@ -178,9 +179,14 @@ def verify_catalog() -> list:
             problems.append("not a pseudomanifold")
         if e.neighborly > 1 and not is_k_neighborly(C, e.neighborly):
             problems.append(f"not {e.neighborly}-neighborly")
-        if e.orientable is not None and pm:  # orienting needs a pseudomanifold
-            if (orientability(C) == "orientable") != e.orientable:
+        if pm and (e.orientable is not None or e.genus is not None):
+            orientable = orientability(C) == "orientable"  # needs a pseudomanifold
+            if e.orientable is not None and orientable != e.orientable:
                 problems.append("orientability mismatch")
+            if e.genus is not None and C.dim == 2:
+                genus = SurfaceClass.of(fv.euler, orientable).genus
+                if genus != e.genus:
+                    problems.append(f"genus {genus} != {e.genus}")
         if e.expected_as_determinant is not None:
             det = iso.as_determinant(C)
             if det != e.expected_as_determinant:

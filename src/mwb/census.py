@@ -26,7 +26,8 @@ the vertex reopens.  A flag's block 2 is first compared by its least code
 alone, which the vertex labeled 3 fixes.  A branch is cut once the edge ends
 its vertices still miss to reach degree k could not fit in the edge budget.
 Only leaves of even chi <= 0 are oriented, by propagating an orientation
-across the edges of the search's own triangles.  The edge budget 3(n - chi),
+across the edges of the search's own triangles; `classify_surface` loads a
+surface into a search and reads it the same way.  The edge budget 3(n - chi),
 of the least chi admitted, is the only budget: a closed surface has
 3 f2 = 2 f1, and a connected one with f1 <= 3n - 6 edges has chi >= 2, so it
 is the sphere.
@@ -38,9 +39,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import comb
 
-from .core import Complex, f_vector, is_combinatorial_manifold, process_map
+from .core import Complex, is_combinatorial_manifold, process_map
 from .errors import CapExceeded, InvalidArgument, NotASurface
-from .homology import orientability
 
 SURFACE_CAP_DEFAULT = 10
 SPHERE_CAP_DEFAULT = 12
@@ -76,13 +76,14 @@ class CensusResult:
 
 
 def classify_surface(C: Complex) -> SurfaceClass:
-    """Orientability and genus of a closed surface."""
+    """Orientability and genus of a closed surface, read off by the census
+    search holding it."""
     if C.dim != 2:
         raise NotASurface("not a closed 2-pseudomanifold")
     verdict = is_combinatorial_manifold(C)
     if not verdict:
         raise NotASurface(f"not a closed surface: {verdict.witness}")
-    return SurfaceClass.of(f_vector(C).euler, orientability(C) == "orientable")
+    return SurfaceClass.of(*_StarClosingSearch.holding(C.facets)._classify())
 
 
 class _StarClosingSearch:
@@ -105,6 +106,20 @@ class _StarClosingSearch:
         self.blocks: list = [None]  # blocks[j]: block j of the own labeling
         self.block_end = ((n + 1) ** 2,)  # closes each block, above every code
         self.own = (1, 2, 3)       # the flag that gives the search's labeling
+
+    @classmethod
+    def holding(cls, facets):
+        """A search holding the closed surface with these facets, labeled
+        1..n, rooted at its minimum degree; its triangles are sorted."""
+        facets = sorted(tuple(sorted(t)) for t in facets)
+        n = max(t[2] for t in facets)
+        degree = Counter(v for t in facets for v in t)  # triangles = link edges
+        search = cls(n, min(degree.values()), 0)
+        for v in range(1, n + 1):
+            search._touch(v)
+        for t in facets:
+            search.add(t)
+        return search
 
     # -- incremental structure -------------------------------------------
 
@@ -250,14 +265,16 @@ class _StarClosingSearch:
                 self.remove(t)
 
     def _leaf(self, c, start, walks, roots):
-        chi = self.n - len(self.third) + len(self.triangles)
         self._final_blocks(c, self.n, start)
         if self._test(walks, roots, self.n) is not None:
-            facets = tuple(sorted(self.triangles))
-            # chi = 2 is the sphere, and odd chi is non-orientable
-            orient = chi == 2 or (chi % 2 == 0 and self._orientable())
-            self.found.append((facets, chi, orient))
+            self.found.append((tuple(sorted(self.triangles)), *self._classify()))
         del self.blocks[c + 1:]
+
+    def _classify(self):
+        """chi and orientability of the closed surface held: chi = 2 is the
+        sphere, and odd chi is non-orientable."""
+        chi = self.n - len(self.third) + len(self.triangles)
+        return chi, chi == 2 or (chi % 2 == 0 and self._orientable())
 
     def _orientable(self) -> bool:
         """Orient the triangles across their edges from the first one; False
@@ -413,18 +430,11 @@ def _is_flag_minimal(facets) -> bool:
     """The leaf test on a labeled closed surface: is its sorted facet list
     the least of its labelings from the flags at its vertices of minimum
     degree?"""
-    facets = sorted(tuple(sorted(t)) for t in facets)
-    n = max(t[2] for t in facets)
-    degree = Counter(v for t in facets for v in t)  # triangles = link edges
-    search = _StarClosingSearch(n, min(degree.values()), 0)
+    search = _StarClosingSearch.holding(facets)
     search.own = None
-    for v in range(1, n + 1):
-        search._touch(v)
-    for t in facets:
-        search.add(t)
-    search.blocks += [search._block([t for t in facets if t[0] == j])
-                      for j in range(1, n + 1)]
-    return search._test([], frozenset(), n) is not None
+    search.blocks += [search._block([t for t in search.triangles if t[0] == j])
+                      for j in range(1, search.n + 1)]
+    return search._test([], frozenset(), search.n) is not None
 
 
 def _run_root(job):

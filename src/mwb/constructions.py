@@ -106,30 +106,16 @@ def stack(C: Complex, F) -> Complex:
     return from_facets(new)
 
 
-def _glue_facets(C1: Complex, F1, C2: Complex, F2, pairs):
-    to1 = dict(pairs)
-    if sorted(to1) != list(F2) or sorted(to1.values()) != list(F1):
-        raise IncompatibleGluing(
-            "correspondence must biject the removed facets' vertex sets")
-    relabel = dict(to1)
-    nxt = C1.n + 1
-    for v in C2.vertices():
-        if v not in relabel:
-            relabel[v] = nxt
-            nxt += 1
-    part1 = [G for G in C1.facets if G != F1]
-    part2 = [tuple(sorted(relabel[v] for v in G)) for G in C2.facets if G != F2]
-    return part1, part2, relabel
-
-
 def connected_sum(C1: Complex, F1, C2: Complex, F2,
                   gluing: GluingMap | None = None) -> Complex:
     """Glue C1 - F1 and C2 - F2 along their boundary spheres.
 
-    An explicit ``gluing`` is used as given.  Without one, vertices are
-    matched in label order and, when both summands are orientable, composed
-    with one transposition if needed so that the sum respects the propagated
-    orientations of both inputs.
+    An explicit ``gluing`` is used as given.  Without one, the vertices of
+    F2 are matched to those of F1 in label order, and when both summands
+    are orientable with s1[F1] == s2[F2] in their propagated orientations
+    s1 and s2, the first two of them swap partners.  The boundary chains
+    -s1[F1]*d(F1) of C1 - F1 and -s2[F2]*sgn(phi)*d(F1) of C2 - F2 glued by
+    phi then cancel, so the sum respects the orientations of both inputs.
     """
     F1 = tuple(sorted(F1))
     F2 = tuple(sorted(F2))
@@ -138,29 +124,20 @@ def connected_sum(C1: Complex, F1, C2: Complex, F2,
     if F2 not in C2.facets:
         raise NotAFacet(f"{F2} is not a facet of the second summand")
     pairs = tuple(zip(F2, F1)) if gluing is None else gluing.correspondence
-    part1, part2, relabel = _glue_facets(C1, F1, C2, F2, pairs)
-    result = from_facets(part1 + part2)
-    if gluing is not None:
-        return result
-    s1 = orientation_signs(C1)
-    s2 = orientation_signs(C2)
-    if s1 is None or s2 is None:
-        return result
-    sr = orientation_signs(result)
-    if sr is None:
-        raise WorkbenchError("sum of orientable summands must be orientable")
-    ref1 = next(G for G in C1.facets if G != F1)
-    ref2 = next(G for G in C2.facets if G != F2)
-    ref2_glued = tuple(sorted(relabel[v] for v in ref2))
-    a = sr[ref1] * s1[ref1]
-    b = sr[ref2_glued] * s2[ref2]
-    if a == b:
-        return result
-    # compose the correspondence with one transposition to flip the parity
-    (x2, x1), (y2, y1) = pairs[0], pairs[1]
-    swapped = ((x2, y1), (y2, x1)) + pairs[2:]
-    part1, part2, _ = _glue_facets(C1, F1, C2, F2, swapped)
-    return from_facets(part1 + part2)
+    relabel = dict(pairs)
+    if sorted(relabel) != list(F2) or sorted(relabel.values()) != list(F1):
+        raise IncompatibleGluing(
+            "correspondence must biject the removed facets' vertex sets")
+    part1 = [G for G in C1.facets if G != F1]
+    part2 = [G for G in C2.facets if G != F2]
+    if gluing is None and (part1 or part2):  # else from_facets raises first
+        s1, s2 = orientation_signs(C1), orientation_signs(C2)
+        if s1 is not None and s2 is not None and s1[F1] == s2[F2]:
+            (x2, x1), (y2, y1) = pairs[:2]
+            relabel[x2], relabel[y2] = y1, x1
+    fresh = itertools.count(C1.n + 1)
+    relabel.update({v: next(fresh) for v in C2.vertices() if v not in relabel})
+    return from_facets(part1 + [[relabel[v] for v in G] for G in part2])
 
 
 def _bundle(d: int, twist: bool) -> Complex:

@@ -13,9 +13,10 @@ from mwb.bounds import EXCEPTIONAL_SURFACES, heawood_min_vertices
 from mwb.census import (CensusResult, SurfaceClass, classify_surface,
                         enumerate_spheres, enumerate_surfaces)
 from mwb.constructions import boundary_simplex, twisted_bundle
-from mwb.core import from_facets, is_pseudomanifold
+from mwb.core import f_vector, from_facets, is_pseudomanifold
 from mwb.errors import CapExceeded, InvalidArgument, NotASurface, WorkbenchError
-from mwb.homology import orientability
+from mwb.flips import random_walk
+from mwb.homology import homology, orientability
 from mwb.iso import are_isomorphic
 
 S2 = SurfaceClass(True, 0, 2)
@@ -29,6 +30,21 @@ def test_classify_surfaces(csaszar, rp2_6):
     assert classify_surface(rp2_6) == RP2
     assert classify_surface(twisted_bundle(2)) == K2
     assert classify_surface(boundary_simplex(2)) == S2
+
+
+def test_classify_surface_agrees_with_the_top_homology(csaszar, rp2_6):
+    # a closed connected surface is orientable exactly when H_2 = Z
+    surfaces = [rep for n in range(4, 9)
+                for reps in enumerate_surfaces(n, representatives=True)
+                .representatives.values() for rep in reps]
+    assert len(surfaces) == 57
+    for C in (csaszar, rp2_6):
+        surfaces += [random_walk(C, seed=seed, steps=40)[0]
+                     for seed in range(1, 6)]
+    for C in surfaces:
+        sc = classify_surface(C)
+        assert sc.orientable is (homology(C).free[2] == 1)
+        assert sc.chi == f_vector(C).euler
 
 
 def test_classify_rejects_non_surfaces(complexes):
@@ -195,22 +211,11 @@ def test_link_path_map_matches_the_links(monkeypatch):
     assert sum(map(bool, cached)) > 100  # most nodes hold cached cycles
 
 
-def _search_of(facets):
-    """A star-closing search holding the closed surface with these facets,
-    labeled 1..n, as the leaf test builds it."""
-    n = max(max(t) for t in facets)
-    search = census._StarClosingSearch(n, 3, 0)
-    for v in range(1, n + 1):
-        search._touch(v)
-    for t in sorted(tuple(sorted(t)) for t in facets):
-        search.add(t)
-    return search
-
-
 def test_orientation_in_the_search_agrees_with_homology(monkeypatch, csaszar,
                                                         rp2_6):
     for C, orientable in ((csaszar, True), (rp2_6, False)):
-        assert _search_of(C.facets)._orientable() is orientable
+        assert census._StarClosingSearch.holding(C.facets)._orientable() \
+            is orientable
         assert (orientability(C) == "orientable") is orientable
     # every leaf of even chi, kept or not, spheres included
     verdicts = Counter()
@@ -258,6 +263,10 @@ def test_census_makes_no_canonical_forms(monkeypatch):
 
     monkeypatch.setattr(iso, "canonical_form", refuse)
     assert not hasattr(census, "iso")
+    homology_module = sys.modules["mwb.homology"]
+    assert not [name for name, value in vars(census).items()
+                if getattr(value, "__module__", None) == "mwb.homology"
+                or value is homology_module]
     assert enumerate_surfaces(8).counts == {S2: 14, T2: 7, RP2: 16, K2: 6}
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import resource
@@ -282,6 +283,11 @@ _MALFORMED_OPTIONS = {
                            "--facet", "1,x"],
     "boundary-dim-0": ["construct", "boundary", "--dim", "0"],
     "bundle-dim-1": ["construct", "bundle", "--dim", "1"],
+    "orientable-bundle-dim-1": ["construct", "bundle", "--orientable",
+                                "--dim", "1"],
+    "sum-facet2-not-a-facet": ["construct", "sum", "--in", "csaszar-torus",
+                               "--in2", "csaszar-torus", "--facet2", "1,2,5"],
+    "info-without-in": ["info"],
     "hint-connectivity": ["bounds", "--in", "RP3-11",
                           "--hint", "connectivity=x"],
     "hint-rp": ["bounds", "--in", "RP3-11", "--hint", "manifold=RP^x"],
@@ -614,5 +620,16 @@ def test_verify_catalog_fails_an_entry_that_is_no_pseudomanifold(
         "FAIL csaszar-torus: f-vector (7, 20, 14) != (7, 21, 14); chi 1 != 0; "
         "homology (Z, Z, Z) != (Z, Z^2, Z); not a pseudomanifold; "
         "not 2-neighborly")
+    assert len(lines) == 7
+    assert all(line.startswith("PASS ") for line in lines[1:])
+
+
+def test_verify_catalog_fails_an_entry_with_a_wrong_genus(capsys, monkeypatch):
+    wrong = tuple(dataclasses.replace(e, genus=2) if e.name == "csaszar-torus"
+                  else e for e in catalog.ENTRIES)
+    monkeypatch.setattr(catalog, "ENTRIES", wrong)
+    assert main(["verify", "catalog"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL csaszar-torus: genus 1 != 2"
     assert len(lines) == 7
     assert all(line.startswith("PASS ") for line in lines[1:])

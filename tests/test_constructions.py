@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mwb.constructions import (GluingMap, boundary_simplex, cone,
@@ -6,8 +8,9 @@ from mwb.constructions import (GluingMap, boundary_simplex, cone,
                                twisted_bundle)
 from mwb.core import (f_vector, from_facets, is_combinatorial_manifold,
                       is_k_neighborly, is_pseudomanifold)
-from mwb.errors import IncompatibleGluing, NotAFacet
-from mwb.homology import homology
+from mwb.errors import (IncompatibleGluing, NotAFacet, NotPseudomanifold,
+                        UnsupportedDimension)
+from mwb.homology import homology, orientation_signs
 from mwb.iso import are_isomorphic
 
 
@@ -105,6 +108,98 @@ def test_connected_sum_validates_the_gluing():
     bad = GluingMap(((1, 1), (2, 1), (3, 3), (4, 4)))
     with pytest.raises(IncompatibleGluing):
         connected_sum(B, B.facets[0], B, B.facets[0], gluing=bad)
+
+
+def test_connected_sum_raises_in_order():
+    B, S2 = boundary_simplex(3), boundary_simplex(2)
+    pinched = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])  # no pseudomanifold
+    bad = GluingMap(((1, 1), (2, 1), (3, 3), (4, 4)))
+    with pytest.raises(NotAFacet, match="first summand"):
+        connected_sum(B, (1, 2, 3), B, (1, 2, 3), gluing=bad)
+    with pytest.raises(NotAFacet, match="second summand"):
+        connected_sum(B, B.facets[0], B, (1, 2, 3), gluing=bad)
+    # the gluing is checked before any summand is oriented
+    with pytest.raises(IncompatibleGluing):
+        connected_sum(pinched, (1, 2, 3), B, B.facets[0])
+    with pytest.raises(IncompatibleGluing):
+        connected_sum(pinched, (1, 2, 3), S2, S2.facets[0], gluing=bad)
+    with pytest.raises(NotPseudomanifold):
+        connected_sum(pinched, (1, 2, 3), S2, S2.facets[0])
+    # summing two single triangles leaves no facet at all
+    with pytest.raises(UnsupportedDimension, match="empty facet list"):
+        connected_sum(from_facets([(1, 2, 3)]), (1, 2, 3),
+                      from_facets([(1, 2, 3)]), (1, 2, 3))
+
+
+def _transported(C1, F1, C2, F2, S):
+    """Facet signs for the sum S, read off the summands: s1 on C1 - F1, and
+    on C2 - F2 the sign of each facet times that of the permutation its
+    relabeling applies, for whichever of the label-order matching and its
+    composition with the transposition of the first two vertices built S."""
+    s1, s2 = orientation_signs(C1), orientation_signs(C2)
+    for swap in (False, True):
+        to1 = dict(zip(F2, F1))
+        if swap:
+            to1[F2[0]], to1[F2[1]] = F1[1], F1[0]
+        fresh = iter(range(C1.n + 1, C1.n + C2.n + 1))
+        relabel = {v: to1[v] if v in to1 else next(fresh) for v in C2.vertices()}
+        signs = {G: s1[G] for G in C1.facets if G != F1}
+        for G in C2.facets:
+            if G != F2:
+                image = [relabel[v] for v in G]
+                inversions = sum(a > b for i, a in enumerate(image)
+                                 for b in image[i + 1:])
+                signs[tuple(sorted(image))] = s2[G] * (-1) ** inversions
+        if set(signs) == set(S.facets):
+            return signs
+    raise AssertionError("the sum matches neither candidate matching")
+
+
+def _digest(complexes):
+    h = hashlib.sha256()
+    for C in complexes:
+        h.update(repr(C.facets).encode())
+    return h.hexdigest()
+
+
+SUMMANDS = ("csaszar-torus", "RP3-11", "L31-12", "S2xS2-11")
+
+
+def test_default_connected_sums_respect_both_orientations(complexes):
+    sums = []
+    for name in SUMMANDS:
+        C = complexes[name]
+        for F1 in C.facets[:8]:
+            for F2 in C.facets[:8]:
+                S = connected_sum(C, F1, C, F2)
+                signs, glued = _transported(C, F1, C, F2, S), orientation_signs(S)
+                assert glued is not None
+                flip = glued[S.facets[0]] * signs[S.facets[0]]
+                assert all(glued[G] == flip * s for G, s in signs.items()), \
+                    (name, F1, F2)
+                sums.append(S)
+    # the 176 sums that respected both orientations before the sign rule
+    # are unchanged; the other 80 now take the other matching
+    assert _digest(sums) == (
+        "37ebe7c7f9c5d3a50139a1b7ec34dc2b7692be08b57999d0510f4e0e5896d58e")
+
+
+def test_sums_that_orient_nothing_are_unchanged(rp2_6, complexes):
+    # non-orientable summands keep the label-order matching
+    assert _digest(connected_sum(rp2_6, F1, rp2_6, F2)
+                   for F1 in rp2_6.facets for F2 in rp2_6.facets) == (
+        "c7e1bcd05b83d22522113f4381b3459a3ac74ab0c2bdd718b9b814eed04b3068")
+    # an explicit gluing is used as given
+    explicit = []
+    for name in SUMMANDS:
+        C = complexes[name]
+        for F1 in C.facets[:4]:
+            for F2 in C.facets[:4]:
+                for image in (F1, F1[1:] + F1[:1]):
+                    gluing = GluingMap(tuple(zip(F2, image)))
+                    explicit.append(connected_sum(C, F1, C, F2, gluing=gluing))
+    assert _digest(explicit) == (
+        "0327881c28aeb7ddcb253832c177dd2cb8e1b36ca823ab43fb2debc31fe11b44")
 
 
 def test_stacking_deltas():
