@@ -11,20 +11,18 @@ trace records inverse moves, so it stays replayable; the state jumps back).
 Legal moves are kept incrementally (see ``_State``): after a move only the
 faces in the changed star, and the faces whose insert-face the move created
 or deleted, are re-tested, so the cost of a move scales with the star it
-changes rather than with the complex.  Inside the engine a face, and a
-facet, is an int bitmask over vertex bits, so a move hashes ints instead of
-building and hashing tuples.  The star of every face and the f-vector
-belong to that index: both are built the first time the f-vector or a
-pool of kind >= 1 is read.  Until then only vertex stars are kept, and a
-face's star is the intersection of its vertices' stars, so ``replay``, and
-``apply_move`` through it, update d+1 stars per facet, not 2^(d+1)-1.  Once
-counted, the f-vector moves by a constant per move kind.  Each live vertex
-holds a bit of its own, and the bit of a vanished vertex is handed on only
-once no stale mask can still name it, so masks stay as wide as the complex
-even when labels grow large.  Picks draw from the legal moves sorted by
-remove-face as label tuples, never by mask, so every search and walk, and
-its trace, depends only on (input, seed, budget, schedule); ``tri_io``
-writes and reads the text of a trace.
+changes rather than with the complex.  Faces are int bitmasks, and until
+the f-vector or a pool of kind >= 1 is read only vertex stars are kept, so
+``replay`` updates d+1 stars per facet, not 2^(d+1)-1.  Picks draw from the
+legal moves sorted by remove-face as label tuples, never by mask, so every
+search and walk, and its trace, depends only on (input, seed, budget,
+schedule); ``tri_io`` writes and reads the text of a trace.
+
+The undo rule: right after a legal k-move (k, A, B) its inverse (d-k, B, A)
+is legal and restores the complex exactly.  So ``replay`` keeps a stack of
+the inverses of the moves not yet undone, checks only a move that is not the
+inverse on top, and applies neither a move nor its undo when one follows the
+other.
 """
 from __future__ import annotations
 
@@ -49,8 +47,7 @@ class SplitMix64:
         self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
+        z = self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
         return z ^ (z >> 31)
@@ -86,11 +83,8 @@ class Schedule:
     target_f: tuple | None = None
 
     def reached(self, fvec: tuple) -> bool:
-        if self.target_f is not None and tuple(fvec) == tuple(self.target_f):
-            return True
-        if self.target_f0 is not None and fvec[0] <= self.target_f0:
-            return True
-        return False
+        return ((self.target_f is not None and tuple(fvec) == tuple(self.target_f))
+                or (self.target_f0 is not None and fvec[0] <= self.target_f0))
 
 
 def _face(s: int, labels) -> tuple:
@@ -117,11 +111,11 @@ class _State:
     """Mutable set of facet masks with a star index and a legal-move index,
     both built only as far as something reads them.
 
-    Inside, a face is an int bitmask over vertex bits.  Bits come from a
-    label -> bit map, not from the labels themselves, so masks stay as wide
-    as the complex however large its labels grow: a new vertex takes a free
-    bit, and a vanished vertex's bit becomes free again only once no kind's
-    index holds a dirty face, so no stale mask can name the new vertex.
+    Bits come from a label -> bit map, not from the labels themselves, so
+    masks stay as wide as the complex however large its labels grow: a new
+    vertex takes a free bit, and a vanished vertex's bit becomes free again
+    only once no kind's index holds a dirty face, so no stale mask can name
+    the new vertex.
     ``facets`` holds masks; ``snapshot`` decodes them, and ``mark`` records
     them with the bit labels for a later ``snapshot``.  The pools hold label
     tuples in sorted order, so picks and traces never depend on bits; each
@@ -135,7 +129,7 @@ class _State:
     first ``f()`` or ``pool(kind)`` with kind >= 1 builds the star of every
     face and counts the f-vector; from then on a facet update walks the
     facet's submasks, and a k-move changes the f-vector by a constant per
-    kind (``_f_deltas``).  So ``replay`` runs on vertex stars.
+    kind (``_f_deltas``).
 
     Labels need not stay contiguous while moves are applied (d-moves leave
     gaps); complexes are compacted only on export.  That keeps every move
@@ -454,15 +448,29 @@ def replay(C: Complex, trace) -> Complex:
     """Re-apply a recorded move sequence; raises IllegalMove with the
     violated clause at the first illegal move.
 
-    Labels are kept exactly as recorded while replaying (no intermediate
-    compaction), matching what the reducer does; the final complex is
-    canonicalized, so after a d-move the labels above the removed vertex
-    shift down by one.
+    By the undo rule (above), an undo is not checked, and neither a move
+    nor its undo is applied when the undo comes next; an undo with its
+    labels in another order is checked.  Labels are kept exactly as
+    recorded, as the reducer does; the final complex is canonicalized, so
+    after a d-move the labels above the removed vertex shift down by one.
     """
     state = _State(C)
+    undo = []    # the inverses of the moves not yet undone
+    held = None  # a checked move, applied unless its undo comes next
     for m in trace:
-        _check_legal(state, m)
-        state.apply(m)
+        if undo and m == undo[-1]:  # it undoes a legal move, so is legal
+            undo.pop()
+            if held is None:
+                state.apply(m)
+            held = None  # else the held move and its undo cancel
+        else:
+            if held is not None:
+                state.apply(held)
+            _check_legal(state, m)
+            undo.append(m.inverse(state.d))
+            held = m
+    if held is not None:
+        state.apply(held)
     return core.from_facets(state.snapshot())
 
 
@@ -499,7 +507,6 @@ def _pick_improving(state: _State, rng: SplitMix64):
         pool = state.pool(kind)
         if pool:
             return state.move(kind, rng.choice(pool))
-    return None
 
 
 def _pick_heating(state: _State, rng: SplitMix64):
@@ -516,7 +523,6 @@ def _pick_heating(state: _State, rng: SplitMix64):
         pool = state.pool(kind)
         if pool:
             return state.move(kind, rng.choice(pool))
-    return None
 
 
 def reduce(C: Complex, seed: int, budget: int,
@@ -542,9 +548,7 @@ def reduce(C: Complex, seed: int, budget: int,
     since_best: list = []
     stats = {"moves": 0, "heating_phases": 0, "reverts": 0, "best_step": 0,
              "start_f": state.f()}
-    heat = 0
-    heat_len = HEAT_INIT
-    fails = 0
+    heat, heat_len, fails = 0, HEAT_INIT, 0
     while len(trace) < budget and not schedule.reached(best_f):
         move = None
         if heat == 0:
@@ -581,13 +585,9 @@ def reduce(C: Complex, seed: int, budget: int,
             best = state.mark()
             since_best.clear()
             stats["best_step"] = len(trace)
-            heat = 0
-            heat_len = HEAT_INIT
-            fails = 0
-    stats["moves"] = len(trace)
-    stats["best_f"] = best_f
-    stats["final_f"] = state.f()
-    stats["final"] = core.from_facets(state.snapshot())
+            heat, heat_len, fails = 0, HEAT_INIT, 0
+    stats.update(moves=len(trace), best_f=best_f, final_f=state.f(),
+                 final=core.from_facets(state.snapshot()))
     return core.from_facets(state.snapshot(best)), trace, stats
 
 

@@ -6,6 +6,13 @@ shorthand used in printed facet tables); output is always decimal, with
 facets and vertices sorted, so writing is byte-deterministic and
 parse(write(C)) == C for every complex. A trace has one move per line,
 `k: a .. -> b ..`, in decimal, and parse_trace(write_trace(t)) == t.
+A reduction trace repeats few distinct lines many times over: heating
+back-and-forths and the inverse moves of reverts.  So each distinct move is
+written, and each distinct line parsed and validated, once, and repeated
+lines share one frozen FlipMove.  ``flips.replay`` does not check an undo,
+a move of kind d-k whose remove and insert tuples are the insert and remove
+of the k-move on top of its undo stack; an undo whose labels are written in
+another order is checked like any other move.
 """
 from __future__ import annotations
 
@@ -91,23 +98,35 @@ def save(path, C: Complex) -> None:
 
 
 def write_trace(trace) -> str:
-    return "".join(f"{m.kind}: {' '.join(map(str, m.remove))} -> "
-                   f"{' '.join(map(str, m.insert))}\n" for m in trace)
+    lines: dict = {}  # move -> its line, each distinct move formatted once
+    out = []
+    for m in trace:
+        line = lines.get(m)
+        if line is None:
+            line = lines[m] = (f"{m.kind}: {' '.join(map(str, m.remove))} -> "
+                               f"{' '.join(map(str, m.insert))}\n")
+        out.append(line)
+    return "".join(out)
 
 
 def parse_trace(text: str) -> list:
+    """The moves of a trace; a repeated line gives the same FlipMove."""
     moves = []
+    seen: dict = {}  # raw line -> its move, each distinct line parsed once
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, colon, rest = line.partition(":")
-        a, arrow, b = rest.partition("->")
-        kind, remove, insert = ([decimal(t) for t in part.split()]
-                                for part in (head, a, b))
-        if not (colon and arrow) or len(kind) != 1 or None in kind + remove + insert:
-            raise ParseError("bad move line, expected 'k: a .. -> b ..'", line_no)
-        moves.append(FlipMove(kind[0], tuple(remove), tuple(insert)))
+        m = seen.get(raw)
+        if m is None:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            head, colon, rest = line.partition(":")
+            a, arrow, b = rest.partition("->")
+            kind, remove, insert = ([decimal(t) for t in part.split()]
+                                    for part in (head, a, b))
+            if not (colon and arrow) or len(kind) != 1 or None in kind + remove + insert:
+                raise ParseError("bad move line, expected 'k: a .. -> b ..'", line_no)
+            m = seen[raw] = FlipMove(kind[0], tuple(remove), tuple(insert))
+        moves.append(m)
     return moves
 
 

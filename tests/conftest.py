@@ -5,7 +5,9 @@ import pytest
 from hypothesis import strategies as st
 
 from mwb import catalog
+from mwb.constructions import boundary_simplex, product
 from mwb.core import from_facets
+from mwb.flips import Schedule, reduce
 
 CSASZAR_TRIANGLES = [
     (1, 2, 3), (1, 2, 4), (1, 3, 7), (1, 4, 5), (1, 5, 6), (1, 6, 7),
@@ -38,6 +40,17 @@ def entries():
 @pytest.fixture(scope="session")
 def complexes(entries):
     return {name: e.load() for name, e in entries.items()}
+
+
+@pytest.fixture(scope="session")
+def s2xs2_reduction():
+    """(start, trace, final complex) of the S2xS2 seed-1 reduction of
+    acceptance gate 3: 18,225 moves, 8,580 of them undoing the move before
+    them on an undo stack."""
+    P = product(boundary_simplex(2), boundary_simplex(2))
+    _, trace, stats = reduce(P, seed=1, budget=500_000,
+                             schedule=Schedule(target_f0=12))
+    return P, trace, stats["final"]
 
 
 @st.composite

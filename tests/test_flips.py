@@ -386,3 +386,183 @@ def test_move_kinds_above_the_dimension_are_refused(csaszar):
     with pytest.raises(IllegalMove,
                        match="^kind 3 out of range for dimension 2$"):
         replay(csaszar, [FlipMove(3, (1,), (2, 3, 4, 5))])
+
+
+# --- replay: the undo rule -------------------------------------------------
+
+def _reference_replay(C, trace):
+    """Check and apply every move, as replay did before the undo rule;
+    returns the complex, or (index, message) of the first illegal move."""
+    state = _State(C)
+    for i, m in enumerate(trace):
+        try:
+            _check_legal(state, m)
+        except IllegalMove as exc:
+            return i, str(exc)
+        state.apply(m)
+    return from_facets(state.snapshot())
+
+
+def _assert_replay_matches_reference(C, trace):
+    expected = _reference_replay(C, trace)
+    if isinstance(expected, tuple):
+        i, message = expected
+        assert replay(C, trace[:i]) == _reference_replay(C, trace[:i])
+        with pytest.raises(IllegalMove) as err:
+            replay(C, trace)
+        assert str(err.value) == message
+    else:
+        assert replay(C, trace) == expected
+
+
+def _undo_indices(trace, d):
+    """Indices of the moves that undo the move on top of the undo stack."""
+    undo, out = [], []
+    for i, m in enumerate(trace):
+        if undo and m == undo[-1]:
+            undo.pop()
+            out.append(i)
+        else:
+            undo.append(m.inverse(d))
+    return out
+
+
+@pytest.fixture(scope="module")
+def twisted_seed3():
+    C = twisted_bundle(3)
+    return C, reduce(C, seed=3, budget=300)[1]
+
+
+def test_replay_matches_the_reference_on_the_gate_traces(s2xs2_reduction,
+                                                         twisted_seed3):
+    P, trace, final = s2xs2_reduction
+    assert replay(P, trace) == _reference_replay(P, trace) == final
+    _assert_replay_matches_reference(*twisted_seed3)
+
+
+def test_replay_matches_the_reference_on_every_prefix(twisted_seed3):
+    # moves 51-100 of seed 3 undo its first 50 moves, so prefixes end
+    # before, inside and after that run, and just after the pair of moves
+    # 50 and 51, which replay applies neither of
+    C, trace = twisted_seed3
+    assert _undo_indices(trace[:110], C.dim) == list(range(50, 100))
+    for k in range(111):
+        assert replay(C, trace[:k]) == _reference_replay(C, trace[:k])
+
+
+def test_replay_checks_and_applies_only_what_the_undo_stack_cannot_vouch_for(
+        s2xs2_reduction, monkeypatch):
+    P, trace, final = s2xs2_reduction
+    assert len(trace) == 18_225 and len(_undo_indices(trace, P.dim)) == 8_580
+    calls = {"check": 0, "apply": 0}
+    apply = _State.apply
+
+    def counted_check(*args):
+        calls["check"] += 1
+        return _check_legal(*args)
+
+    def counted_apply(*args):
+        calls["apply"] += 1
+        return apply(*args)
+
+    monkeypatch.setattr("mwb.flips._check_legal", counted_check)
+    monkeypatch.setattr(_State, "apply", counted_apply)
+    assert replay(P, trace) == final
+    # 18,225 - 8,580 checks; 761 moves undone by the very next move are
+    # applied neither with their undo
+    assert calls == {"check": 9_645, "apply": 16_703}
+
+
+def test_a_corrupted_undo_raises_at_its_own_index(twisted_seed3):
+    C, trace = twisted_seed3
+    undos = _undo_indices(trace, C.dim)
+    vertices = set(C.vertices())
+    for i in (undos[0], undos[len(undos) // 2], undos[-1]):
+        m = trace[i]
+        other = min(vertices - set(m.remove) - set(m.insert))
+        bad = FlipMove(m.kind, m.remove, (other,) + m.insert[1:])
+        corrupted = trace[:i] + [bad] + trace[i + 1:]
+        assert _reference_replay(C, corrupted)[0] == i
+        _assert_replay_matches_reference(C, corrupted)
+
+
+def test_an_undo_with_reordered_tuples_replays_to_the_same_complex(
+        twisted_seed3):
+    C, trace = twisted_seed3
+    reordered = list(trace)
+    for i in _undo_indices(trace, C.dim)[::3]:
+        m = trace[i]
+        reordered[i] = FlipMove(m.kind, m.remove[::-1], m.insert[::-1])
+    assert reordered != trace
+    assert replay(C, reordered) == replay(C, trace) == _reference_replay(C, trace)
+
+
+def test_an_illegal_move_after_a_skipped_pair_raises_at_its_own_index():
+    # replay applies neither move of a pair; the repeated undo is checked
+    # against the complex before the pair, where it is illegal
+    C = twisted_bundle(3)
+    stack = FlipMove(0, C.facets[0], (13,))
+    stacked = apply_move(C, stack)
+    for start, m in ((C, stack), (C, legal_moves(C, 1)[0]),
+                     (stacked, stack.inverse(3))):
+        undo = m.inverse(3)
+        trace = [m, undo, undo]
+        assert _reference_replay(start, trace)[0] == 2
+        _assert_replay_matches_reference(start, trace)
+    with pytest.raises(IllegalMove, match=r"^\(13,\) is not a face$"):
+        replay(C, [stack, stack.inverse(3), stack.inverse(3)])
+    # the first move of a pair is checked, though neither is applied
+    bad = FlipMove(1, (1, 2, 3), (4, 5))
+    assert _reference_replay(C, [bad, bad.inverse(3)])[0] == 0
+    _assert_replay_matches_reference(C, [bad, bad.inverse(3)])
+
+
+def _back_and_forth_trace(C, seed, steps, push_weight):
+    """A walk that pushes random legal moves of every kind (0- and d-moves
+    take fresh labels and remove vertices) and pops them with their
+    inverses, nested at random; one pop in five writes the inverse with its
+    tuples reversed, which the undo rule does not match."""
+    state = _State(C)
+    rng = SplitMix64(seed)
+    trace, done = [], []
+    for _ in range(steps):
+        if done and rng.randrange(push_weight + 1) == 0:
+            m = done.pop().inverse(C.dim)
+            if rng.randrange(5) == 0:
+                m = FlipMove(m.kind, m.remove[::-1], m.insert[::-1])
+        else:
+            kind, pool = rng.choice([(k, p) for k in range(C.dim + 1)
+                                     if (p := state.pool(k))])
+            m = state.move(kind, rng.choice(pool))
+            done.append(m)
+        state.apply(m)
+        trace.append(m)
+    return trace
+
+
+@pytest.mark.parametrize("name", ["csaszar-torus", "RP3-11"])
+def test_back_and_forth_traces_undo_every_move_kind(name, complexes):
+    # the undone moves include 0-moves, which take fresh labels, and
+    # d-moves, whose undo brings a removed vertex back
+    C = complexes[name]
+    kinds = set()
+    for seed in range(3):
+        trace = _back_and_forth_trace(C, seed, 80, 1)
+        kinds |= {trace[i].kind for i in _undo_indices(trace, C.dim)}
+        _assert_replay_matches_reference(C, trace)
+    assert {0, C.dim} <= kinds
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32), steps=st.integers(1, 80),
+       push_weight=st.integers(1, 3),
+       name=st.sampled_from(["csaszar-torus", "RP3-11"]))
+def test_replay_matches_the_reference_on_back_and_forth_traces(
+        complexes, seed, steps, push_weight, name):
+    C = complexes[name]
+    trace = _back_and_forth_trace(C, seed, steps, push_weight)
+    _assert_replay_matches_reference(C, trace)
+    cut = SplitMix64(seed).randrange(len(trace))
+    m = trace[cut]  # and with one move corrupted
+    corrupted = trace[:cut] + [FlipMove(m.kind, m.remove, m.remove)] + trace[cut + 1:]
+    _assert_replay_matches_reference(C, corrupted)

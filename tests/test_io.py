@@ -1,3 +1,4 @@
+import hashlib
 import sys
 
 import pytest
@@ -63,6 +64,42 @@ def test_parse_errors_carry_line_numbers():
 def test_trace_round_trip():
     trace = [FlipMove(0, (1, 2, 3), (5,)), FlipMove(2, (5,), (1, 2, 3))]
     assert parse_trace(write_trace(trace)) == trace
+
+
+def test_repeated_trace_lines_give_equal_shared_moves():
+    text = "0: 1 2 3 -> 5\n2: 5 -> 1 2 3\n0: 1 2 3 -> 5\n2: 5 -> 1 2 3\n"
+    moves = parse_trace(text)
+    assert moves == [FlipMove(0, (1, 2, 3), (5,)), FlipMove(2, (5,), (1, 2, 3))] * 2
+    assert moves[0] is moves[2] and moves[1] is moves[3]
+    assert moves[0] is not moves[1]
+    assert write_trace(moves) == text
+
+
+def test_comment_and_blank_lines_between_repeats():
+    text = "# moves\n0: 1 2 3 -> 5\n\n# moves\n  \n0: 1 2 3 -> 5\n 0: 1 2 3 -> 5\n#\n"
+    moves = parse_trace(text)
+    assert moves == [FlipMove(0, (1, 2, 3), (5,))] * 3
+    assert moves[0] is moves[1]  # the third line differs in its raw text
+    assert write_trace(moves) == "0: 1 2 3 -> 5\n" * 3
+
+
+def test_a_bad_line_that_repeats_reports_its_first_line_number():
+    text = "0: 1 2 3 -> 5\n# c\n1: 1 2 -> 3 x\n0: 1 2 3 -> 5\n1: 1 2 -> 3 x\n"
+    with pytest.raises(ParseError) as err:
+        parse_trace(text)
+    assert err.value.line == 3
+    assert str(err.value) == "line 3: bad move line, expected 'k: a .. -> b ..'"
+
+
+def test_gate3_trace_round_trip_is_byte_identical(s2xs2_reduction):
+    _, trace, _ = s2xs2_reduction
+    text = write_trace(trace)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "6201f5f7f36542d6312a78e38a71ac91756f8825c3eaf387b5bd2495e01f0e29"
+    moves = parse_trace(text)
+    assert moves == trace
+    assert len({id(m) for m in moves}) == len(set(text.splitlines())) == 4_927
+    assert write_trace(moves) == text
 
 
 @pytest.mark.parametrize("line", [
