@@ -8,14 +8,14 @@ f-vector, escapes local minima with bounded random "heating" phases, and
 returns to the best complex whenever an excursion fails to improve it (the
 trace records inverse moves, so it stays replayable; the state jumps back).
 
-Legal moves are kept incrementally (see ``_State``): after a move only the
-faces in the changed star, and the faces whose insert-face the move created
-or deleted, are re-tested, so the cost of a move scales with the star it
-changes rather than with the complex.  Faces are int bitmasks, and until
-the f-vector or a pool of kind >= 1 is read only vertex stars are kept, so
-``replay`` updates d+1 stars per facet, not 2^(d+1)-1.  Picks draw from the
-legal moves sorted by remove-face as label tuples, never by mask, so every
-search and walk, and its trace, depends only on (input, seed, budget,
+Legal moves are kept incrementally (see ``_State``): only the faces in the
+changed stars, and those whose insert-face a move created or deleted, are
+re-tested, all at once when the pool is read, so a move costs what its star
+costs, not what the complex does.  Faces are int bitmasks, and until the
+f-vector or a pool of kind >= 1 is read only vertex stars are kept: a move
+in ``replay`` updates each of its d+2 vertex stars once.  Picks draw from
+the legal moves sorted by remove-face as label tuples, never by mask, so
+every search and walk, and its trace, depends only on (input, seed, budget,
 schedule); ``tri_io`` writes and reads the text of a trace.
 
 The undo rule: right after a legal k-move (k, A, B) its inverse (d-k, B, A)
@@ -121,31 +121,35 @@ class _State:
     tuples in sorted order, so picks and traces never depend on bits; each
     kind also keeps the set of masks in its pool, so a re-test decodes a
     mask and touches the sorted list only when a face joins or leaves it.
+    ``face`` decodes a mask once and keeps the tuple until a freed bit may
+    take a new label, so pools and moves share their tuples.
 
     ``star`` maps a face to the facet masks containing it.  At first it
-    holds the vertices only: a facet update walks the d+1 bits of the facet,
+    holds the vertices only: a move updates each vertex star of A u B once,
     the star of a face is the intersection of its vertices' stars
     (``_star_of``), and a set is a face iff that star is not empty.  The
     first ``f()`` or ``pool(kind)`` with kind >= 1 builds the star of every
     face and counts the f-vector; from then on a facet update walks the
-    facet's submasks, and a k-move changes the f-vector by a constant per
-    kind (``_f_deltas``).
+    facet's submasks (kept per facet mask: pure arithmetic, never stale),
+    and a k-move changes the f-vector by a constant per kind (``_f_deltas``).
 
     Labels need not stay contiguous while moves are applied (d-moves leave
     gaps); complexes are compacted only on export.  That keeps every move
     exactly invertible in place.
 
     The legal-move index of a kind is built on the first ``pool(kind)`` call,
-    so replaying a trace never pays for it.  From then on a move marks dirty
-    the faces whose star it changed (the proper subfaces of A u B) and, when
-    it creates or deletes a face B, every remove-face whose link is dB; only
-    dirty faces are re-tested, when the pool is next read.
+    so replaying a trace never pays for it: every face of the size is marked
+    dirty and the pool is read.  From then on a move marks dirty the faces
+    whose star it changed (the proper subfaces of A u B) and, when it
+    creates or deletes a face B, every remove-face whose link is dB; a pool
+    read re-tests all dirty faces of its kind in one batch.
     """
 
     def __init__(self, C: Complex):
         self.d = C.dim
         self.max_label = C.n
         self._deltas = _f_deltas(self.d)
+        self._subs: dict = {}  # facet mask -> its nonzero submasks
         self.restore(C.facets)
 
     def restore(self, facets):
@@ -156,6 +160,7 @@ class _State:
         self.counts = None        # the f-vector, once every face has a star
         self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
         self._labels: list = []   # bit index -> label, the mask width
+        self._faces: dict = {}    # mask -> its decoded labels
         self._free: list = []     # bit indices free to take
         self._vanished: list = []  # bit indices of vanished vertices, not yet free
         # per kind: sorted remove-faces of the legal moves (kind 0: facets),
@@ -168,8 +173,11 @@ class _State:
         self._indexed: list = []  # kinds >= 1 with an index
         for v in sorted({v for F in facets for v in F}):
             self._add_vertex(v)
-        for F in facets:
-            self._add_facet(self._mask(F))
+        for F in facets:  # vertex stars only
+            s = self._mask(F)
+            self.facets.add(s)
+            for v in F:
+                self.star.setdefault(self._bit[v], set()).add(s)
 
     def _add_vertex(self, v: int):
         if self._free:
@@ -185,6 +193,7 @@ class _State:
         if not any(self._dirty[kind] for kind in self._indexed):
             self._free += self._vanished
             self._vanished = []
+            self._faces.clear()  # a freed bit may take a new label
 
     def _mask(self, face) -> int:
         return sum(map(self._bit.__getitem__, face))
@@ -199,62 +208,44 @@ class _State:
 
     def face(self, s: int) -> tuple:
         """The sorted labels of a mask."""
-        return _face(s, self._labels)
+        return self._faces.get(s) or self._faces.setdefault(s, _face(s, self._labels))
 
-    def _add_facet(self, F: int):
-        self.facets.add(F)
-        star = self.star
-        s = F
-        if self.counts is None:  # vertex stars only
+    def _submasks(self, F: int) -> tuple:
+        subs = self._subs.get(F)
+        if subs is None:
+            subs, s = [], F
             while s:
-                low = s & -s
-                st = star.get(low)
-                if st is None:
-                    star[low] = {F}
-                else:
-                    st.add(F)
-                s ^= low
-            return
-        wants = self._wants
-        while s:
-            st = star.get(s)
-            if st is None:
-                star[s] = {F}
-                if s in wants:  # moves inserting s are now blocked
-                    self._dirty[s.bit_count() - 1].update(wants[s])
-            else:
-                st.add(F)
-            s = (s - 1) & F
+                subs.append(s)
+                s = (s - 1) & F
+            subs = self._subs[F] = tuple(subs)
+        return subs
 
-    def _remove_facet(self, F: int):
-        self.facets.remove(F)
-        star = self.star
-        s = F
-        if self.counts is None:  # vertex stars only
-            while s:
-                low = s & -s
-                st = star[low]
+    def _swap(self, removed, added):
+        """Swap facets in the face star, dirtying the faces whose link bounds
+        a face that vanishes or appears."""
+        star, wants, dirty = self.star, self._wants, self._dirty
+        for F in removed:
+            for s in self._submasks(F):
+                st = star[s]
                 st.discard(F)
                 if not st:
-                    del star[low]
-                s ^= low
-            return
-        wants = self._wants
-        while s:
-            st = star[s]
-            st.discard(F)
-            if not st:
-                del star[s]
-                if s in wants:  # moves inserting s may open up
-                    self._dirty[s.bit_count() - 1].update(wants[s])
-            s = (s - 1) & F
+                    del star[s]
+                    if s in wants:  # moves inserting s may open up
+                        dirty[s.bit_count() - 1].update(wants[s])
+        for F in added:
+            for s in self._submasks(F):
+                st = star.get(s)
+                if st is None:
+                    star[s] = {F}
+                    if s in wants:  # moves inserting s are now blocked
+                        dirty[s.bit_count() - 1].update(wants[s])
+                else:
+                    st.add(F)
 
     def _index_faces(self):
         """Give every face a star, and count the f-vector."""
-        facets, self.facets, self.star = self.facets, set(), {}
-        self.counts = ()  # not None: _add_facet walks the submasks
-        for F in facets:
-            self._add_facet(F)
+        self.star = {}
+        self._swap((), self.facets)
         counts = [0] * (self.d + 1)
         for s in self.star:
             counts[s.bit_count() - 1] += 1
@@ -273,88 +264,85 @@ class _State:
         star = self.star
         if self.counts is not None:
             return star.get(s)
-        low = s & -s
-        st = star.get(low)
-        s ^= low
+        st = star.get(s & -s)
+        s &= s - 1
         while s and st:
-            low = s & -s
-            st = st.intersection(star.get(low, ()))
-            s ^= low
+            st = st.intersection(star.get(s & -s, ()))
+            s &= s - 1
         return st
 
-    def _link_simplex(self, kind: int, A: int):
-        """B if the link of the face A is the boundary of the kind-simplex B
-        (B may or may not be a face), else None."""
+    def candidate(self, kind: int, A: int):
+        """Return the insert-face B if (A, B) is a legal kind-move (kind >= 1),
+        else None."""
         st = self._star_of(A)
         if not st or len(st) != kind + 1:
             return None
         U = 0
         for F in st:
             U |= F
-        U ^= A
-        return U if U.bit_count() == kind + 1 else None
-
-    def candidate(self, kind: int, A: int):
-        """Return the insert-face B if (A, B) is a legal kind-move (kind >= 1),
-        else None."""
-        B = self._link_simplex(kind, A)
-        return None if B is None or self._star_of(B) else B
+        B = U ^ A
+        return B if B.bit_count() == kind + 1 and not self._star_of(B) else None
 
     def _build(self, kind: int) -> list:
-        listed = self.facets
-        if kind:
-            self.f()  # builds the face star
-            size = self.d - kind + 1
-            spheres = self._spheres[kind] = {}
-            self._dirty[kind] = set()
-            self._indexed.append(kind)
-            for A in self.star:
-                if A.bit_count() == size:
-                    B = self._link_simplex(kind, A)
-                    if B is not None:
-                        spheres[A] = B
-                        self._wants.setdefault(B, []).append(A)
-            listed = self._listed[kind] = {
-                A for A, B in spheres.items() if B not in self.star}
-        pool = self._pools[kind] = sorted(map(self.face, listed))
-        return pool
+        if not kind:
+            pool = self._pools[0] = sorted(map(self.face, self.facets))
+            return pool
+        self.f()  # builds the face star
+        size = self.d - kind + 1
+        self._spheres[kind], self._listed[kind], self._pools[kind] = {}, set(), []
+        self._dirty[kind] = {A for A in self.star if A.bit_count() == size}
+        self._indexed.append(kind)
+        return self.pool(kind)
 
-    def _retest(self, kind: int, A: int):
-        spheres = self._spheres[kind]
-        old = spheres.get(A)
-        B = self._link_simplex(kind, A)
-        if B != old:
-            if old is not None:
-                del spheres[A]
-                wanting = self._wants[old]
-                wanting.remove(A)
-                if not wanting:
-                    del self._wants[old]
-            if B is not None:
-                spheres[A] = B
-                self._wants.setdefault(B, []).append(A)
-        listed = self._listed[kind]
-        if B is not None and B not in self.star:
-            if A not in listed:
-                listed.add(A)
-                bisect.insort(self._pools[kind], self.face(A))
-        elif A in listed:
-            listed.remove(A)
-            pool = self._pools[kind]
-            del pool[bisect.bisect_left(pool, self.face(A))]
+    def _retest(self, kind: int, dirty):
+        """Re-test faces A of size d-kind+1 in one pass: link(A) = dB iff the
+        star of A has kind+1 facets whose union less A is kind+1 vertices B,
+        and A is in the pool iff B is not a face."""
+        star, wants, face = self.star, self._wants, self.face
+        spheres, listed = self._spheres[kind], self._listed[kind]
+        pool, n, joined = self._pools[kind], kind + 1, []
+        for A in dirty:
+            B = None
+            st = star.get(A)
+            if st is not None and len(st) == n:  # else no sphere: skip the OR
+                U = 0
+                for F in st:
+                    U |= F
+                U ^= A
+                if U.bit_count() == n:
+                    B = U
+            old = spheres.get(A)
+            if B != old:
+                if old is not None:
+                    del spheres[A]
+                    wanting = wants[old]
+                    wanting.remove(A)
+                    if not wanting:
+                        del wants[old]
+                if B is not None:
+                    spheres[A] = B
+                    wants.setdefault(B, []).append(A)
+            if B is not None and B not in star:
+                if A not in listed:
+                    listed.add(A)
+                    joined.append(A)
+            elif A in listed:
+                listed.remove(A)
+                del pool[bisect.bisect_left(pool, face(A))]
+        # in order, so a new pool is built by appends, not by a shift per face
+        for t in sorted(map(face, joined)):
+            bisect.insort(pool, t)
+        dirty.clear()
 
     def pool(self, kind: int) -> list:
         """Remove-faces of the legal kind-moves, sorted; do not mutate."""
         pool = self._pools[kind]
         if pool is None:
             return self._build(kind)
-        if kind:
-            dirty = self._dirty[kind]
-            for A in dirty:
-                self._retest(kind, A)
-            dirty.clear()
-            if self._vanished:
-                self._release()
+        if kind and self._dirty[kind]:
+            self._retest(kind, self._dirty[kind])
+        if self._vanished:
+            self._release()
         return pool
 
     def move(self, kind: int, A: tuple) -> FlipMove:
@@ -370,25 +358,37 @@ class _State:
         if m.kind == 0:
             self._add_vertex(m.insert[0])
             self.max_label = max(self.max_label, m.insert[0])
-        bit = self._bit
-        AB = self._mask(m.remove) | self._mask(m.insert)
-        for b in m.insert:
-            self._remove_facet(AB ^ bit[b])
-        for a in m.remove:
-            self._add_facet(AB ^ bit[a])
+        bits = [self._bit[v] for v in (*m.remove, *m.insert)]
+        AB, r = sum(bits), len(m.remove)
+        removed = [AB ^ b for b in bits[r:]]  # A u B less a vertex of B
+        added = [AB ^ a for a in bits[:r]]    # A u B less a vertex of A
+        self.facets.difference_update(removed)
+        self.facets.update(added)
+        if self.counts is None:
+            # vertex stars only: the star of each v in A u B loses the
+            # removed facets and gains the added ones but A u B - v
+            star = self.star
+            for b in bits:
+                st = star.get(b)
+                if st is None:  # a 0-move's fresh vertex
+                    star[b] = set(added)
+                else:
+                    st.difference_update(removed)
+                    st.update(added)
+                    st.discard(AB ^ b)
+                    if not st:  # a d-move's vertex
+                        del star[b]
+        else:
+            self._swap(removed, added)
+            self.counts = tuple(map(add, self.counts, self._deltas[m.kind]))
         facet_pool = self._pools[0]
         if facet_pool is not None:
-            vertices = sorted((*m.remove, *m.insert))
-            for b in m.insert:
-                del facet_pool[bisect.bisect_left(
-                    facet_pool, tuple(v for v in vertices if v != b))]
-            for a in m.remove:
-                bisect.insort(facet_pool, tuple(v for v in vertices if v != a))
-        if self.counts is not None:
-            self.counts = tuple(map(add, self.counts, self._deltas[m.kind]))
+            for F in removed:
+                del facet_pool[bisect.bisect_left(facet_pool, self.face(F))]
+            for G in added:
+                bisect.insort(facet_pool, self.face(G))
         if self._indexed:
             # the faces whose star changed are the proper subfaces of A u B
-            bits = [bit[v] for v in (*m.remove, *m.insert)]
             for kind in self._indexed:
                 dirty = self._dirty[kind]
                 dirty.update(map(sum, combinations(bits, self.d - kind + 1)))

@@ -250,8 +250,9 @@ def _replay_against_oracle(C, trace, read_every=1, seed=0):
     deltas must equal the one counted from those facets.  Also checks that
     the mask width stays within the peak, over the steps, of the live
     vertices plus those vanished since the last full flush (no dirty face
-    in any kind).  Returns the number of 0-moves applied while such a
-    vanished vertex's bit was still held back."""
+    in any kind), and that at every read ``_wants`` inverts the ``_spheres``
+    of every indexed kind.  Returns the number of 0-moves applied while
+    such a vanished vertex's bit was still held back."""
     state = _State(C)
     rng = SplitMix64(seed)
     peak = vanished = reborn = 0
@@ -271,9 +272,21 @@ def _replay_against_oracle(C, trace, read_every=1, seed=0):
                                          state.fresh_label())
                 assert state.legal_moves(k) == want, (step, k)
                 assert state.f() == f_vector(from_facets(facets)).counts, step
+                _assert_wants_inverts_spheres(state)
         if not any(state._dirty[k] for k in state._indexed):
             vanished = 0
     return reborn
+
+
+def _assert_wants_inverts_spheres(state):
+    """``_wants`` maps each insert-face B to exactly the remove-faces A with
+    ``_spheres[kind][A] == B``, each once."""
+    inverse = {}
+    for kind in state._indexed:
+        for A, B in state._spheres[kind].items():
+            inverse.setdefault(B, []).append(A)
+    assert ({B: sorted(As) for B, As in state._wants.items()}
+            == {B: sorted(As) for B, As in inverse.items()})
 
 
 ORACLE_INPUTS = ("boundary_simplex(3)", "RP3-11", "S2xS2-11")
@@ -350,6 +363,58 @@ def test_replay_runs_on_vertex_stars(name, complexes, monkeypatch):
 
     monkeypatch.setattr(_State, "_index_faces", no_face_star)
     assert replay(C, trace) == walked == from_facets(state.snapshot())
+
+
+def _vertex_stars(state):
+    """Each vertex label -> the sorted facets (label tuples) of its star, from
+    a state that keeps vertex stars only."""
+    assert state.counts is None and all(s & (s - 1) == 0 for s in state.star)
+    return {state.face(b)[0]: sorted(map(state.face, st))
+            for b, st in state.star.items()}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS[1:])
+def test_vertex_stars_match_a_fresh_state_after_every_move(name, complexes):
+    # a move updates the star of each vertex of A u B once; a 0-move gives
+    # its fresh vertex a star and a d-move takes its vertex's star away
+    C = complexes[name]
+    _, walk = random_walk(C, seed=5, steps=120)
+    start, _ = random_walk(C, seed=9, steps=40)
+    _, trace, _ = reduce(start, seed=2, budget=150)
+    kinds = set()
+    for C0, moves in ((C, walk), (start, trace)):
+        state = _State(C0)
+        for step, m in enumerate(moves):
+            state.apply(m)
+            kinds.add(m.kind)
+            facets = state.snapshot()
+            labels = sorted({v for F in facets for v in F})  # from_facets: 1..n
+            fresh = {labels[v - 1]: [tuple(labels[u - 1] for u in F) for F in Fs]
+                     for v, Fs in _vertex_stars(_State(from_facets(facets))).items()}
+            assert _vertex_stars(state) == fresh, step
+    assert kinds == set(range(C.dim + 1))
+
+
+@pytest.mark.parametrize("indexed", [False, True])
+def test_face_decodes_the_new_labels_of_a_reused_bit_and_after_restore(indexed):
+    C = boundary_simplex(3)
+    state = _State(C)
+    for k in range(4 * indexed):
+        state.pool(k)
+    stack = FlipMove(0, (1, 2, 3, 4), (6,))
+    state.apply(stack)
+    six = state.mask_of((1, 2, 6))
+    assert state.face(six) == (1, 2, 6)
+    state.apply(stack.inverse(3))  # vertex 6 vanishes
+    for k in range(4 * indexed):
+        state.pool(k)  # no dirty face is left, so its bit is freed
+    state.apply(FlipMove(0, (1, 2, 3, 4), (7,)))
+    assert state.mask_of((1, 2, 7)) == six  # 7 took the freed bit
+    assert state.face(six) == (1, 2, 7)
+    low = state.mask_of((1, 2, 3))
+    assert state.face(low) == (1, 2, 3)
+    state.restore([tuple(v + 10 for v in F) for F in C.facets])
+    assert state.face(low) == (11, 12, 13)
 
 
 @settings(max_examples=12, deadline=None)
