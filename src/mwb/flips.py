@@ -8,15 +8,13 @@ f-vector, escapes local minima with bounded random "heating" phases, and
 returns to the best complex whenever an excursion fails to improve it (the
 trace records inverse moves, so it stays replayable; the state jumps back).
 
-Legal moves are kept incrementally (see ``_State``): only the faces in the
-changed stars, and those whose insert-face a move created or deleted, are
-re-tested, all at once when the pool is read, so a move costs what its star
-costs, not what the complex does.  Faces are int bitmasks, and until the
-f-vector or a pool of kind >= 1 is read only vertex stars are kept: a move
-in ``replay`` updates each of its d+2 vertex stars once.  Picks draw from
-the legal moves sorted by remove-face as label tuples, never by mask, so
-every search and walk, and its trace, depends only on (input, seed, budget,
-schedule); ``tri_io`` writes and reads the text of a trace.
+Legal moves are kept incrementally (see ``_State``).  Faces are int bitmasks,
+each with its number of facets and their OR, which decide its moves; a move
+rewrites them on the proper subfaces of A u B only.  Until the f-vector or a
+pool of kind >= 1 is read only vertex stars are kept, and ``replay`` updates
+d+2 of them per move.  Picks draw from the legal moves sorted by remove-face as
+label tuples, never by mask, so every search and walk, and its trace, depends
+only on (input, seed, budget, schedule); ``tri_io`` reads and writes traces.
 
 The undo rule: right after a legal k-move (k, A, B) its inverse (d-k, B, A)
 is legal and restores the complex exactly.  So ``replay`` keeps a stack of
@@ -29,7 +27,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from math import comb
 from operator import add
 
@@ -107,57 +104,59 @@ def _f_deltas(d: int) -> list:
                   for j in range(d + 1)) for k in range(d + 1)]
 
 
+def _parts(X: int) -> list:
+    """(s, |X-s|, X-s if one vertex else 0) for each submask s of X, X first."""
+    subs = [X]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & X)
+    return [(s, (t := X ^ s).bit_count(), t if t & (t - 1) == 0 else 0)
+            for s in subs]
+
+
 class _State:
-    """Mutable set of facet masks with a star index and a legal-move index,
+    """Mutable set of facet masks with a face index and a legal-move index,
     both built only as far as something reads them.
 
-    Bits come from a label -> bit map, not from the labels themselves, so
-    masks stay as wide as the complex however large its labels grow: a new
-    vertex takes a free bit, and a vanished vertex's bit becomes free again
-    only once no kind's index holds a dirty face, so no stale mask can name
-    the new vertex.
-    ``facets`` holds masks; ``snapshot`` decodes them, and ``mark`` records
-    them with the bit labels for a later ``snapshot``.  The pools hold label
-    tuples in sorted order, so picks and traces never depend on bits; each
-    kind also keeps the set of masks in its pool, so a re-test decodes a
-    mask and touches the sorted list only when a face joins or leaves it.
-    ``face`` decodes a mask once and keeps the tuple until a freed bit may
-    take a new label, so pools and moves share their tuples.
+    Bits come from a label -> bit map, so masks stay as wide as the complex
+    however large its labels grow (they are compacted only on export, so
+    every move is exactly invertible in place).  A vanished vertex's bit is
+    freed only once no kind holds a dirty face, so no stale mask can name a
+    new vertex.  ``face`` decodes a mask once and keeps the tuple until a
+    freed bit may take a new label; ``mark`` records ``facets`` with the
+    labels for a later ``snapshot``.  The pools hold sorted label tuples, so
+    picks never depend on bits.
 
-    ``star`` maps a face to the facet masks containing it.  At first it
-    holds the vertices only: a move updates each vertex star of A u B once,
-    the star of a face is the intersection of its vertices' stars
-    (``_star_of``), and a set is a face iff that star is not empty.  The
-    first ``f()`` or ``pool(kind)`` with kind >= 1 builds the star of every
-    face and counts the f-vector; from then on a facet update walks the
-    facet's submasks (kept per facet mask: pure arithmetic, never stale),
-    and a k-move changes the f-vector by a constant per kind (``_f_deltas``).
+    At first ``star`` maps each vertex to its facets: a move updates each
+    vertex star of A u B once, and s is a face iff its vertices' stars meet
+    (``_star``).  The first ``f()`` or ``pool(kind >= 1)`` replaces it by the
+    face index: ``c[s]``, the number of facets containing the face s, and
+    ``V[s]``, their OR.  A kind-k move at A is legal iff c[A] = k+1 and
+    B = V[A] ^ A has k+1 vertices and is no face: k+1 distinct k-subsets of
+    a (k+1)-set are all of them.  A move (A, B) rewrites each proper subface
+    s of A u B once (``_update``): faces containing A vanish, faces
+    containing B appear with c = |A-s| and V = A u B (V = s if c = 1), and
+    every other s gets c += |A-s| - |B-s| and V ^= each of A-s, B-s that is
+    one vertex.  The f-vector changes by a constant per kind.
 
-    Labels need not stay contiguous while moves are applied (d-moves leave
-    gaps); complexes are compacted only on export.  That keeps every move
-    exactly invertible in place.
-
-    The legal-move index of a kind is built on the first ``pool(kind)`` call,
-    so replaying a trace never pays for it: every face of the size is marked
-    dirty and the pool is read.  From then on a move marks dirty the faces
-    whose star it changed (the proper subfaces of A u B) and, when it
-    creates or deletes a face B, every remove-face whose link is dB; a pool
-    read re-tests all dirty faces of its kind in one batch.
+    A kind's legal-move index is built on its first ``pool`` read, with
+    every face of its size dirty.  A move dirties the proper subfaces of
+    A u B and, when it creates or deletes a face B, every remove-face whose
+    link is dB; a pool read re-tests its dirty faces in one batch.
     """
 
     def __init__(self, C: Complex):
         self.d = C.dim
         self.max_label = C.n
         self._deltas = _f_deltas(self.d)
-        self._subs: dict = {}  # facet mask -> its nonzero submasks
         self.restore(C.facets)
 
     def restore(self, facets):
         """Become the complex of these facets (label tuples) as a fresh state
         would, but keep ``max_label``, so fresh labels never repeat."""
         self.facets: set = set()  # facet masks
-        self.star: dict = {}      # face mask -> set of facet masks
-        self.counts = None        # the f-vector, once every face has a star
+        self.star: dict = {}      # vertex bit -> set of facet masks
+        self.c = self.V = None    # face mask -> facet count, OR of facets
+        self.counts = None        # the f-vector, once every face is indexed
         self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
         self._labels: list = []   # bit index -> label, the mask width
         self._faces: dict = {}    # mask -> its decoded labels
@@ -210,46 +209,48 @@ class _State:
         """The sorted labels of a mask."""
         return self._faces.get(s) or self._faces.setdefault(s, _face(s, self._labels))
 
-    def _submasks(self, F: int) -> tuple:
-        subs = self._subs.get(F)
-        if subs is None:
-            subs, s = [], F
-            while s:
-                subs.append(s)
-                s = (s - 1) & F
-            subs = self._subs[F] = tuple(subs)
-        return subs
-
-    def _swap(self, removed, added):
-        """Swap facets in the face star, dirtying the faces whose link bounds
-        a face that vanishes or appears."""
-        star, wants, dirty = self.star, self._wants, self._dirty
-        for F in removed:
-            for s in self._submasks(F):
-                st = star[s]
-                st.discard(F)
-                if not st:
-                    del star[s]
-                    if s in wants:  # moves inserting s may open up
-                        dirty[s.bit_count() - 1].update(wants[s])
-        for F in added:
-            for s in self._submasks(F):
-                st = star.get(s)
-                if st is None:
-                    star[s] = {F}
-                    if s in wants:  # moves inserting s are now blocked
-                        dirty[s.bit_count() - 1].update(wants[s])
-                else:
-                    st.add(F)
+    def _update(self, A: int, B: int):
+        """Rewrite ``c`` and ``V`` on the proper subfaces of A u B for the move
+        (A, B), and dirty those subfaces in each indexed kind of their size,
+        with the faces whose link bounds one that vanishes or appears."""
+        c, V, wants, dirty = self.c, self.V, self._wants, self._dirty
+        AB, on_B = A | B, _parts(B)[1:]
+        touched = [[] for _ in range(self.d + 2)]  # [r]: s with |A u B - s| = r
+        for b, rb, _ in on_B:  # the faces A u b, b a proper part of B, vanish
+            s = A | b
+            touched[rb].append(s)
+            del c[s], V[s]
+            if s in wants:  # moves inserting s may open up
+                dirty[s.bit_count() - 1].update(wants[s])
+        for a, ra, xa in _parts(A)[1:]:
+            s = a | B  # appears, in the added facets that miss a vertex of A - a
+            touched[ra].append(s)
+            c[s], V[s] = ra, s if ra == 1 else AB
+            if s in wants:  # moves inserting s are now blocked
+                dirty[s.bit_count() - 1].update(wants[s])
+            for b, rb, xb in on_B if a else on_B[:-1]:
+                s = a | b
+                touched[ra + rb].append(s)
+                if ra != rb:
+                    c[s] += ra - rb
+                if xa != xb:
+                    V[s] ^= xa ^ xb
+        for kind in self._indexed:  # of size d+1 - kind = |A u B| - (kind+1)
+            dirty[kind].update(touched[kind + 1])
 
     def _index_faces(self):
-        """Give every face a star, and count the f-vector."""
-        self.star = {}
-        self._swap((), self.facets)
+        """Count and OR the facets of every face, and count the f-vector."""
+        c, V = self.c, self.V = {}, {}
+        for F in self.facets:
+            s = F
+            while s:
+                c[s] = c.get(s, 0) + 1
+                V[s] = V.get(s, 0) | F
+                s = (s - 1) & F
         counts = [0] * (self.d + 1)
-        for s in self.star:
+        for s in c:
             counts[s.bit_count() - 1] += 1
-        self.counts = tuple(counts)
+        self.counts, self.star = tuple(counts), None
 
     def f(self) -> tuple:
         if self.counts is None:
@@ -259,70 +260,60 @@ class _State:
     def fresh_label(self) -> int:
         return self.max_label + 1
 
-    def _star_of(self, s: int):
-        """The facets containing s; empty or None if s is not a face."""
-        star = self.star
+    def _star(self, s: int) -> tuple:
+        """(The number of facets containing s, their OR); (0, 0) if no face."""
         if self.counts is not None:
-            return star.get(s)
-        st = star.get(s & -s)
+            return self.c.get(s, 0), self.V.get(s, 0)
+        star, U = self.star, 0
+        st = star.get(s & -s, ())
         s &= s - 1
         while s and st:
             st = st.intersection(star.get(s & -s, ()))
             s &= s - 1
-        return st
-
-    def candidate(self, kind: int, A: int):
-        """Return the insert-face B if (A, B) is a legal kind-move (kind >= 1),
-        else None."""
-        st = self._star_of(A)
-        if not st or len(st) != kind + 1:
-            return None
-        U = 0
         for F in st:
             U |= F
+        return len(st), U
+
+    def candidate(self, kind: int, A: int):
+        """The insert-face B if (A, B) is a legal kind-move (kind >= 1), else None."""
+        n, U = self._star(A)
         B = U ^ A
-        return B if B.bit_count() == kind + 1 and not self._star_of(B) else None
+        return B if n == B.bit_count() == kind + 1 and not self._star(B)[0] else None
 
     def _build(self, kind: int) -> list:
         if not kind:
             pool = self._pools[0] = sorted(map(self.face, self.facets))
             return pool
-        self.f()  # builds the face star
+        self.f()  # builds the face index
         size = self.d - kind + 1
         self._spheres[kind], self._listed[kind], self._pools[kind] = {}, set(), []
-        self._dirty[kind] = {A for A in self.star if A.bit_count() == size}
+        self._dirty[kind] = {A for A in self.c if A.bit_count() == size}
         self._indexed.append(kind)
         return self.pool(kind)
 
     def _retest(self, kind: int, dirty):
-        """Re-test faces A of size d-kind+1 in one pass: link(A) = dB iff the
-        star of A has kind+1 facets whose union less A is kind+1 vertices B,
-        and A is in the pool iff B is not a face."""
-        star, wants, face = self.star, self._wants, self.face
+        """Re-test faces A of size d-kind+1 in one pass: link(A) = dB iff
+        c[A] = kind+1 and B = V[A] ^ A has kind+1 vertices, and A is in the
+        pool iff B is not a face."""
+        c, V, wants, face = self.c, self.V, self._wants, self.face
         spheres, listed = self._spheres[kind], self._listed[kind]
         pool, n, joined = self._pools[kind], kind + 1, []
         for A in dirty:
-            B = None
-            st = star.get(A)
-            if st is not None and len(st) == n:  # else no sphere: skip the OR
-                U = 0
-                for F in st:
-                    U |= F
-                U ^= A
-                if U.bit_count() == n:
-                    B = U
-            old = spheres.get(A)
+            B = V[A] ^ A if c.get(A) == n else 0
+            if B.bit_count() != n:
+                B = 0  # no sphere
+            old = spheres.get(A, 0)
             if B != old:
-                if old is not None:
+                if old:
                     del spheres[A]
                     wanting = wants[old]
                     wanting.remove(A)
                     if not wanting:
                         del wants[old]
-                if B is not None:
+                if B:
                     spheres[A] = B
                     wants.setdefault(B, []).append(A)
-            if B is not None and B not in star:
+            if B and B not in c:
                 if A not in listed:
                     listed.add(A)
                     joined.append(A)
@@ -379,7 +370,7 @@ class _State:
                     if not st:  # a d-move's vertex
                         del star[b]
         else:
-            self._swap(removed, added)
+            self._update(sum(bits[:r]), sum(bits[r:]))
             self.counts = tuple(map(add, self.counts, self._deltas[m.kind]))
         facet_pool = self._pools[0]
         if facet_pool is not None:
@@ -387,15 +378,11 @@ class _State:
                 del facet_pool[bisect.bisect_left(facet_pool, self.face(F))]
             for G in added:
                 bisect.insort(facet_pool, self.face(G))
-        if self._indexed:
-            # the faces whose star changed are the proper subfaces of A u B
-            for kind in self._indexed:
-                dirty = self._dirty[kind]
-                dirty.update(map(sum, combinations(bits, self.d - kind + 1)))
-                if len(dirty) > 2 * self.counts[self.d - kind]:
-                    # a kind the reducer seldom reads (the heating kinds)
-                    # would otherwise pile up every face it ever had
-                    self.pool(kind)
+        for kind in self._indexed:
+            if len(self._dirty[kind]) > 2 * self.counts[self.d - kind]:
+                # a kind the reducer seldom reads (the heating kinds) would
+                # otherwise pile up every face it ever had
+                self.pool(kind)
         if m.kind == self.d:  # the removed vertex's bit waits in _vanished
             self._vanished.append(self._bit.pop(m.remove[0]).bit_length() - 1)
             self._release()
@@ -433,9 +420,9 @@ def _check_legal(state: _State, m: FlipMove):
     a, b = state.mask_of(A), state.mask_of(m.insert)
     B = None if a is None else state.candidate(m.kind, a)
     if B is None:
-        if a is None or not state._star_of(a):
+        if a is None or not state._star(a)[0]:
             raise IllegalMove(f"{A} is not a face")
-        if b is not None and state._star_of(b):
+        if b is not None and state._star(b)[0]:
             raise IllegalMove(
                 f"insert-face {tuple(sorted(m.insert))} is already a face")
         raise IllegalMove(f"link of {A} is not the boundary of a simplex")
@@ -591,6 +578,14 @@ def reduce(C: Complex, seed: int, budget: int,
     return core.from_facets(state.snapshot(best)), trace, stats
 
 
+def _seed_run(C: Complex, budget: int, schedule, keep_all: bool, seed: int):
+    """(best_f, run) of ``reduce`` on one seed; the run is None unless
+    ``keep_all`` or it reached the target, so a pool sends back no other."""
+    run = reduce(C, seed, budget, schedule)
+    best_f = run[2]["best_f"]
+    return best_f, run if keep_all or (schedule or Schedule()).reached(best_f) else None
+
+
 def reduce_multi(C: Complex, seeds, budget: int,
                  schedule: Schedule | None = None, threads: int = 1):
     """Run reduce over several seeds; returns (best, seed, trace, stats).
@@ -599,18 +594,23 @@ def reduce_multi(C: Complex, seeds, budget: int,
     reaches the schedule target; if none does, the run with the least
     (stats["best_f"], seed) wins.  One scan in seed order over
     ``core.process_map`` applies this rule, so ``threads`` cannot change the
-    winner: one worker stops at it, and a pool runs every seed first.
+    winner: one worker stops at it, and a pool runs every seed first and
+    sends back only the runs that reached the target; if none did, the
+    parent runs the least seed again.
     """
     seeds = list(seeds)
     if not seeds:
         raise InvalidArgument("need at least one seed")
     reached = (schedule or Schedule()).reached
+    pooled = core.pool_size(threads, len(seeds)) > 1
     runs = core.process_map(
-        partial(reduce, C, budget=budget, schedule=schedule), seeds, threads)
+        partial(_seed_run, C, budget, schedule, not pooled), seeds, threads)
     least = None
-    for seed, (best, trace, stats) in zip(seeds, runs):
-        if reached(stats["best_f"]):
-            return best, seed, trace, stats
-        if least is None or (stats["best_f"], seed) < least[0]:
-            least = (stats["best_f"], seed), (best, seed, trace, stats)
-    return least[1]
+    for seed, (best_f, run) in zip(seeds, runs):
+        if reached(best_f):
+            return run[0], seed, *run[1:]
+        if least is None or (best_f, seed) < least[0]:
+            least = (best_f, seed), run
+    (_, seed), run = least
+    best, trace, stats = run or reduce(C, seed, budget, schedule)
+    return best, seed, trace, stats

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mwb.constructions import boundary_simplex, twisted_bundle
-from mwb.core import f_vector, from_facets, is_pseudomanifold
+from mwb.core import f_vector, from_facets, is_pseudomanifold, link
 from mwb.errors import BudgetZero, IllegalMove, InvalidArgument
 from mwb.flips import (FlipMove, Schedule, SplitMix64, _check_legal, _State,
                        apply_move, legal_moves, random_walk, reduce, replay)
@@ -202,6 +202,42 @@ def test_reduce_multi_is_deterministic_and_parallelizable():
     assert runs[0][2] == runs[1][2]
 
 
+# seeds 2 and 3 do not reach the Walkup minimum in 600 moves, seed 1 does;
+# no seed reaches 8 vertices, and then seed 1 has the least best f-vector
+POOL_SCHEDULES = {"reached": Schedule(target_f=(9, 36, 54, 27)),
+                  "unreached": Schedule(target_f0=8)}
+
+
+@pytest.mark.parametrize("name", POOL_SCHEDULES)
+def test_reduce_multi_pool_returns_what_one_worker_does(name):
+    from mwb.flips import reduce_multi
+    C, schedule = twisted_bundle(3), POOL_SCHEDULES[name]
+    one = reduce_multi(C, [2, 3, 1], 600, schedule)
+    assert one[1] == 1
+    assert schedule.reached(one[3]["best_f"]) == (name == "reached")
+    assert reduce_multi(C, [2, 3, 1], 600, schedule, threads=2) == one
+
+
+def test_reduce_multi_pool_sends_back_only_runs_that_reached(fake_pool,
+                                                             monkeypatch):
+    # a pool worker returns its whole run only if the run reached the
+    # target; when none did, the parent runs the least seed again
+    from mwb import flips
+    C, sent, runs = twisted_bundle(3), [], []
+    seed_run, reduce_ = flips._seed_run, flips.reduce
+    monkeypatch.setattr(flips, "_seed_run",
+                        lambda *args: sent.append(seed_run(*args)) or sent[-1])
+    monkeypatch.setattr(flips, "reduce",
+                        lambda *args: runs.append(args[1]) or reduce_(*args))
+    for name, kept in (("reached", [False, False, True]),
+                       ("unreached", [False, False, False])):
+        sent.clear()
+        runs.clear()
+        flips.reduce_multi(C, [2, 3, 1], 600, POOL_SCHEDULES[name], threads=2)
+        assert [run is not None for _, run in sent] == kept
+        assert runs == [2, 3, 1] + [1] * (name == "unreached")
+
+
 def test_reduce_multi_pool_is_capped(fake_pool):
     from mwb.flips import reduce_multi
     C = boundary_simplex(3)
@@ -293,7 +329,11 @@ ORACLE_INPUTS = ("boundary_simplex(3)", "RP3-11", "S2xS2-11")
 
 
 def _oracle_input(name, complexes):
-    return boundary_simplex(3) if name == "boundary_simplex(3)" else complexes[name]
+    if name == "boundary_simplex(3)":
+        return boundary_simplex(3)
+    if name == "S3xS3-a-13 link":  # a 3-neighborly 5-sphere on 12 vertices
+        return link(complexes["S3xS3-a-13"], (1,))
+    return complexes[name]
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS)
@@ -327,18 +367,20 @@ def test_legal_move_index_matches_oracle_as_bits_are_recycled(name, complexes):
     assert _replay_against_oracle(C, trace, read_every=5, seed=3) > 0
 
 
-@pytest.mark.parametrize("name", ORACLE_INPUTS[1:])
+@pytest.mark.parametrize("name", ORACLE_INPUTS[1:] + ("S3xS3-a-13 link",))
 def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
-    # before the face star is built, a face's star is the intersection of
-    # its vertices' stars; after, it is looked up.  Non-edges are no faces.
-    C, _ = random_walk(complexes[name], seed=7, steps=80)
+    # before the face index is built, a face's star is the intersection of
+    # its vertices' stars; after, its facet count and star-vertex mask are
+    # looked up.  A face plus a vertex is often no face, in every size from
+    # 3 (the link is 3-neighborly) to d+2.
+    C, _ = random_walk(_oracle_input(name, complexes), seed=7, steps=80)
     plain, indexed = _State(C), _State(C)
     indexed.f()
-    faces = set(indexed.star)
+    faces = set(indexed.c)
     assert len(faces) == sum(f_vector(C).counts)
-    pairs = {a | b for a, b in itertools.combinations(indexed._bit.values(), 2)}
-    assert pairs - faces
-    for A in faces | pairs:
+    grown = {s | b for s in faces for b in indexed._bit.values() if not s & b}
+    assert {s.bit_count() for s in grown - faces} >= set(range(3, C.dim + 3))
+    for A in faces | grown:
         for kind in range(1, C.dim + 1):
             assert plain.candidate(kind, A) == indexed.candidate(kind, A)
     assert plain.counts is None
@@ -425,6 +467,67 @@ def test_legal_move_index_matches_oracle_property(complexes, seed, steps,
     C = _oracle_input(name, complexes)
     _, trace = random_walk(C, seed=seed, steps=steps)
     _replay_against_oracle(C, trace, read_every=read_every, seed=seed)
+
+
+# --- the face index against brute force -------------------------------------
+
+def _brute_face_index(facets):
+    """Each face of a facet set (label tuples) -> the number of facets
+    containing it and the sorted union of their vertices, from the
+    definition.  Uses nothing of the flip engine."""
+    count, union = {}, {}
+    for F in facets:
+        for r in range(1, len(F) + 1):
+            for s in itertools.combinations(F, r):
+                count[s] = count.get(s, 0) + 1
+                union.setdefault(s, set()).update(F)
+    return {s: (n, tuple(sorted(union[s]))) for s, n in count.items()}
+
+
+def _assert_face_index_is_brute_force(state):
+    """The face set, the facet counts ``c`` and the star-vertex masks ``V``
+    of an indexed state equal the brute-force values of its snapshot."""
+    assert state.V.keys() == state.c.keys()
+    got = {state.face(s): (n, state.face(state.V[s])) for s, n in state.c.items()}
+    assert got == _brute_face_index(state.snapshot())
+
+
+FACE_INDEX_INPUTS = ("RP3-11", "S2xS2-11", "S3xS3-a-13 link")
+
+
+@pytest.mark.parametrize("name", FACE_INDEX_INPUTS)
+def test_face_index_is_brute_force_after_every_move_of_a_walk(name, complexes):
+    C = _oracle_input(name, complexes)
+    _, walk = random_walk(C, seed=5, steps=120)
+    assert {m.kind for m in walk} == set(range(C.dim + 1))
+    state = _State(C)
+    state.f()
+    _assert_face_index_is_brute_force(state)
+    for m in walk:
+        state.apply(m)
+        _assert_face_index_is_brute_force(state)
+
+
+@pytest.mark.parametrize("name", FACE_INDEX_INPUTS)
+def test_face_index_is_brute_force_after_every_move_of_reduce(
+        name, complexes, monkeypatch):
+    # the reducer applies moves to an indexed state, and on a revert jumps
+    # back to its best complex and builds the index again; the link of
+    # S3xS3-a-13 reaches the boundary of the 6-simplex without a revert
+    start, _ = random_walk(_oracle_input(name, complexes), seed=9, steps=40)
+    apply, checked = _State.apply, []
+
+    def apply_and_check(state, m):
+        apply(state, m)
+        if state.counts is not None:
+            _assert_face_index_is_brute_force(state)
+            checked.append(m)
+
+    monkeypatch.setattr(_State, "apply", apply_and_check)
+    _, trace, stats = reduce(start, seed=2, budget=100)
+    assert (stats["reverts"] > 0) == (name != "S3xS3-a-13 link")
+    # every move but those a revert jumps over
+    assert checked and (checked == trace) == (stats["reverts"] == 0)
 
 
 # --- determinism: the gate-5 walk traces are pinned -----------------------
