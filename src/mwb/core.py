@@ -240,18 +240,14 @@ def is_combinatorial_manifold(C: Complex, flip_budget: int = 10_000) -> Manifold
     return ManifoldVerdict("yes") if unknown is None else unknown
 
 
-def pool_size(threads: int, jobs: int) -> int:
-    """The number of processes ``process_map`` runs ``jobs`` jobs on."""
-    return min(threads, jobs, os.cpu_count() or 1)
-
-
 def process_map(fn, jobs, threads: int):
-    """``fn`` over ``jobs`` in order, on ``pool_size`` processes.  One worker
-    gives the lazy ``map(fn, jobs)``, which a caller may stop early; a pool,
-    imported only here, runs every job and returns a list."""
+    """``fn`` over ``jobs`` in order, on min(threads, len(jobs), cpu_count)
+    processes.  One worker gives the lazy ``map(fn, jobs)``, which a caller
+    may stop early; a pool, imported only here, runs every job and returns a
+    list."""
     if threads < 1:
         raise InvalidArgument("threads must be >= 1")
-    workers = pool_size(threads, len(jobs))
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
     if workers <= 1:
         return map(fn, jobs)
     import concurrent.futures

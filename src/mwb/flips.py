@@ -578,14 +578,6 @@ def reduce(C: Complex, seed: int, budget: int,
     return core.from_facets(state.snapshot(best)), trace, stats
 
 
-def _seed_run(C: Complex, budget: int, schedule, keep_all: bool, seed: int):
-    """(best_f, run) of ``reduce`` on one seed; the run is None unless
-    ``keep_all`` or it reached the target, so a pool sends back no other."""
-    run = reduce(C, seed, budget, schedule)
-    best_f = run[2]["best_f"]
-    return best_f, run if keep_all or (schedule or Schedule()).reached(best_f) else None
-
-
 def reduce_multi(C: Complex, seeds, budget: int,
                  schedule: Schedule | None = None, threads: int = 1):
     """Run reduce over several seeds; returns (best, seed, trace, stats).
@@ -594,23 +586,18 @@ def reduce_multi(C: Complex, seeds, budget: int,
     reaches the schedule target; if none does, the run with the least
     (stats["best_f"], seed) wins.  One scan in seed order over
     ``core.process_map`` applies this rule, so ``threads`` cannot change the
-    winner: one worker stops at it, and a pool runs every seed first and
-    sends back only the runs that reached the target; if none did, the
-    parent runs the least seed again.
+    winner: one worker stops at it, and a pool runs every seed first.
     """
     seeds = list(seeds)
     if not seeds:
         raise InvalidArgument("need at least one seed")
     reached = (schedule or Schedule()).reached
-    pooled = core.pool_size(threads, len(seeds)) > 1
     runs = core.process_map(
-        partial(_seed_run, C, budget, schedule, not pooled), seeds, threads)
+        partial(reduce, C, budget=budget, schedule=schedule), seeds, threads)
     least = None
-    for seed, (best_f, run) in zip(seeds, runs):
-        if reached(best_f):
-            return run[0], seed, *run[1:]
-        if least is None or (best_f, seed) < least[0]:
-            least = (best_f, seed), run
-    (_, seed), run = least
-    best, trace, stats = run or reduce(C, seed, budget, schedule)
-    return best, seed, trace, stats
+    for seed, (best, trace, stats) in zip(seeds, runs):
+        if reached(stats["best_f"]):
+            return best, seed, trace, stats
+        if least is None or (stats["best_f"], seed) < least[0]:
+            least = (stats["best_f"], seed), (best, seed, trace, stats)
+    return least[1]

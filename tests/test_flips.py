@@ -218,26 +218,6 @@ def test_reduce_multi_pool_returns_what_one_worker_does(name):
     assert reduce_multi(C, [2, 3, 1], 600, schedule, threads=2) == one
 
 
-def test_reduce_multi_pool_sends_back_only_runs_that_reached(fake_pool,
-                                                             monkeypatch):
-    # a pool worker returns its whole run only if the run reached the
-    # target; when none did, the parent runs the least seed again
-    from mwb import flips
-    C, sent, runs = twisted_bundle(3), [], []
-    seed_run, reduce_ = flips._seed_run, flips.reduce
-    monkeypatch.setattr(flips, "_seed_run",
-                        lambda *args: sent.append(seed_run(*args)) or sent[-1])
-    monkeypatch.setattr(flips, "reduce",
-                        lambda *args: runs.append(args[1]) or reduce_(*args))
-    for name, kept in (("reached", [False, False, True]),
-                       ("unreached", [False, False, False])):
-        sent.clear()
-        runs.clear()
-        flips.reduce_multi(C, [2, 3, 1], 600, POOL_SCHEDULES[name], threads=2)
-        assert [run is not None for _, run in sent] == kept
-        assert runs == [2, 3, 1] + [1] * (name == "unreached")
-
-
 def test_reduce_multi_pool_is_capped(fake_pool):
     from mwb.flips import reduce_multi
     C = boundary_simplex(3)
