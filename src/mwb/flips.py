@@ -119,12 +119,12 @@ class _State:
 
     Bits come from a label -> bit map, so masks stay as wide as the complex
     however large its labels grow (they are compacted only on export, so
-    every move is exactly invertible in place).  A vanished vertex's bit is
-    freed only once no kind holds a dirty face, so no stale mask can name a
-    new vertex.  ``face`` decodes a mask once and keeps the tuple until a
-    freed bit may take a new label; ``mark`` records ``facets`` with the
-    labels for a later ``snapshot``.  The pools hold sorted label tuples, so
-    picks never depend on bits.
+    every move is exactly invertible in place).  A new vertex takes a
+    vanished one's bit only after every dirty face is re-tested, so no stale
+    mask names it; ``face`` decodes a mask once and keeps the tuple until
+    then.  ``mark`` records ``facets`` with the labels for a later
+    ``snapshot``.  The pools hold sorted label tuples, so picks never depend
+    on bits.
 
     At first ``star`` maps each vertex to its facets: a move updates each
     vertex star of A u B once, and s is a face iff its vertices' stars meet
@@ -160,8 +160,7 @@ class _State:
         self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
         self._labels: list = []   # bit index -> label, the mask width
         self._faces: dict = {}    # mask -> its decoded labels
-        self._free: list = []     # bit indices free to take
-        self._vanished: list = []  # bit indices of vanished vertices, not yet free
+        self._free: list = []     # bit indices of vanished vertices
         # per kind: sorted remove-faces of the legal moves (kind 0: facets),
         # None until first read
         self._pools: list = [None] * (self.d + 1)
@@ -180,19 +179,16 @@ class _State:
 
     def _add_vertex(self, v: int):
         if self._free:
+            # a mask naming a vanished vertex is a dirty face until re-tested
+            for kind in self._indexed:
+                self.pool(kind)
+            self._faces.clear()
             i = self._free.pop()
             self._labels[i] = v
         else:
             i = len(self._labels)
             self._labels.append(v)
         self._bit[v] = 1 << i
-
-    def _release(self):
-        # every mask that can still name a vanished vertex is a dirty face
-        if not any(self._dirty[kind] for kind in self._indexed):
-            self._free += self._vanished
-            self._vanished = []
-            self._faces.clear()  # a freed bit may take a new label
 
     def _mask(self, face) -> int:
         return sum(map(self._bit.__getitem__, face))
@@ -261,9 +257,8 @@ class _State:
         return self.max_label + 1
 
     def _star(self, s: int) -> tuple:
-        """(The number of facets containing s, their OR); (0, 0) if no face."""
-        if self.counts is not None:
-            return self.c.get(s, 0), self.V.get(s, 0)
+        """(The number of facets containing s, their OR) from the vertex
+        stars, so only before the face index; (0, 0) if no face."""
         star, U = self.star, 0
         st = star.get(s & -s, ())
         s &= s - 1
@@ -332,8 +327,6 @@ class _State:
             return self._build(kind)
         if kind and self._dirty[kind]:
             self._retest(kind, self._dirty[kind])
-        if self._vanished:
-            self._release()
         return pool
 
     def move(self, kind: int, A: tuple) -> FlipMove:
@@ -378,14 +371,8 @@ class _State:
                 del facet_pool[bisect.bisect_left(facet_pool, self.face(F))]
             for G in added:
                 bisect.insort(facet_pool, self.face(G))
-        for kind in self._indexed:
-            if len(self._dirty[kind]) > 2 * self.counts[self.d - kind]:
-                # a kind the reducer seldom reads (the heating kinds) would
-                # otherwise pile up every face it ever had
-                self.pool(kind)
-        if m.kind == self.d:  # the removed vertex's bit waits in _vanished
-            self._vanished.append(self._bit.pop(m.remove[0]).bit_length() - 1)
-            self._release()
+        if m.kind == self.d:  # the removed vertex's bit waits in _free
+            self._free.append(self._bit.pop(m.remove[0]).bit_length() - 1)
 
     def mark(self) -> tuple:
         """A cheap record of the complex now, for ``snapshot``."""

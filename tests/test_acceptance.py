@@ -13,8 +13,9 @@ from mwb.bounds import (EXCEPTIONAL_SURFACES, Facts, TopologyHints,
                         kuehnel_4d)
 from mwb.census import SurfaceClass, enumerate_spheres, enumerate_surfaces
 from mwb.constructions import boundary_simplex, product, twisted_bundle
-from mwb.core import f_vector, is_pseudomanifold, relabeled
-from mwb.flips import Schedule, SplitMix64, random_walk, reduce, replay
+from mwb.core import f_vector, from_facets, is_pseudomanifold, relabeled
+from mwb.flips import (Schedule, SplitMix64, _State, random_walk, reduce,
+                       replay)
 from mwb.homology import homology
 from mwb.iso import are_isomorphic, as_determinant, as_link_determinants, \
     automorphism_group, canonical_form
@@ -157,11 +158,18 @@ def test_acceptance_3_flip_reduction():
     assert (stats["moves"], stats["reverts"], stats["heating_phases"]) == \
         (18_225, 21, 78)
     assert homology(best) == expected_h
+    # the prefixes from one state carried along the trace, whose moves the
+    # full replay below checks
     every = max(2000, len(trace) // 8)
+    state, done = _State(P), 0
     for k in [*range(every, len(trace) + 1, every), len(trace)]:
-        cp = replay(P, trace[:k])
+        for m in trace[done:k]:
+            state.apply(m)
+        done = k
+        cp = from_facets(state.snapshot())
         assert homology(cp) == expected_h
         assert is_pseudomanifold(cp)
+    assert replay(P, trace) == cp
 
     tb = twisted_bundle(3)
     expected_h = homology(tb)

@@ -264,23 +264,22 @@ def _replay_against_oracle(C, trace, read_every=1, seed=0):
     The facets are read through ``snapshot()``, which decodes the facet
     masks, and at every read the f-vector the engine keeps by per-kind
     deltas must equal the one counted from those facets.  Also checks that
-    the mask width stays within the peak, over the steps, of the live
-    vertices plus those vanished since the last full flush (no dirty face
-    in any kind), and that at every read ``_wants`` inverts the ``_spheres``
-    of every indexed kind.  Returns the number of 0-moves applied while
-    such a vanished vertex's bit was still held back."""
+    the mask width never exceeds the peak live-vertex count so far, and
+    that at every read ``_wants`` inverts the ``_spheres`` of every indexed
+    kind.  Returns the number of 0-moves that took a vanished vertex's bit
+    while an indexed kind still had dirty faces."""
     state = _State(C)
     rng = SplitMix64(seed)
-    peak = vanished = reborn = 0
+    peak = reused = 0
     for step, m in enumerate([None] + list(trace)):
         if m is not None:
-            reborn += m.kind == 0 and vanished > 0
+            reused += (m.kind == 0 and bool(state._free)
+                       and any(state._dirty[k] for k in state._indexed))
             state.apply(m)
-            vanished += m.kind == state.d
         facets = state.snapshot()
         vertices = {v for F in facets for v in F}
         assert state.fresh_label() not in vertices
-        peak = max(peak, len(vertices) + vanished)
+        peak = max(peak, len(vertices))
         assert len(state._labels) <= peak, step
         for k in range(state.d + 1):
             if read_every == 1 or rng.randrange(read_every) == 0:
@@ -289,9 +288,7 @@ def _replay_against_oracle(C, trace, read_every=1, seed=0):
                 assert state.legal_moves(k) == want, (step, k)
                 assert state.f() == f_vector(from_facets(facets)).counts, step
                 _assert_wants_inverts_spheres(state)
-        if not any(state._dirty[k] for k in state._indexed):
-            vanished = 0
-    return reborn
+    return reused
 
 
 def _assert_wants_inverts_spheres(state):
@@ -338,9 +335,9 @@ def test_legal_move_index_matches_oracle_along_reduce(name, complexes):
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS[:2])
 def test_legal_move_index_matches_oracle_as_bits_are_recycled(name, complexes):
-    # labels pass 64, and vertices vanish and new ones are born while faces
-    # naming the vanished ones are still dirty: a bit handed on too early
-    # would let such a stale mask name the new vertex
+    # labels pass 64, and vertices vanish and new ones take their bits while
+    # faces naming the vanished ones are still dirty: a bit handed on before
+    # those faces are re-tested would let a stale mask name the new vertex
     C = _oracle_input(name, complexes)
     _, trace = random_walk(C, seed=3, steps=300)
     assert max(v for m in trace for v in m.insert) > 64
@@ -350,19 +347,26 @@ def test_legal_move_index_matches_oracle_as_bits_are_recycled(name, complexes):
 @pytest.mark.parametrize("name", ORACLE_INPUTS[1:] + ("S3xS3-a-13 link",))
 def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
     # before the face index is built, a face's star is the intersection of
-    # its vertices' stars; after, its facet count and star-vertex mask are
-    # looked up.  A face plus a vertex is often no face, in every size from
-    # 3 (the link is 3-neighborly) to d+2.
+    # its vertices' stars; the index, checked against brute force, holds
+    # its facet count c and star-vertex mask V, and a kind-k move at A is
+    # legal iff c[A] = k+1 and B = V[A] ^ A is a k-simplex that is no face.
+    # A face plus a vertex is often no face, in every size from 3 (the link
+    # is 3-neighborly) to d+2.
     C, _ = random_walk(_oracle_input(name, complexes), seed=7, steps=80)
     plain, indexed = _State(C), _State(C)
     indexed.f()
-    faces = set(indexed.c)
-    assert len(faces) == sum(f_vector(C).counts)
-    grown = {s | b for s in faces for b in indexed._bit.values() if not s & b}
-    assert {s.bit_count() for s in grown - faces} >= set(range(3, C.dim + 3))
-    for A in faces | grown:
+    _assert_face_index_is_brute_force(indexed)
+    c, V = indexed.c, indexed.V
+    assert len(c) == sum(f_vector(C).counts) and plain._bit == indexed._bit
+    grown = {s | b for s in c for b in indexed._bit.values() if not s & b}
+    assert {s.bit_count() for s in grown - c.keys()} >= set(range(3, C.dim + 3))
+    for A in c.keys() | grown:
+        n, U = c.get(A, 0), V.get(A, 0)
+        assert plain._star(A) == (n, U)
+        B = U ^ A
         for kind in range(1, C.dim + 1):
-            assert plain.candidate(kind, A) == indexed.candidate(kind, A)
+            legal = n == B.bit_count() == kind + 1 and B not in c
+            assert plain.candidate(kind, A) == (B if legal else None)
     assert plain.counts is None
     assert all(s & (s - 1) == 0 for s in plain.star)
 
@@ -421,18 +425,18 @@ def test_vertex_stars_match_a_fresh_state_after_every_move(name, complexes):
 def test_face_decodes_the_new_labels_of_a_reused_bit_and_after_restore(indexed):
     C = boundary_simplex(3)
     state = _State(C)
-    for k in range(4 * indexed):
-        state.pool(k)
     stack = FlipMove(0, (1, 2, 3, 4), (6,))
     state.apply(stack)
+    for k in range(4 * indexed):
+        state.pool(k)  # the 3-moves remove (5,) and (6,)
     six = state.mask_of((1, 2, 6))
     assert state.face(six) == (1, 2, 6)
-    state.apply(stack.inverse(3))  # vertex 6 vanishes
-    for k in range(4 * indexed):
-        state.pool(k)  # no dirty face is left, so its bit is freed
+    state.apply(stack.inverse(3))  # vertex 6 vanishes and frees its bit
+    # 7 takes it, once the dirty faces that may name 6 are re-tested
     state.apply(FlipMove(0, (1, 2, 3, 4), (7,)))
-    assert state.mask_of((1, 2, 7)) == six  # 7 took the freed bit
+    assert state.mask_of((1, 2, 7)) == six
     assert state.face(six) == (1, 2, 7)
+    assert [m.remove for m in state.legal_moves(3)] == [(5,), (7,)]
     low = state.mask_of((1, 2, 3))
     assert state.face(low) == (1, 2, 3)
     state.restore([tuple(v + 10 for v in F) for F in C.facets])
