@@ -14,10 +14,14 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .errors import (BudgetZero, InvalidArgument, NotAFace, NotPure,
-                     UnsupportedDimension)
+from .errors import (BudgetZero, CapExceeded, InvalidArgument, NotAFace,
+                     NotPure, UnsupportedDimension)
 
 Face = tuple  # strictly increasing tuple of vertex labels
+
+# the most faces a complex may span, counted as facets * (2^(d+1) - 1): a
+# d-simplex has 2^(d+1) - 1 faces, so a 30-dimensional one alone has 2^31 - 1
+FACE_CAP = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -50,6 +54,11 @@ class Complex:
     __slots__ = ("dim", "n", "facets", "source_labels", "_faces_cache", "_ridge_cache")
 
     def __init__(self, facets: Sequence[Face], source_labels: Sequence[int]):
+        bound = len(facets) * ((1 << len(facets[0])) - 1)
+        if bound > FACE_CAP:  # checked before any face is listed
+            raise CapExceeded(
+                f"{len(facets)} facets of dimension {len(facets[0]) - 1} span "
+                f"up to {bound:,} faces, above the face cap {FACE_CAP:,}")
         object.__setattr__(self, "facets", tuple(facets))
         object.__setattr__(self, "dim", len(facets[0]) - 1)
         object.__setattr__(self, "n", len(source_labels))

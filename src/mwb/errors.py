@@ -42,7 +42,7 @@ class IncompatibleGluing(WorkbenchError):
 
 
 class CapExceeded(WorkbenchError):
-    """Census size exceeds the configured cap."""
+    """A census size or a complex's face count exceeds its cap."""
 
 
 class ParseError(WorkbenchError):

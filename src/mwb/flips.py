@@ -7,14 +7,10 @@ simplex.  The reducer greedily prefers moves that lower the lexicographic
 f-vector, escapes local minima with bounded random "heating" phases, and
 returns to the best complex whenever an excursion fails to improve it (the
 trace records inverse moves, so it stays replayable; the state jumps back).
-
-Legal moves are kept incrementally (see ``_State``).  Faces are int bitmasks,
-each with its number of facets and their OR, which decide its moves; a move
-rewrites them on the proper subfaces of A u B only.  Until the f-vector or a
-pool of kind >= 1 is read only vertex stars are kept, and ``replay`` updates
-d+2 of them per move.  Picks draw from the legal moves sorted by remove-face as
-label tuples, never by mask, so every search and walk, and its trace, depends
-only on (input, seed, budget, schedule); ``tri_io`` reads and writes traces.
+Legal moves are kept incrementally on int bitmask faces (see ``_State``).
+Picks draw from the legal moves sorted by remove-face as label tuples, never
+by mask, so every search and walk, and its trace, depends only on (input,
+seed, budget, schedule); ``tri_io`` reads and writes traces.
 
 The undo rule: right after a legal k-move (k, A, B) its inverse (d-k, B, A)
 is legal and restores the complex exactly.  So ``replay`` keeps a stack of
@@ -105,8 +101,9 @@ def _f_deltas(d: int) -> list:
 
 
 def _parts(X: int) -> list:
-    """(s, |X-s|, X-s if one vertex else 0) for each submask s of X, X first."""
-    subs = [X]
+    """(s, |X-s|, X-s if one vertex else 0) for each proper submask s of X,
+    0 last.  It names no label, so a ``_State`` keeps it per mask."""
+    subs = [(X - 1) & X]
     while subs[-1]:
         subs.append((subs[-1] - 1) & X)
     return [(s, (t := X ^ s).bit_count(), t if t & (t - 1) == 0 else 0)
@@ -122,9 +119,10 @@ class _State:
     every move is exactly invertible in place).  A new vertex takes a
     vanished one's bit only after every dirty face is re-tested, so no stale
     mask names it; ``face`` decodes a mask once and keeps the tuple until
-    then.  ``mark`` records ``facets`` with the labels for a later
-    ``snapshot``.  The pools hold sorted label tuples, so picks never depend
-    on bits.
+    then.  ``_split`` keeps the ``_parts`` of a mask for the life of the
+    state, as they name no label.  ``mark`` records ``facets`` with the
+    labels for a later ``snapshot``.  The pools hold sorted label tuples, so
+    picks never depend on bits.
 
     At first ``star`` maps each vertex to its facets: a move updates each
     vertex star of A u B once, and s is a face iff its vertices' stars meet
@@ -132,22 +130,18 @@ class _State:
     face index: ``c[s]``, the number of facets containing the face s, and
     ``V[s]``, their OR.  A kind-k move at A is legal iff c[A] = k+1 and
     B = V[A] ^ A has k+1 vertices and is no face: k+1 distinct k-subsets of
-    a (k+1)-set are all of them.  A move (A, B) rewrites each proper subface
-    s of A u B once (``_update``): faces containing A vanish, faces
-    containing B appear with c = |A-s| and V = A u B (V = s if c = 1), and
-    every other s gets c += |A-s| - |B-s| and V ^= each of A-s, B-s that is
-    one vertex.  The f-vector changes by a constant per kind.
+    a (k+1)-set are all of them.  A move rewrites both on the proper
+    subfaces of A u B, and the f-vector by a constant per kind.
 
     A kind's legal-move index is built on its first ``pool`` read, with
-    every face of its size dirty.  A move dirties the proper subfaces of
-    A u B and, when it creates or deletes a face B, every remove-face whose
-    link is dB; a pool read re-tests its dirty faces in one batch.
+    every face of its size dirty.  A move dirties only the faces whose move
+    it may change (``_update``); a pool read re-tests them in one batch.
     """
 
     def __init__(self, C: Complex):
-        self.d = C.dim
-        self.max_label = C.n
+        self.d, self.max_label = C.dim, C.n
         self._deltas = _f_deltas(self.d)
+        self._split: dict = {}  # mask -> _parts(mask), for any labels
         self.restore(C.facets)
 
     def restore(self, facets):
@@ -161,8 +155,7 @@ class _State:
         self._labels: list = []   # bit index -> label, the mask width
         self._faces: dict = {}    # mask -> its decoded labels
         self._free: list = []     # bit indices of vanished vertices
-        # per kind: sorted remove-faces of the legal moves (kind 0: facets),
-        # None until first read
+        # per kind, None until read: sorted remove-faces (kind 0: facets)
         self._pools: list = [None] * (self.d + 1)
         self._listed: list = [None] * (self.d + 1)   # kind -> masks in the pool
         self._spheres: list = [None] * (self.d + 1)  # kind -> {A: B}, link(A) = dB
@@ -206,11 +199,16 @@ class _State:
         return self._faces.get(s) or self._faces.setdefault(s, _face(s, self._labels))
 
     def _update(self, A: int, B: int):
-        """Rewrite ``c`` and ``V`` on the proper subfaces of A u B for the move
-        (A, B), and dirty those subfaces in each indexed kind of their size,
-        with the faces whose link bounds one that vanishes or appears."""
+        """Rewrite ``c`` and ``V`` on the proper subfaces s of A u B for the
+        move (A, B): faces containing A vanish, faces containing B appear
+        with c = |A-s| and V = A u B (V = s if c = 1), and every other s gets
+        c += |A-s| - |B-s| and V ^= each of A-s, B-s that is one vertex.
+        Dirty those that vanish or appear, the faces whose link bounds one of
+        them, and each other s whose move may change: c = |A-s| + |B-s| (its
+        kind+1) before or after, and |A-s| != |B-s| or both are 1."""
         c, V, wants, dirty = self.c, self.V, self._wants, self._dirty
-        AB, on_B = A | B, _parts(B)[1:]
+        split = self._split
+        AB, on_B = A | B, split.get(B) or split.setdefault(B, _parts(B))
         touched = [[] for _ in range(self.d + 2)]  # [r]: s with |A u B - s| = r
         for b, rb, _ in on_B:  # the faces A u b, b a proper part of B, vanish
             s = A | b
@@ -218,7 +216,7 @@ class _State:
             del c[s], V[s]
             if s in wants:  # moves inserting s may open up
                 dirty[s.bit_count() - 1].update(wants[s])
-        for a, ra, xa in _parts(A)[1:]:
+        for a, ra, xa in split.get(A) or split.setdefault(A, _parts(A)):
             s = a | B  # appears, in the added facets that miss a vertex of A - a
             touched[ra].append(s)
             c[s], V[s] = ra, s if ra == 1 else AB
@@ -226,9 +224,11 @@ class _State:
                 dirty[s.bit_count() - 1].update(wants[s])
             for b, rb, xb in on_B if a else on_B[:-1]:
                 s = a | b
-                touched[ra + rb].append(s)
+                n = c[s]  # ra + rb after the move iff n = 2 rb
+                if (n == ra + rb or n == 2 * rb) and (ra != rb or xa):
+                    touched[ra + rb].append(s)
                 if ra != rb:
-                    c[s] += ra - rb
+                    c[s] = n + ra - rb
                 if xa != xb:
                     V[s] ^= xa ^ xb
         for kind in self._indexed:  # of size d+1 - kind = |A u B| - (kind+1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from mwb import catalog
 from mwb import constructions as cons
 from mwb.cli import MAX_SEEDS, _parse_seeds, main
+from mwb.core import FACE_CAP
 from mwb.errors import WorkbenchError
 from mwb.flips import random_walk
 from mwb.tri_io import (load, parse, parse_coords, parse_trace, save, write,
@@ -344,6 +345,37 @@ def test_huge_seed_range_exits_2_without_expanding():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 2
     assert proc.stderr == f"error: more than {MAX_SEEDS} seeds\n"
+
+
+@pytest.mark.parametrize("via", ["construct", "tri"])
+def test_a_complex_above_the_face_cap_exits_3_before_listing_faces(
+        tmp_path, via):
+    # the boundary of the 31-simplex has 2^32 - 2 faces; listing them would
+    # not end, so the child process gets 512 MiB and 60 s
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+    tri = tmp_path / "b30.tri"
+    tri.write_text("30 32\n" + "".join(
+        " ".join(str(v) for v in range(1, 33) if v != skip) + "\n"
+        for skip in range(1, 33)))
+    argv = {"construct": ["construct", "boundary", "--dim", "30"],
+            "tri": ["info", "--in", str(tri)]}[via]
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwb.cli", *argv], capture_output=True,
+        text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"error: 32 facets of dimension 30 span up to 68,719,476,704 faces, "
+        f"above the face cap {FACE_CAP:,}\n")
+
+
+def test_a_complex_under_the_face_cap_is_built(capsys):
+    assert main(["construct", "boundary", "--dim", "12"]) == 0
+    assert "f=(14, 91, 364, 1001, 2002, 3003, 3432, 3003," in (
+        capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("kind", ["tri", "coords", "trace"])

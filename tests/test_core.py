@@ -6,12 +6,12 @@ import pytest
 
 from mwb.census import enumerate_surfaces
 from mwb.constructions import boundary_simplex, suspension
-from mwb.core import (ManifoldVerdict, f_vector, from_facets,
+from mwb.core import (FACE_CAP, ManifoldVerdict, f_vector, from_facets,
                       is_combinatorial_manifold, is_k_neighborly,
                       is_pseudomanifold, link, process_map, relabeled,
                       star)
-from mwb.errors import (BudgetZero, InvalidArgument, NotAFace, NotPure,
-                        UnsupportedDimension)
+from mwb.errors import (BudgetZero, CapExceeded, InvalidArgument, NotAFace,
+                        NotPure, UnsupportedDimension)
 from mwb.homology import homology
 from mwb.iso import as_determinant
 
@@ -264,6 +264,16 @@ def test_surface_and_3d_f_vector_relations(csaszar, complexes):
         n, f1, f2, f3 = f_vector(complexes[name]).counts
         assert 2 * f2 == 4 * f3
         assert (n, f1, 2 * f1 - 2 * n, f1 - n) == f_vector(complexes[name]).counts
+
+
+def test_the_face_cap_is_checked_when_a_complex_is_built():
+    # facets * (2^(d+1) - 1): 20 * (2^19 - 1) is under the cap and
+    # 21 * (2^20 - 1) above it; neither lists a face
+    assert 20 * (2**19 - 1) <= FACE_CAP < 21 * (2**20 - 1)
+    assert boundary_simplex(18).dim == 18
+    with pytest.raises(CapExceeded, match=f"21 facets of dimension 19 .* "
+                                          f"face cap {FACE_CAP:,}"):
+        boundary_simplex(19)
 
 
 def test_relabeled_is_involutive(csaszar):

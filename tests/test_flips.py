@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mwb import flips
 from mwb.constructions import boundary_simplex, twisted_bundle
 from mwb.core import f_vector, from_facets, is_pseudomanifold, link
 from mwb.errors import BudgetZero, IllegalMove, InvalidArgument
-from mwb.flips import (FlipMove, Schedule, SplitMix64, _check_legal, _State,
-                       apply_move, legal_moves, random_walk, reduce, replay)
+from mwb.flips import (FlipMove, Schedule, SplitMix64, _check_legal, _parts,
+                       _State, apply_move, legal_moves, random_walk, reduce,
+                       replay)
 from mwb.homology import homology
 from mwb.tri_io import parse_trace, write_trace
 
@@ -441,6 +443,40 @@ def test_face_decodes_the_new_labels_of_a_reused_bit_and_after_restore(indexed):
     assert state.face(low) == (1, 2, 3)
     state.restore([tuple(v + 10 for v in F) for F in C.facets])
     assert state.face(low) == (11, 12, 13)
+
+
+def test_memoized_parts_equal_fresh_ones_after_reverts_and_bit_reuse(
+        complexes, monkeypatch):
+    # the parts of a mask name no label, so one memo serves a state across
+    # restore (a revert) and across a vanished vertex's bit taken by a new one
+    states = []
+
+    class Recorded(_State):
+        def __init__(self, C):
+            super().__init__(C)
+            states.append(self)
+
+    monkeypatch.setattr(flips, "_State", Recorded)
+    _, _, stats = reduce(twisted_bundle(3), seed=3, budget=300)
+    assert stats["reverts"] > 0
+    C = complexes["RP3-11"]
+    _, walk = random_walk(C, seed=5, steps=60)
+    assert len(states) == 2
+    new_vertices = sum(m.kind == 0 for m in walk)
+    assert new_vertices > len(states[1]._labels) - C.n  # so a bit was reused
+    for state in states:
+        assert state._split
+        for X, parts in state._split.items():
+            assert parts == _parts(X)
+            # each proper submask s once, 0 last, with |X-s|, and X-s if
+            # that is one vertex
+            bits = [b for b in (1 << i for i in range(X.bit_length())) if b & X]
+            assert sorted(s for s, _, _ in parts) == sorted(
+                sum(sub) for r in range(len(bits))
+                for sub in itertools.combinations(bits, r))
+            assert parts[-1][0] == 0
+            assert all(r == (X ^ s).bit_count()
+                       and x == (X ^ s if r == 1 else 0) for s, r, x in parts)
 
 
 @settings(max_examples=12, deadline=None)
