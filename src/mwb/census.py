@@ -129,16 +129,14 @@ class _StarClosingSearch:
             self.neighbors[v] = set()
             self.mate[v] = {}
 
-    def add(self, t) -> bool:
-        """Add the triangle t; False if it closes a star below the root
-        degree, which min-degree rooting forbids."""
+    def add(self, t):
+        """Add the triangle t."""
         self.triangles.append(t)
         a, b, c = t
         if c >= self.next_label:
             for v in t:
                 self._touch(v)
         third, nb, mate, undo = self.third, self.neighbors, self.mate, self.undo
-        ok = True
         for x, y, z in ((a, b, c), (a, c, b), (b, c, a)):
             s = third.get((x, y))
             if s is None:
@@ -153,10 +151,7 @@ class _StarClosingSearch:
             ox, oy = m.pop(x, x), m.pop(y, y)
             if ox != y:
                 m[ox], m[oy] = oy, ox
-            elif len(nb[z]) < self.k:  # x-y closed the link of z, too early
-                ok = False
             undo.append((z, x, y, ox, oy))
-        return ok
 
     def remove(self, t):
         self.triangles.pop()
@@ -195,12 +190,14 @@ class _StarClosingSearch:
                 return False
         if len(third) + new_edges > self.f1_budget:
             return False
-        mate, top = self.mate, self.next_label
+        mate, nb, top = self.mate, self.neighbors, self.next_label
         for u, x, y in ((a, b, c), (b, a, c), (c, a, b)):
             if u < top:
                 m = mate[u]
-                if m.get(x) == y and len(m) > 2:
-                    return False  # would close a cycle while other paths remain
+                # x-y would close the link of u while other paths remain, or
+                # below the root degree, which min-degree rooting forbids
+                if m.get(x) == y and (len(m) > 2 or len(nb[u]) < self.k):
+                    return False
         return True
 
     # -- search ------------------------------------------------------------
@@ -260,8 +257,8 @@ class _StarClosingSearch:
         for w in candidates:  # e and w are open, so both exceed v
             t = (v, e, w) if e < w else (v, w, e)
             if self.add_ok(t):
-                if self.add(t):
-                    self._close_next(c, start, walks, roots)
+                self.add(t)
+                self._close_next(c, start, walks, roots)
                 self.remove(t)
 
     def _leaf(self, c, start, walks, roots):

@@ -1,14 +1,16 @@
 """Builders: boundary simplices, joins, staircase products, connected sums,
-stackings, and sphere bundles over the circle."""
+stackings, and sphere bundles over the circle.  Builders that multiply
+facets check the face cap on their closed-form counts before listing any."""
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
-from .homology import HomologyVector, homology, orientation_signs
-from .core import Complex, from_facets
-from .errors import (IncompatibleGluing, InvalidArgument, NotAFacet,
-                     WorkbenchError)
+from . import flips
+from .homology import orientation_signs
+from .core import Complex, check_face_cap, from_facets
+from .errors import IncompatibleGluing, InvalidArgument, NotAFacet
 
 
 @dataclass(frozen=True)
@@ -26,6 +28,7 @@ def boundary_simplex(d: int) -> Complex:
     """The d-sphere as the boundary of the (d+1)-simplex: d+2 vertices."""
     if d < 1:
         raise InvalidArgument("d must be >= 1")
+    check_face_cap(d + 2, d)
     verts = range(1, d + 3)
     return from_facets(list(itertools.combinations(verts, d + 1)))
 
@@ -39,6 +42,7 @@ def interval(k: int) -> Complex:
 
 def join(C1: Complex, C2: Complex) -> Complex:
     """Simplicial join; the second factor is relabeled above the first."""
+    check_face_cap(len(C1.facets) * len(C2.facets), C1.dim + C2.dim + 1)
     shift = C1.n
     facets = [F + tuple(v + shift for v in G)
               for F in C1.facets for G in C2.facets]
@@ -69,6 +73,8 @@ def product(C1: Complex, C2: Complex, vertex_orders=None) -> Complex:
     order2 = tuple(vertex_orders[1]) if vertex_orders else tuple(C2.vertices())
     if sorted(order1) != list(C1.vertices()) or sorted(order2) != list(C2.vertices()):
         raise ValueError("vertex_orders must permute each factor's vertices")
+    p, q = C1.dim, C2.dim  # a p-simplex times a q-simplex has C(p+q, p) cells
+    check_face_cap(len(C1.facets) * len(C2.facets) * comb(p + q, p), p + q)
     pos1 = {v: i for i, v in enumerate(order1)}
     pos2 = {v: i for i, v in enumerate(order2)}
     n2 = C2.n
@@ -81,7 +87,6 @@ def product(C1: Complex, C2: Complex, vertex_orders=None) -> Complex:
         fi = sorted(pos1[v] for v in F)
         for G in C2.facets:
             gj = sorted(pos2[v] for v in G)
-            p, q = len(fi) - 1, len(gj) - 1
             for ups in itertools.combinations(range(p + q), p):
                 a = b = 0
                 cell = [grid(fi[0], gj[0])]
@@ -96,14 +101,12 @@ def product(C1: Complex, C2: Complex, vertex_orders=None) -> Complex:
 
 
 def stack(C: Complex, F) -> Complex:
-    """Subdivide the facet F by coning from a fresh vertex (a 0-move)."""
+    """Subdivide the facet F by coning from the fresh vertex n+1: the
+    bistellar 0-move on F."""
     F = tuple(sorted(F))
     if F not in C.facets:
         raise NotAFacet(f"{F} is not a facet")
-    apex = C.n + 1
-    new = [G for G in C.facets if G != F]
-    new.extend(tuple(sorted(set(F) - {v})) + (apex,) for v in F)
-    return from_facets(new)
+    return flips.apply_move(C, flips.FlipMove(0, F, (C.n + 1,)))
 
 
 def connected_sum(C1: Complex, F1, C2: Complex, F2,
@@ -141,55 +144,26 @@ def connected_sum(C1: Complex, F1, C2: Complex, F2,
 
 
 def _bundle(d: int, twist: bool) -> Complex:
-    sphere = boundary_simplex(d - 1)  # d+1 vertices
-    seg = interval(4)
-    P = product(sphere, seg)  # labels (u-1)*4 + w
-    sigma = {u: u for u in range(1, d + 2)}
-    if twist:
-        sigma[1], sigma[2] = 2, 1
-    relabel = {}
-    for u in range(1, d + 2):
-        for w in range(1, 5):
-            lab = (u - 1) * 4 + w
-            relabel[lab] = (sigma[u] - 1) * 4 + 1 if w == 4 else lab
-    return from_facets([[relabel[v] for v in F] for F in P.facets])
-
-
-def _expected_bundle_homology(d: int, twist: bool):
-    free = [0] * (d + 1)
-    tors = [()] * (d + 1)
-    free[0] = free[1] = 1
-    if twist:
-        if d == 2:
-            tors[1] = (2,)
-        else:
-            tors[d - 1] = (2,)
-    else:
-        free[d - 1] += 1
-        free[d] += 1
-    return HomologyVector(tuple(free), tuple(tors))
+    if d < 2:
+        raise InvalidArgument("d must be >= 2")
+    # vertex (u, w) of the sphere's d+1 vertices times the path's 4 has label
+    # 4(u-1) + w; the end w = 4 is glued to w = 1 over u, or over the image
+    # of u under the reflection that swaps 1 and 2
+    P = product(boundary_simplex(d - 1), interval(4))
+    swap = {1: 2, 2: 1} if twist else {}
+    relabel = {4 * u: 4 * swap.get(u, u) - 3 for u in range(1, d + 2)}
+    return from_facets([[relabel.get(v, v) for v in F] for F in P.facets])
 
 
 def twisted_bundle(d: int) -> Complex:
     """The twisted S^(d-1)-bundle over the circle on 3d+3 vertices.
 
     A 4-vertex interval times a boundary simplex, with the two boundary
-    spheres identified through an orientation-reversing reflection; the
-    homology certificate is checked before returning.
+    spheres identified through an orientation-reversing reflection.
     """
-    if d < 2:
-        raise InvalidArgument("d must be >= 2")
-    C = _bundle(d, twist=True)
-    if homology(C) != _expected_bundle_homology(d, twist=True):
-        raise WorkbenchError("twisted bundle has unexpected homology")
-    return C
+    return _bundle(d, twist=True)
 
 
 def orientable_bundle(d: int) -> Complex:
     """The product bundle S^(d-1) x S^1 on 3d+3 vertices."""
-    if d < 2:
-        raise InvalidArgument("d must be >= 2")
-    C = _bundle(d, twist=False)
-    if homology(C) != _expected_bundle_homology(d, twist=False):
-        raise WorkbenchError("orientable bundle has unexpected homology")
-    return C
+    return _bundle(d, twist=False)

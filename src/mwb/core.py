@@ -24,6 +24,21 @@ Face = tuple  # strictly increasing tuple of vertex labels
 FACE_CAP = 1 << 24
 
 
+def check_face_cap(facets: int, dim: int) -> None:
+    """Raise CapExceeded if ``facets`` facets of dimension ``dim`` may span
+    more than FACE_CAP faces.  Builders call it on closed-form counts before
+    they list a facet; ``Complex`` calls it before it lists a face."""
+    if dim < 64:
+        bound = facets * ((1 << (dim + 1)) - 1)
+        if bound <= FACE_CAP:
+            return
+        shown = f"{bound:,}"
+    else:  # one facet alone is above the cap, and the bound may not print
+        shown = f"{facets} * (2^{dim + 1} - 1)"
+    raise CapExceeded(f"{facets} facets of dimension {dim} span up to "
+                      f"{shown} faces, above the face cap {FACE_CAP:,}")
+
+
 @dataclass(frozen=True)
 class FVector:
     counts: tuple
@@ -54,11 +69,7 @@ class Complex:
     __slots__ = ("dim", "n", "facets", "source_labels", "_faces_cache", "_ridge_cache")
 
     def __init__(self, facets: Sequence[Face], source_labels: Sequence[int]):
-        bound = len(facets) * ((1 << len(facets[0])) - 1)
-        if bound > FACE_CAP:  # checked before any face is listed
-            raise CapExceeded(
-                f"{len(facets)} facets of dimension {len(facets[0]) - 1} span "
-                f"up to {bound:,} faces, above the face cap {FACE_CAP:,}")
+        check_face_cap(len(facets), len(facets[0]) - 1)
         object.__setattr__(self, "facets", tuple(facets))
         object.__setattr__(self, "dim", len(facets[0]) - 1)
         object.__setattr__(self, "n", len(source_labels))

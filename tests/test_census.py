@@ -211,6 +211,32 @@ def test_link_path_map_matches_the_links(monkeypatch):
     assert sum(map(bool, cached)) > 100  # most nodes hold cached cycles
 
 
+def test_add_ok_refuses_a_link_closed_below_the_root_degree(monkeypatch):
+    # the link of 2 is the path 3-4-5; the triangle 2 3 5 closes it with
+    # degree 3, which a search rooted at degree 4 forbids
+    for k, ok in ((3, True), (4, False)):
+        search = census._StarClosingSearch(6, k, 15)
+        for v in range(1, 6):
+            search._touch(v)
+        for t in ((2, 3, 4), (2, 4, 5)):
+            search.add(t)
+        assert search.add_ok((2, 3, 5)) is ok
+
+    # so no triangle the search adds closes a link below the root degree
+    added = []
+    add = census._StarClosingSearch.add
+
+    def checked_add(self, t):
+        add(self, t)
+        assert all(self.mate[v] or len(self.neighbors[v]) >= self.k for v in t)
+        added.append(t)
+
+    monkeypatch.setattr(census._StarClosingSearch, "add", checked_add)
+    assert enumerate_surfaces(7).counts == {S2: 5, T2: 1, RP2: 3}
+    assert enumerate_spheres(9) == 50
+    assert len(added) > 1000
+
+
 def test_orientation_in_the_search_agrees_with_homology(monkeypatch, csaszar,
                                                         rp2_6):
     for C, orientable in ((csaszar, True), (rp2_6, False)):

@@ -372,6 +372,31 @@ def test_a_complex_above_the_face_cap_exits_3_before_listing_faces(
         f"above the face cap {FACE_CAP:,}\n")
 
 
+@pytest.mark.parametrize("via", ["construct", "tri"])
+def test_a_face_bound_too_long_to_print_still_exits_3_in_one_line(
+        tmp_path, via):
+    # 2^20001 has 6,021 digits, more than Python prints from an int; listing
+    # the 100,002 facets of the boundary of the 100,001-simplex would take
+    # about 40 GB, so the child process gets 512 MiB and 60 s
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+
+    tri = tmp_path / "d20000.tri"
+    tri.write_text("20000 20001\n" + " ".join(map(str, range(1, 20002))) + "\n")
+    argv, facets, dim = {
+        "construct": (["construct", "boundary", "--dim", "100000"], 100002, 100000),
+        "tri": (["info", "--in", str(tri)], 1, 20000)}[via]
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mwb.cli", *argv], capture_output=True,
+        text=True, timeout=60, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 3
+    assert proc.stderr == (
+        f"error: {facets} facets of dimension {dim} span up to "
+        f"{facets} * (2^{dim + 1} - 1) faces, above the face cap {FACE_CAP:,}\n")
+
+
 def test_a_complex_under_the_face_cap_is_built(capsys):
     assert main(["construct", "boundary", "--dim", "12"]) == 0
     assert "f=(14, 91, 364, 1001, 2002, 3003, 3432, 3003," in (

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -8,9 +9,10 @@ from mwb.constructions import (GluingMap, boundary_simplex, cone,
                                twisted_bundle)
 from mwb.core import (f_vector, from_facets, is_combinatorial_manifold,
                       is_k_neighborly, is_pseudomanifold)
-from mwb.errors import (IncompatibleGluing, NotAFacet, NotPseudomanifold,
-                        UnsupportedDimension)
-from mwb.homology import homology, orientation_signs
+from mwb.errors import (CapExceeded, IncompatibleGluing, NotAFacet,
+                        NotPseudomanifold, UnsupportedDimension)
+from mwb.flips import FlipMove, apply_move
+from mwb.homology import HomologyVector, homology, orientation_signs
 from mwb.iso import are_isomorphic
 
 
@@ -210,6 +212,21 @@ def test_stacking_deltas():
         stack(C, (1, 2))
 
 
+def test_stacking_is_the_0_move_on_every_catalog_facet(complexes):
+    for C in complexes.values():
+        for F in C.facets:
+            S = stack(C, F)
+            move = apply_move(C, FlipMove(0, F, (C.n + 1,)))
+            # the facet coned from the fresh vertex n+1, written out
+            coned = from_facets([G for G in C.facets if G != F] +
+                                [tuple(v for v in F if v != u) + (C.n + 1,)
+                                 for u in F])
+            assert S == move == coned
+            assert S.source_labels == move.source_labels == coned.source_labels
+        with pytest.raises(NotAFacet):
+            stack(C, C.facets[0][1:])
+
+
 def test_repeated_stacking_on_a_3_manifold(complexes):
     C = complexes["L31-12"]
     n, f1 = C.n, f_vector(C)[1]
@@ -219,6 +236,27 @@ def test_repeated_stacking_on_a_3_manifold(complexes):
         assert C.n == n + k
         assert f_vector(C)[1] == f1 + 4 * k
         assert homology(C) == H
+
+
+def _bundle_homology(d, twist):
+    """H_*(S^(d-1)-bundle over S^1) by the Wang sequence: H_0 = H_1 = Z; the
+    product bundle adds Z in degrees d-1 and d, and the reflection acts as -1
+    on H_(d-1) of the fibre, which leaves Z_2 there and 0 in degree d."""
+    free, tors = [1, 1] + [0] * (d - 1), [()] * (d + 1)
+    if twist:
+        tors[d - 1] = (2,)
+    else:
+        free[d - 1] += 1
+        free[d] += 1
+    return HomologyVector(tuple(free), tuple(tors))
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_bundle_homology_matches_its_closed_form(d):
+    for twist, build in ((True, twisted_bundle), (False, orientable_bundle)):
+        C = build(d)
+        assert (C.dim, C.n) == (d, 3 * d + 3)
+        assert homology(C) == _bundle_homology(d, twist)
 
 
 def test_twisted_bundle_homology():
@@ -234,6 +272,32 @@ def test_twisted_bundle_homology():
 def test_orientable_bundle_homology():
     assert str(homology(orientable_bundle(2))) == "(Z, Z^2, Z)"
     assert str(homology(orientable_bundle(3))) == "(Z, Z, Z, Z)"
+
+
+def _refused_peak(build):
+    """The traced peak, in bytes, of a build that CapExceeded refuses."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_builders_check_the_face_cap_before_listing_facets():
+    # listing the facets first took 207 MiB for the boundary of the
+    # 3001-simplex, and 30 MiB for the 59,136 cells of b6 x b6
+    b6, b12 = boundary_simplex(6), boundary_simplex(12)
+    for build in (lambda: boundary_simplex(3000), lambda: product(b6, b6),
+                  lambda: join(b12, b12), lambda: twisted_bundle(3000)):
+        assert _refused_peak(build) < 2**20
+    with pytest.raises(CapExceeded, match="^59136 facets of dimension 12 span up "
+                                          "to 484,382,976 faces"):
+        product(b6, b6)
+    with pytest.raises(CapExceeded, match=r"^3002 facets of dimension 3000 span "
+                                          r"up to 3002 \* \(2\^3001 - 1\) faces"):
+        boundary_simplex(3000)
 
 
 def test_bundles_are_combinatorial_manifolds():

@@ -1,15 +1,15 @@
 import importlib
 import itertools
 import pickle
+import re
 
 import pytest
 
 from mwb.census import enumerate_surfaces
 from mwb.constructions import boundary_simplex, suspension
-from mwb.core import (FACE_CAP, ManifoldVerdict, f_vector, from_facets,
-                      is_combinatorial_manifold, is_k_neighborly,
-                      is_pseudomanifold, link, process_map, relabeled,
-                      star)
+from mwb.core import (FACE_CAP, ManifoldVerdict, check_face_cap, f_vector,
+                      from_facets, is_combinatorial_manifold, is_k_neighborly,
+                      is_pseudomanifold, link, process_map, relabeled, star)
 from mwb.errors import (BudgetZero, CapExceeded, InvalidArgument, NotAFace,
                         NotPure, UnsupportedDimension)
 from mwb.homology import homology
@@ -274,6 +274,20 @@ def test_the_face_cap_is_checked_when_a_complex_is_built():
     with pytest.raises(CapExceeded, match=f"21 facets of dimension 19 .* "
                                           f"face cap {FACE_CAP:,}"):
         boundary_simplex(19)
+
+
+def test_one_face_cap_check_serves_builders_and_complexes():
+    # one d-simplex has 2^(d+1) - 1 faces: 2^24 - 1 passes, 2^25 - 1 does not
+    check_face_cap(1, 23)
+    assert from_facets([range(1, 25)]).dim == 23
+    with pytest.raises(CapExceeded) as refused:
+        check_face_cap(1, 24)
+    with pytest.raises(CapExceeded, match=re.escape(str(refused.value))):
+        from_facets([range(1, 26)])
+    # a bound of more digits than an int prints is shown as a product
+    with pytest.raises(CapExceeded, match=r"^1 facets of dimension 20000 span "
+                                          r"up to 1 \* \(2\^20001 - 1\) faces"):
+        from_facets([range(1, 20002)])
 
 
 def test_relabeled_is_involutive(csaszar):
