@@ -5,6 +5,8 @@ automorphisms discovered along the way, gives both the canonical labeling
 and a generating set of the automorphism group (not necessarily
 irredundant); the group order then comes from orbit-stabilizer. Vertex
 counts here are small (n <= ~25), so simplicity wins over asymptotics.
+Each refinement round sorts every facet's colours once, and skips the
+facets of vertices already alone in their cells, whose ranks cannot move.
 
 Refinement by face degrees stalls on neighborly complexes, where every
 vertex has the same degrees. In dimension >= 3 a stalled first refinement
@@ -91,14 +93,27 @@ def _initial_colors(C: Complex):
 
 
 def _refine(colors, vert_facets):
-    n = len(colors)
+    """Recolour each vertex by the rank of (colour, pattern) until the
+    partition is stable; the pattern is the sorted list of v's facets'
+    sorted colour tuples less v. A vertex alone in its cell ties with no
+    other pair, so it keeps its rank with the pattern (). A facet meeting a
+    larger cell is sorted once per round, and a vertex's entry is that tuple
+    less one occurrence of its own colour."""
     while True:
+        size = Counter(colors)
+        tups: dict = {}
         sigs = []
-        for v in range(n):
-            patt = sorted(
-                tuple(sorted(colors[u - 1] for u in F if u != v + 1))
-                for F in vert_facets[v])
-            sigs.append((colors[v], tuple(patt)))
+        for v, c in enumerate(colors):
+            patt = []
+            if size[c] > 1:
+                for F in vert_facets[v]:
+                    T = tups.get(F)
+                    if T is None:
+                        T = tups[F] = tuple(sorted([colors[u - 1] for u in F]))
+                    i = T.index(c)
+                    patt.append(T[:i] + T[i + 1:])
+                patt.sort()
+            sigs.append((c, tuple(patt)))
         order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
         new = [order[sig] for sig in sigs]
         if len(set(new)) == len(set(colors)):

@@ -349,6 +349,76 @@ def test_walked_sphere_canonical_classes_match_brute_force(walked_sphere):
     assert canonical_form(variants[-1])[0] != canon
 
 
+# --- independent oracle: refinement by definition ---------------------------
+
+def _refine_by_definition(colors, vert_facets):
+    """Every vertex's pattern, recomputed and re-sorted facet by facet in
+    every round."""
+    n = len(colors)
+    while True:
+        sigs = []
+        for v in range(n):
+            patt = sorted(
+                tuple(sorted(colors[u - 1] for u in F if u != v + 1))
+                for F in vert_facets[v])
+            sigs.append((colors[v], tuple(patt)))
+        order = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new = [order[sig] for sig in sigs]
+        if len(set(new)) == len(set(colors)):
+            return new
+        colors = new
+
+
+def _refine_checked(colors, vert_facets):
+    got = iso._refine(colors, vert_facets)
+    assert got == _refine_by_definition(colors, vert_facets)
+    return got
+
+
+def _check_refine_by_definition(C):
+    """The root refinement and every depth-1 split of the search, each
+    vertex individualized as the search does it."""
+    vf = iso._vertex_facets(C)
+    root = _refine_checked(iso._initial_colors(C), vf)
+    for v in C.vertices():
+        split = [2 * c for c in root]
+        split[v - 1] -= 1
+        _refine_checked(split, vf)
+
+
+def test_refine_matches_definition_on_catalog(complexes):
+    rng = SplitMix64(28)
+    for C in complexes.values():
+        _check_refine_by_definition(C)
+        for _ in range(20):
+            D = relabeled(C, _random_perm(C.n, rng))
+            _refine_checked(iso._initial_colors(D), iso._vertex_facets(D))
+
+
+def test_refine_matches_definition_on_walks(complexes, walked_sphere):
+    walks = [random_walk(complexes[name], seed=28, steps=60)[0]
+             for name in ("RP3-11", "L31-12")]
+    for C in walks + [walked_sphere]:
+        _check_refine_by_definition(C)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_refine_commutes_with_relabeling(complexes, data):
+    # vertex sigma(v) of the relabeled complex gets the colour v gets
+    C = complexes[data.draw(st.sampled_from(sorted(complexes)))]
+    sigma = data.draw(st.permutations(range(1, C.n + 1)))
+    colors = data.draw(st.lists(st.integers(0, 3), min_size=C.n,
+                                max_size=C.n))
+    moved = [0] * C.n
+    for v, c in enumerate(colors, start=1):
+        moved[sigma[v - 1] - 1] = c
+    D = relabeled(C, sigma)
+    got = iso._refine(moved, iso._vertex_facets(D))
+    want = iso._refine(colors, iso._vertex_facets(C))
+    assert [got[sigma[v - 1] - 1] for v in C.vertices()] == want
+
+
 # --- independent oracle: sympy determinants ----------------------------------
 
 def test_det_bareiss_matches_sympy_on_fixed_cases():
