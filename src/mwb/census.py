@@ -451,10 +451,12 @@ def _census(n: int, cap: int, chi_required: int | None, threads: int):
     return list(chain.from_iterable(process_map(_run_root, jobs, threads)))
 
 
-def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,
+def enumerate_surfaces(n: int, cap: int | None = None,
                        threads: int = 1, representatives: bool = False
                        ) -> CensusResult:
-    """One representative count per isomorphism class of closed surfaces."""
+    """One representative count per isomorphism class of closed surfaces;
+    ``cap`` defaults to SURFACE_CAP_DEFAULT."""
+    cap = SURFACE_CAP_DEFAULT if cap is None else cap
     counts: Counter = Counter()
     reps: dict = {}
     for facets, chi, orient in _census(n, cap, None, threads):
@@ -465,7 +467,9 @@ def enumerate_surfaces(n: int, cap: int = SURFACE_CAP_DEFAULT,
     return CensusResult(n, dict(counts), reps)
 
 
-def enumerate_spheres(n: int, cap: int = SPHERE_CAP_DEFAULT,
+def enumerate_spheres(n: int, cap: int | None = None,
                       threads: int = 1) -> int:
-    """Number of combinatorial types of triangulated 2-spheres on n vertices."""
+    """Number of combinatorial types of triangulated 2-spheres on n vertices;
+    ``cap`` defaults to SPHERE_CAP_DEFAULT."""
+    cap = SPHERE_CAP_DEFAULT if cap is None else cap
     return len(_census(n, cap, 2, threads))

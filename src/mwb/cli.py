@@ -1,11 +1,12 @@
 """Command-line workbench: one subcommand per operation family.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 budget or cap exceeded.
+3 budget or cap exceeded, 141 standard output closed by its reader.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -19,7 +20,7 @@ from .errors import CapExceeded, InvalidArgument, WorkbenchError
 from .homology import betti, homology
 from .realization import realization_check
 
-OK, FAIL, INPUT_ERROR, BUDGET = 0, 1, 2, 3
+OK, FAIL, INPUT_ERROR, BUDGET, CLOSED_PIPE = 0, 1, 2, 3, 141  # 128 + SIGPIPE
 MAX_SEEDS = 100_000  # per `reduce --seeds` list
 
 
@@ -81,11 +82,9 @@ def cmd_homology(args):
 def cmd_verify(args):
     if args.what == "catalog":
         results = catalog_mod.verify_catalog()
-        bad = 0
         for name, ok, detail in results:
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-            bad += not ok
-        return OK if bad == 0 else FAIL
+        return OK if all(ok for _, ok, _ in results) else FAIL
     C = _load(args.infile)
     if args.what == "pseudomanifold":
         verdict = is_pseudomanifold(C)
@@ -119,14 +118,11 @@ def cmd_reduce(args):
         target_f0=args.target_f0,
         target_f=(_decimals_arg(args.target_f, "f-vector entry")
                   if args.target_f is not None else None))
+    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    best, seed, trace, stats = flips.reduce_multi(
+        C, seeds, args.budget, schedule, threads=args.threads)
     if args.seeds:
-        best, seed, trace, stats = flips.reduce_multi(
-            C, _parse_seeds(args.seeds), args.budget, schedule,
-            threads=args.threads)
         print(f"winning seed {seed}")
-    else:
-        best, trace, stats = flips.reduce(C, seed=args.seed,
-                                          budget=args.budget, schedule=schedule)
     fv = f_vector(best)
     print(f"best f = {fv.counts} after {stats['moves']} moves "
           f"(best at step {stats['best_step']})")
@@ -139,6 +135,11 @@ def cmd_reduce(args):
     if targeted and not schedule.reached(fv.counts):
         return BUDGET
     return OK
+
+
+def _facet(text, C):
+    """The facet named by ``--facet`` labels, else the first facet of C."""
+    return _decimals_arg(text, "vertex label") if text else C.facets[0]
 
 
 def cmd_construct(args):
@@ -154,16 +155,11 @@ def cmd_construct(args):
         C = cons.join(_load(args.infile), _load(args.infile2))
     elif kind == "sum":
         A, B = _load(args.infile), _load(args.infile2)
-        F1 = (_decimals_arg(args.facet, "vertex label") if args.facet
-              else A.facets[0])
-        F2 = (_decimals_arg(args.facet2, "vertex label") if args.facet2
-              else B.facets[0])
-        C = cons.connected_sum(A, F1, B, F2)
+        C = cons.connected_sum(A, _facet(args.facet, A),
+                               B, _facet(args.facet2, B))
     else:  # stack, the last of the parser's choices
         A = _load(args.infile)
-        F = (_decimals_arg(args.facet, "vertex label") if args.facet
-             else A.facets[0])
-        C = cons.stack(A, F)
+        C = cons.stack(A, _facet(args.facet, A))
     fv = f_vector(C)
     print(f"constructed dim={C.dim} n={C.n} f={fv.counts}")
     if args.out:
@@ -196,37 +192,31 @@ def cmd_det(args):
 
 _BOOLEANS = {"1": True, "true": True, "yes": True,
              "0": False, "false": False, "no": False}
+# each flag abbreviates a KEY=VALUE hint; each second spelling names a field
+_HINT_FLAGS = {"sphere": "is_sphere=1", "not-sphere": "is_sphere=0",
+               "simply-connected": "simply_connected=1",
+               "not-simply-connected": "simply_connected=0"}
+_HINT_FIELDS = {"homology_sphere": "is_homology_sphere",
+                "manifold": "known_manifold"}
 
 
 def _parse_hints(pairs):
     hints = {}
     for item in pairs or ():
-        if item == "not-simply-connected":
-            hints["simply_connected"] = False
-        elif item == "simply-connected":
-            hints["simply_connected"] = True
-        elif item == "not-sphere":
-            hints["is_sphere"] = False
-        elif item == "sphere":
-            hints["is_sphere"] = True
-        elif "=" in item:
-            key, _, val = item.partition("=")
-            key = key.replace("-", "_")
-            if key in ("is_sphere", "simply_connected"):
-                if val.lower() not in _BOOLEANS:
-                    raise InvalidArgument(
-                        f"hint {key} takes 1/0, true/false or yes/no")
-                hints[key] = _BOOLEANS[val.lower()]
-            elif key == "connectivity":
-                hints[key] = _decimal_arg(val, "connectivity")
-            elif key in ("is_homology_sphere", "homology_sphere"):
-                if val not in ("Z", "Z2"):
-                    raise InvalidArgument(f"hint {key} takes Z or Z2")
-                hints["is_homology_sphere"] = val
-            elif key in ("known_manifold", "manifold"):
-                hints["known_manifold"] = val
-            else:
-                raise WorkbenchError(f"unknown hint {item!r}")
+        key, eq, val = _HINT_FLAGS.get(item, item).partition("=")
+        key = key.replace("-", "_")
+        field = _HINT_FIELDS.get(key, key) if eq else None
+        if field in ("is_sphere", "simply_connected"):
+            if val.lower() not in _BOOLEANS:
+                raise InvalidArgument(
+                    f"hint {key} takes 1/0, true/false or yes/no")
+            hints[field] = _BOOLEANS[val.lower()]
+        elif field == "connectivity":
+            hints[field] = _decimal_arg(val, "connectivity")
+        elif field == "is_homology_sphere" and val not in ("Z", "Z2"):
+            raise InvalidArgument(f"hint {key} takes Z or Z2")
+        elif field in ("is_homology_sphere", "known_manifold"):
+            hints[field] = val
         else:
             raise WorkbenchError(f"unknown hint {item!r}")
     return bounds_mod.TopologyHints(**hints)
@@ -240,20 +230,15 @@ def cmd_bounds(args):
 
 
 def cmd_census(args):
-    surfaces = args.what == "surfaces"
-    cap = args.cap
-    if cap is None:
-        cap = (census_mod.SURFACE_CAP_DEFAULT if surfaces
-               else census_mod.SPHERE_CAP_DEFAULT)
-    else:
-        print(f"warning: cap overridden to {cap}", file=sys.stderr)
-    if surfaces:
-        result = census_mod.enumerate_surfaces(args.n, cap=cap,
+    if args.cap is not None:
+        print(f"warning: cap overridden to {args.cap}", file=sys.stderr)
+    if args.what == "surfaces":
+        result = census_mod.enumerate_surfaces(args.n, cap=args.cap,
                                                threads=args.threads)
         for line in result.lines():
             print(line)
     else:
-        count = census_mod.enumerate_spheres(args.n, cap=cap,
+        count = census_mod.enumerate_spheres(args.n, cap=args.cap,
                                              threads=args.threads)
         print(f"n={args.n} {census_mod.SurfaceClass.of(2, True)} "
               f"count={count}")
@@ -281,8 +266,15 @@ def cmd_replay(args):
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 in one line, like every other input error."""
+
+    def error(self, message):
+        raise InvalidArgument(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="mw", description="workbench for small triangulated manifolds")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -377,14 +369,21 @@ _DECIMAL_OPTIONS = ("seed", "budget", "threads", "target_f0", "dim", "n",
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         for name in _DECIMAL_OPTIONS:
             value = getattr(args, name, None)
             if isinstance(value, str):  # given on the command line
                 setattr(args, name, _decimal_arg(
                     value, "--" + name.replace("_", "-")))
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here
+        return status
+    except BrokenPipeError:  # the reader has gone: flush to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_PIPE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET

@@ -120,6 +120,9 @@ def connected_sum(C1: Complex, F1, C2: Complex, F2,
     -s1[F1]*d(F1) of C1 - F1 and -s2[F2]*sgn(phi)*d(F1) of C2 - F2 glued by
     phi then cancel, so the sum respects the orientations of both inputs.
     """
+    if C1.dim != C2.dim:
+        raise IncompatibleGluing(
+            f"the summands have dimensions {C1.dim} and {C2.dim}")
     F1 = tuple(sorted(F1))
     F2 = tuple(sorted(F2))
     if F1 not in C1.facets:

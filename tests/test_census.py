@@ -109,10 +109,11 @@ def test_heawood_consistency_up_to_8():
 
 
 def test_caps():
-    with pytest.raises(CapExceeded):
-        enumerate_surfaces(11)
-    with pytest.raises(CapExceeded):
-        enumerate_spheres(13)
+    # cap=None, as `mw census` passes without --cap, is each census's own cap
+    with pytest.raises(CapExceeded, match="cap 10$"):
+        enumerate_surfaces(11, cap=None)
+    with pytest.raises(CapExceeded, match="cap 12$"):
+        enumerate_spheres(13, cap=None)
     assert isinstance(enumerate_surfaces(5, cap=5), CensusResult)
 
 

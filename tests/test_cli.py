@@ -277,6 +277,8 @@ _MALFORMED_OPTIONS = {
     "seeds-empty-range": ["reduce", "--in", "RP3-11", "--seeds", "3-1"],
     "reduce-zero-threads": ["reduce", "--in", "RP3-11", "--seeds", "1-2",
                             "--budget", "10", "--threads", "0"],
+    "reduce-zero-threads-one-seed": ["reduce", "--in", "RP3-11", "--seed", "1",
+                                     "--budget", "10", "--threads", "0"],
     "target-f-not-a-number": ["reduce", "--in", "RP3-11", "--target-f", "1,x"],
     "target-f-wrong-length": ["reduce", "--in", "RP3-11",
                               "--target-f", "11,51,80"],
@@ -316,12 +318,45 @@ _MALFORMED_OPTIONS = {
     "census-threads-not-a-number": ["census", "surfaces", "--n", "6",
                                     "--threads", "\u0662"],
     "mod-not-a-number": ["homology", "--in", "RP3-11", "--mod", "0x2"],
+    # usage errors that argparse finds
+    "census-without-n": ["census", "surfaces"],
+    "census-unknown-option": ["census", "surfaces", "--n", "9", "--bogus"],
+    "census-invalid-choice": ["census", "tori", "--n", "9"],
+    "census-n-without-value": ["census", "surfaces", "--n"],
+    "no-subcommand": [],
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_OPTIONS))
 def test_malformed_option_exits_2(capsys, case):
     _assert_one_line_input_error(capsys, _MALFORMED_OPTIONS[case])
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["census", "--help"]])
+def test_help_prints_the_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: mw")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_pipe_ends_mw_quietly(unbuffered):
+    # unbuffered, the handler's print fails; buffered, the flush at the end
+    src = os.path.dirname(os.path.dirname(catalog.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mwb.cli", "auto", "--in", "RP3-11"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_seed_count_is_capped():
@@ -681,12 +716,32 @@ def test_verify_catalog_fails_an_entry_that_is_no_pseudomanifold(
     assert all(line.startswith("PASS ") for line in lines[1:])
 
 
-def test_verify_catalog_fails_an_entry_with_a_wrong_genus(capsys, monkeypatch):
-    wrong = tuple(dataclasses.replace(e, genus=2) if e.name == "csaszar-torus"
+@pytest.mark.parametrize("name, field, value, detail", [
+    ("csaszar-torus", "genus", 2, "genus 1 != 2"),
+    ("csaszar-torus", "orientable", False, "orientability mismatch"),
+    ("S3xS2-a-12", "expected_as_determinant", 1,
+     "AS determinant 4471184572226676864"),
+    ("RP3-11", "expected_link_determinants", {0: 11},
+     "link determinants {41616: 6, 12096: 4, 0: 1}"),
+    ("RP3-11", "expected_automorphism_order", 24, "automorphism order 48"),
+], ids=["genus", "orientability", "as-determinant", "link-determinants",
+        "automorphism-order"])
+def test_verify_catalog_fails_an_entry_with_a_wrong_expected_value(
+        capsys, monkeypatch, name, field, value, detail):
+    wrong = tuple(dataclasses.replace(e, **{field: value}) if e.name == name
                   else e for e in catalog.ENTRIES)
     monkeypatch.setattr(catalog, "ENTRIES", wrong)
     assert main(["verify", "catalog"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "FAIL csaszar-torus: genus 1 != 2"
     assert len(lines) == 7
-    assert all(line.startswith("PASS ") for line in lines[1:])
+    assert [line for line in lines if not line.startswith("PASS ")] == [
+        f"FAIL {name}: {detail}"]
+
+
+def test_sum_of_different_dimensions_exits_2(capsys, tmp_path):
+    cycle = tmp_path / "cycle.tri"
+    cycle.write_text("1 3\n1 2\n2 3\n1 3\n")
+    argv = ["construct", "sum", "--in", str(cycle), "--in2", "RP3-11"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: the summands have dimensions 1 and 3\n")

@@ -116,14 +116,18 @@ def test_connected_sum_raises_in_order():
     B, S2 = boundary_simplex(3), boundary_simplex(2)
     pinched = from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)])  # no pseudomanifold
     bad = GluingMap(((1, 1), (2, 1), (3, 3), (4, 4)))
+    cycle = from_facets([(1, 2), (2, 3), (1, 3)])
+    # the dimensions are compared first, before any facet or correspondence
+    with pytest.raises(IncompatibleGluing, match="dimensions 1 and 3"):
+        connected_sum(cycle, (1, 2, 3), B, B.facets[0], gluing=bad)
+    with pytest.raises(IncompatibleGluing, match="dimensions 2 and 3"):
+        connected_sum(pinched, (1, 2, 3), B, B.facets[0])
     with pytest.raises(NotAFacet, match="first summand"):
         connected_sum(B, (1, 2, 3), B, (1, 2, 3), gluing=bad)
     with pytest.raises(NotAFacet, match="second summand"):
         connected_sum(B, B.facets[0], B, (1, 2, 3), gluing=bad)
     # the gluing is checked before any summand is oriented
-    with pytest.raises(IncompatibleGluing):
-        connected_sum(pinched, (1, 2, 3), B, B.facets[0])
-    with pytest.raises(IncompatibleGluing):
+    with pytest.raises(IncompatibleGluing, match="correspondence"):
         connected_sum(pinched, (1, 2, 3), S2, S2.facets[0], gluing=bad)
     with pytest.raises(NotPseudomanifold):
         connected_sum(pinched, (1, 2, 3), S2, S2.facets[0])

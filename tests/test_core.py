@@ -5,14 +5,16 @@ import re
 
 import pytest
 
+from mwb.bounds import (arnoux_marin_min, bound_report, cyclic_f,
+                        heawood_min_vertices)
 from mwb.census import enumerate_surfaces
-from mwb.constructions import boundary_simplex, suspension
+from mwb.constructions import boundary_simplex, interval, product, suspension
 from mwb.core import (FACE_CAP, ManifoldVerdict, check_face_cap, f_vector,
                       from_facets, is_combinatorial_manifold, is_k_neighborly,
                       is_pseudomanifold, link, process_map, relabeled, star)
 from mwb.errors import (BudgetZero, CapExceeded, InvalidArgument, NotAFace,
                         NotPure, UnsupportedDimension)
-from mwb.homology import homology
+from mwb.homology import boundary_matrix, homology
 from mwb.iso import as_determinant
 
 
@@ -324,3 +326,45 @@ def test_process_map_with_one_worker_is_lazy():
     assert calls == [1]
     with pytest.raises(InvalidArgument, match="^threads must be >= 1$"):
         process_map(calls.append, [1], threads=0)
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda C: setattr(C, "dim", 3),
+                 AttributeError("Complex is immutable"), id="immutable"),
+    pytest.param(lambda C: (C.faces(-1), C.faces(C.dim + 1)), ((), ()),
+                 id="faces-out-of-range"),
+    pytest.param(lambda C: from_facets([(1, 2), ()]),
+                 UnsupportedDimension("empty facet"), id="empty-facet"),
+    pytest.param(lambda C: relabeled(C, [1] * C.n),
+                 ValueError("not a permutation of the vertex set"),
+                 id="relabeled-non-permutation"),
+    pytest.param(lambda C: star(C, (1, 2, 3, 4)),
+                 NotAFace("(1, 2, 3, 4) is not a face"), id="star-non-face"),
+    pytest.param(lambda C: is_k_neighborly(C, C.dim + 2),
+                 ValueError("k out of range"), id="neighborly-k-out-of-range"),
+    pytest.param(lambda C: list(f_vector(C)), [7, 21, 14], id="fvector-iter"),
+    pytest.param(lambda C: len(f_vector(C)), 3, id="fvector-len"),
+    pytest.param(lambda C: bound_report(C).entry("no-such-bound"),
+                 KeyError("no-such-bound"), id="bound-report-unknown-entry"),
+    pytest.param(lambda C: heawood_min_vertices(3),
+                 ValueError("a closed surface has chi <= 2"), id="heawood-chi-3"),
+    pytest.param(lambda C: cyclic_f(3, 4), ValueError("need n >= dim + 2"),
+                 id="cyclic-too-few-vertices"),
+    pytest.param(lambda C: arnoux_marin_min("HP", 4),
+                 ValueError("kind must be 'RP' or 'CP'"),
+                 id="arnoux-marin-unknown-kind"),
+    pytest.param(lambda C: boundary_matrix(C, 0), ValueError("k out of range"),
+                 id="boundary-matrix-k-out-of-range"),
+    pytest.param(lambda C: interval(1), InvalidArgument("k must be >= 2"),
+                 id="interval-of-one-vertex"),
+    pytest.param(lambda C: product(C, C, vertex_orders=((1, 2), C.vertices())),
+                 ValueError("vertex_orders must permute each factor's vertices"),
+                 id="product-bad-vertex-order"),
+])
+def test_input_checks(csaszar, call, expected):
+    """Each library check on its arguments, on the 7-vertex torus."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            call(csaszar)
+    else:
+        assert call(csaszar) == expected
