@@ -233,10 +233,13 @@ def brehm_kuehnel(f: Facts) -> list:
         rows = [_na("bk-non-sphere", "not known to be a non-sphere")]
 
     i = hints.connectivity
-    if i is not None and 1 <= i < d / 2:
+    if i is None:
+        rows.append(_na("bk-connectivity", "no connectivity hint"))
+    elif 1 <= i < d / 2:
         rows.append(_entry("bk-connectivity", n, _brehm_kuehnel_min(d, i)))
     else:
-        rows.append(_na("bk-connectivity", "no connectivity hint"))
+        rows.append(_na("bk-connectivity",
+                        f"connectivity hint {i} outside 1 <= i < d/2"))
 
     i = _sphere_product_index(H, d)
     if i is not None:

@@ -269,12 +269,6 @@ class _State:
             U |= F
         return len(st), U
 
-    def candidate(self, kind: int, A: int):
-        """The insert-face B if (A, B) is a legal kind-move (kind >= 1), else None."""
-        n, U = self._star(A)
-        B = U ^ A
-        return B if n == B.bit_count() == kind + 1 and not self._star(B)[0] else None
-
     def _build(self, kind: int) -> list:
         if not kind:
             pool = self._pools[0] = sorted(map(self.face, self.facets))
@@ -405,10 +399,11 @@ def _check_legal(state: _State, m: FlipMove):
         return
     # a label that is not a live vertex has no bit: such a set is no face
     a, b = state.mask_of(A), state.mask_of(m.insert)
-    B = None if a is None else state.candidate(m.kind, a)
-    if B is None:
-        if a is None or not state._star(a)[0]:
-            raise IllegalMove(f"{A} is not a face")
+    n, U = (0, 0) if a is None else state._star(a)
+    if not n:
+        raise IllegalMove(f"{A} is not a face")
+    B = U ^ a  # legal iff link(A) = dB, a k-simplex that is no face
+    if n != m.kind + 1 or B.bit_count() != n or state._star(B)[0]:
         if b is not None and state._star(b)[0]:
             raise IllegalMove(
                 f"insert-face {tuple(sorted(m.insert))} is already a face")

@@ -9,10 +9,8 @@ parse(write(C)) == C for every complex. A trace has one move per line,
 A reduction trace repeats few distinct lines many times over: heating
 back-and-forths and the inverse moves of reverts.  So each distinct move is
 written, and each distinct line parsed and validated, once, and repeated
-lines share one frozen FlipMove.  ``flips.replay`` does not check an undo,
-a move of kind d-k whose remove and insert tuples are the insert and remove
-of the k-move on top of its undo stack; an undo whose labels are written in
-another order is checked like any other move.
+lines share one frozen FlipMove.  Which moves of a trace are checked is
+decided by ``flips.replay``; see its undo rule.
 """
 from __future__ import annotations
 

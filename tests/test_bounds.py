@@ -285,6 +285,24 @@ def test_arnoux_marin_row_is_always_present(complexes, hint):
         assert e.notes == f"{hint} is not 3-dimensional"
 
 
+@pytest.mark.parametrize("i, note", [
+    (None, "no connectivity hint"),
+    (0, "connectivity hint 0 outside 1 <= i < d/2"),
+    (1, ""),
+    (2, "connectivity hint 2 outside 1 <= i < d/2")])
+def test_connectivity_hint_outside_its_range_is_named(complexes, i, note):
+    # d = 3, so the Brehm-Kuehnel connectivity bound takes only i = 1
+    C = complexes["RP3-11"]
+    applicable = {x.bound_id for x in bound_report(C).entries if x.applicable}
+    r = bound_report(C, TopologyHints(connectivity=i))
+    e = r.entry("bk-connectivity")
+    assert {x.bound_id for x in r.entries if x.applicable} == (
+        applicable | {"bk-connectivity"} if i == 1 else applicable)
+    assert e.applicable == (i == 1) and e.notes == note
+    if i == 1:
+        assert e.satisfied and e.slack == 2
+
+
 def _sha256(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -317,4 +335,4 @@ def test_hint_matrix_reports_are_pinned(complexes, csaszar):
             r = bound_report(C, hints)
             lines += [r.to_text(), r.to_kv()]
     assert _sha256(lines) == \
-        "57c5826034a83f27a0b14b588a56496c6752eedfddaa2c354dc16f3046abeca5"
+        "e575ca13da0d48884a1662df3b27c31e8261c21c9e77a3ad02aa035fd58379d6"

@@ -346,6 +346,14 @@ def test_legal_move_index_matches_oracle_as_bits_are_recycled(name, complexes):
     assert _replay_against_oracle(C, trace, read_every=5, seed=3) > 0
 
 
+def _verdict(state, m):
+    """The message of the IllegalMove that ``_check_legal`` raises, or None."""
+    try:
+        _check_legal(state, m)
+    except IllegalMove as e:
+        return str(e)
+
+
 @pytest.mark.parametrize("name", ORACLE_INPUTS[1:] + ("S3xS3-a-13 link",))
 def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
     # before the face index is built, a face's star is the intersection of
@@ -353,7 +361,9 @@ def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
     # its facet count c and star-vertex mask V, and a kind-k move at A is
     # legal iff c[A] = k+1 and B = V[A] ^ A is a k-simplex that is no face.
     # A face plus a vertex is often no face, in every size from 3 (the link
-    # is 3-neighborly) to d+2.
+    # is 3-neighborly) to d+2.  The move checker, on vertex stars, must
+    # accept exactly the moves the index calls legal and name the clause
+    # the index says each other move breaks.
     C, _ = random_walk(_oracle_input(name, complexes), seed=7, steps=80)
     plain, indexed = _State(C), _State(C)
     indexed.f()
@@ -362,13 +372,30 @@ def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
     assert len(c) == sum(f_vector(C).counts) and plain._bit == indexed._bit
     grown = {s | b for s in c for b in indexed._bit.values() if not s & b}
     assert {s.bit_count() for s in grown - c.keys()} >= set(range(3, C.dim + 3))
+    seen = set()
     for A in c.keys() | grown:
         n, U = c.get(A, 0), V.get(A, 0)
         assert plain._star(A) == (n, U)
         B = U ^ A
+        a, b = indexed.face(A), indexed.face(B)
         for kind in range(1, C.dim + 1):
-            legal = n == B.bit_count() == kind + 1 and B not in c
-            assert plain.candidate(kind, A) == (B if legal else None)
+            if A.bit_count() != C.dim - kind + 1:
+                clause = "size"
+                want = f"remove-face {a} has wrong size for a {kind}-move"
+            elif not n:
+                clause, want = "no face", f"{a} is not a face"
+            elif n == B.bit_count() == kind + 1 and B not in c:
+                clause, want = "legal", None
+                assert _verdict(plain, FlipMove(kind, a, a)) == (
+                    f"link of {a} is the boundary of {b}, not of {a}")
+            elif B in c:
+                clause, want = "already", f"insert-face {b} is already a face"
+            else:
+                clause = "no sphere"
+                want = f"link of {a} is not the boundary of a simplex"
+            assert _verdict(plain, FlipMove(kind, a, b)) == want, (kind, a, b)
+            seen.add(clause)
+    assert seen == {"size", "no face", "legal", "already", "no sphere"}
     assert plain.counts is None
     assert all(s & (s - 1) == 0 for s in plain.star)
 
