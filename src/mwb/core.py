@@ -106,12 +106,13 @@ class Complex:
         return cached
 
     def ridges(self) -> dict:
-        """Map (d-1)-face -> tuple of facets containing it."""
+        """Map each ridge R to the pairs (F, i): F a facet on R, F[i] its
+        vertex off R, i from d down to 0 as ``combinations`` drops them."""
         if self._ridge_cache is None:
-            rid = {}
+            rid, d = {}, self.dim
             for F in self.facets:
-                for R in itertools.combinations(F, self.dim):
-                    rid.setdefault(R, []).append(F)
+                for R, i in zip(itertools.combinations(F, d), range(d, -1, -1)):
+                    rid.setdefault(R, []).append((F, i))
             object.__setattr__(self, "_ridge_cache",
                                {R: tuple(fs) for R, fs in rid.items()})
         return self._ridge_cache
@@ -194,22 +195,21 @@ def is_k_neighborly(C: Complex, k: int) -> bool:
 
 def is_pseudomanifold(C: Complex) -> ManifoldVerdict:
     """Every ridge in exactly two facets, and the facet graph connected."""
-    for R, fs in C.ridges().items():
-        if len(fs) != 2:
-            return ManifoldVerdict("no", f"ridge {R} lies in {len(fs)} facet(s)")
-    # strong connectivity via ridge adjacency
-    adj = {F: [] for F in C.facets}
-    for fs in C.ridges().values():
-        adj[fs[0]].append(fs[1])
-        adj[fs[1]].append(fs[0])
-    seen = {C.facets[0]}
-    stack = [C.facets[0]]
-    while stack:
-        for G in adj[stack.pop()]:
-            if G not in seen:
-                seen.add(G)
-                stack.append(G)
-    if len(seen) != len(C.facets):
+    ridges = C.ridges()
+    for R, pairs in ridges.items():
+        if len(pairs) != 2:
+            return ManifoldVerdict("no", f"ridge {R} lies in {len(pairs)} facet(s)")
+    # strong connectivity: each ridge joins the parts of its two facets
+    part = {F: [F] for F in C.facets}
+    for (F, _), (G, _) in ridges.values():
+        a, b = part[F], part[G]
+        if a is not b:
+            if len(a) < len(b):
+                a, b = b, a
+            a += b
+            for H in b:
+                part[H] = a
+    if len(part[C.facets[0]]) != len(C.facets):
         return ManifoldVerdict("no", "facet adjacency graph is disconnected")
     return ManifoldVerdict("yes")
 

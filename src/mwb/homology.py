@@ -240,24 +240,20 @@ def orientation_signs(C: Complex):
     pm = is_pseudomanifold(C)
     if not pm:
         raise NotPseudomanifold(pm.witness)
+    ridges = C.ridges()
     sign: dict = {C.facets[0]: 1}
     stack = [C.facets[0]]
-    adj: dict = {F: [] for F in C.facets}
-    for R, (F, G) in C.ridges().items():
-        adj[F].append((R, G))
-        adj[G].append((R, F))
     while stack:
         F = stack.pop()
-        for R, G in adj[F]:
-            i = F.index((set(F) - set(R)).pop())
-            j = G.index((set(G) - set(R)).pop())
-            s = -sign[F] * (-1) ** (i + j)
-            if G in sign:
-                if sign[G] != s:
+        # F[i] and G[j] are off the ridge F and G share; one pair is F's own
+        for i in range(C.dim + 1):
+            for G, j in ridges[F[:i] + F[i + 1:]]:
+                s = -sign[F] * (-1) ** (i + j)
+                if G not in sign:
+                    sign[G] = s
+                    stack.append(G)
+                elif G != F and sign[G] != s:
                     return None
-            else:
-                sign[G] = s
-                stack.append(G)
     return sign
 
 

@@ -1,4 +1,3 @@
-import importlib
 import itertools
 import pickle
 import re
@@ -14,6 +13,7 @@ from mwb.core import (FACE_CAP, ManifoldVerdict, check_face_cap, f_vector,
                       is_pseudomanifold, link, process_map, relabeled, star)
 from mwb.errors import (BudgetZero, CapExceeded, InvalidArgument, NotAFace,
                         NotPure, UnsupportedDimension)
+import mwb.homology
 from mwb.homology import boundary_matrix, homology
 from mwb.iso import as_determinant
 
@@ -119,6 +119,22 @@ def test_pseudomanifold_counterexamples():
            [5, 6, 7], [5, 6, 8], [5, 7, 8], [6, 7, 8]]
     verdict = is_pseudomanifold(from_facets(two))
     assert verdict.status == "no" and "disconnected" in verdict.witness
+    # the first failing ridge in the ridge map's order is the witness
+    verdict = is_pseudomanifold(from_facets([(1, 2, 3), (1, 2, 4), (1, 2, 5)]))
+    assert verdict == ManifoldVerdict("no", "ridge (1, 2) lies in 3 facet(s)")
+
+
+def test_ridge_map_pairs_each_facet_with_its_omitted_index(complexes):
+    for C in complexes.values():
+        ridges = C.ridges()
+        assert C.ridges() is ridges  # cached
+        for R, pairs in ridges.items():
+            assert type(pairs) is tuple and len(pairs) == 2
+            assert all(F[:i] + F[i + 1:] == R for F, i in pairs)
+        # keys in the order combinations(F, d) gives them, facet by facet
+        order = dict.fromkeys(R for F in C.facets
+                              for R in itertools.combinations(F, C.dim))
+        assert list(ridges) == list(order)
 
 
 def test_neighborliness(csaszar, complexes):
@@ -187,14 +203,13 @@ def test_combinatorial_manifold_rejects_non_sphere_3d_link(complexes):
 
 
 def test_combinatorial_manifold_flips_before_homology(monkeypatch, complexes):
-    module = importlib.import_module("mwb.homology")
     calls = []
 
     def counting(L):
         calls.append(L)
         return homology(L)
 
-    monkeypatch.setattr(module, "homology", counting)
+    monkeypatch.setattr(mwb.homology, "homology", counting)
     # every link reaches a boundary simplex, so no homology is computed
     assert is_combinatorial_manifold(complexes["S3xS2-a-12"]).status == "yes"
     assert calls == []
@@ -206,9 +221,8 @@ def test_combinatorial_manifold_flips_before_homology(monkeypatch, complexes):
 
 def test_links_of_dimension_at_most_2_take_no_homology(monkeypatch, complexes,
                                                        rp2_6):
-    module = importlib.import_module("mwb.homology")
     calls = []
-    monkeypatch.setattr(module, "homology",
+    monkeypatch.setattr(mwb.homology, "homology",
                         lambda L: calls.append(L) or homology(L))
     for name in ("csaszar-torus", "RP3-11", "L31-12"):
         assert is_combinatorial_manifold(complexes[name]).status == "yes"

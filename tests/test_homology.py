@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import math
 
 import pytest
@@ -10,13 +9,16 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.matrices import DomainMatrix
 
 from conftest import small_complexes
-from mwb.constructions import boundary_simplex
-from mwb.core import f_vector, from_facets, relabeled
+from mwb.census import enumerate_surfaces
+from mwb.constructions import (boundary_simplex, connected_sum,
+                               orientable_bundle, twisted_bundle)
+from mwb.core import f_vector, from_facets, link, relabeled
 from mwb.errors import InvalidArgument, NotPseudomanifold
 from mwb.flips import SplitMix64, random_walk
+import mwb.homology as homology_module
 from mwb.homology import (HomologyVector, _diagonal_of, _sparse_boundary,
                           betti, boundary_matrix, homology, orientability,
-                          smith_normal_form)
+                          orientation_signs, smith_normal_form)
 
 
 def test_boundary_sign_convention():
@@ -105,7 +107,6 @@ def test_snf_diagonals_of_catalog_boundary_maps_are_pinned(complexes):
 def test_pivot_heap_picks_the_first_shortest_row(complexes, monkeypatch):
     # the heap must pick the row a scan of every row would pick; the pin
     # above sees a different pick only where it moves a non-unit pivot
-    homology_module = importlib.import_module("mwb.homology")
     pick = homology_module._pick_pivot
     same = []
 
@@ -231,7 +232,6 @@ def test_clearing_lemma_on_random_chain_pairs(pair):
 def test_clearing_drops_columns_of_the_map_below(complexes, monkeypatch):
     # the unit pivot rows of the top map of S3xS3-a-13 leave 521 of the 728
     # columns of its 5th boundary map; the maps are eliminated top down
-    homology_module = importlib.import_module("mwb.homology")
     diagonal_of = homology_module._diagonal_of
     columns = []
 
@@ -292,6 +292,31 @@ def test_orientability_agrees_with_top_homology(complexes):
         top_free = homology(C).free[C.dim]
         orientable = orientability(C) == "orientable"
         assert orientable == (top_free == 1)
+
+
+def test_orientation_signs_are_a_fundamental_cycle(complexes):
+    # the walk across the ridge map against the boundary operator: the signs
+    # exist exactly when H_d is Z, and then their chain has boundary zero
+    corpus = list(complexes.values())
+    corpus += [link(C, (v,)) for C in complexes.values() for v in C.vertices()]
+    for n in range(4, 9):
+        result = enumerate_surfaces(n, representatives=True)
+        corpus += [S for reps in result.representatives.values() for S in reps]
+    corpus += [build(d) for build in (orientable_bundle, twisted_bundle)
+               for d in range(2, 6)]
+    T = complexes["csaszar-torus"]
+    corpus.append(connected_sum(T, T.facets[0], T, T.facets[0]))
+    assert len(corpus) == 7 + 78 + 57 + 8 + 1
+    kinds = set()
+    for C in corpus:
+        sign = orientation_signs(C)
+        kinds.add(sign is not None)
+        assert (sign is not None) == (homology(C).free[C.dim] == 1)
+        if sign is not None:
+            cycle = [sign[F] for F in C.faces(C.dim)]
+            assert all(sum(a * x for a, x in zip(row, cycle)) == 0
+                       for row in boundary_matrix(C, C.dim))
+    assert kinds == {True, False}
 
 
 def test_poincare_duality_mod_2(complexes):
