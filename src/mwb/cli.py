@@ -126,6 +126,7 @@ def cmd_reduce(args):
     fv = f_vector(best)
     print(f"best f = {fv.counts} after {stats['moves']} moves "
           f"(best at step {stats['best_step']})")
+    print(f"stop = {stats['stop']}")
     if args.out:
         tri_io.save(args.out, best)
     if args.trace:
@@ -310,7 +311,8 @@ def build_parser():
                                     "(objective, seed)-best run")
     sp.add_argument("--threads", default=1,
                     help="worker processes for multi-seed runs, at most "
-                         "one per seed and per CPU")
+                         "one per seed and per CPU; a pool runs every seed "
+                         "to its end, where one worker stops at the winner")
     sp.add_argument("--budget", default=100_000)
     sp.add_argument("--trace", help="write the move trace here")
     sp.add_argument("--target-f0", dest="target_f0")

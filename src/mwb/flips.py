@@ -14,9 +14,8 @@ seed, budget, schedule); ``tri_io`` reads and writes traces.
 
 The undo rule: right after a legal k-move (k, A, B) its inverse (d-k, B, A)
 is legal and restores the complex exactly.  So ``replay`` keeps a stack of
-the inverses of the moves not yet undone, checks only a move that is not the
-inverse on top, and applies neither a move nor its undo when one follows the
-other.
+the inverses of the moves not yet undone and checks only a move that is not
+the inverse on top; it applies every move.
 """
 from __future__ import annotations
 
@@ -124,14 +123,14 @@ class _State:
     labels for a later ``snapshot``.  The pools hold sorted label tuples, so
     picks never depend on bits.
 
-    At first ``star`` maps each vertex to its facets: a move updates each
-    vertex star of A u B once, and s is a face iff its vertices' stars meet
-    (``_star``).  The first ``f()`` or ``pool(kind >= 1)`` replaces it by the
-    face index: ``c[s]``, the number of facets containing the face s, and
-    ``V[s]``, their OR.  A kind-k move at A is legal iff c[A] = k+1 and
-    B = V[A] ^ A has k+1 vertices and is no face: k+1 distinct k-subsets of
-    a (k+1)-set are all of them.  A move rewrites both on the proper
-    subfaces of A u B, and the f-vector by a constant per kind.
+    At first the state is its facet set, and a move only rewrites it; a
+    checked move scans it (``_star``).  The first ``f()`` or
+    ``pool(kind >= 1)`` builds the face index: ``c[s]``, the number of
+    facets containing the face s, and ``V[s]``, their OR.  A kind-k move at
+    A is legal iff c[A] = k+1 and B = V[A] ^ A has k+1 vertices and is no
+    face: k+1 distinct k-subsets of a (k+1)-set are all of them.  A move
+    rewrites both on the proper subfaces of A u B, and the f-vector by a
+    constant per kind.
 
     A kind's legal-move index is built on its first ``pool`` read, with
     every face of its size dirty.  A move dirties only the faces whose move
@@ -147,8 +146,6 @@ class _State:
     def restore(self, facets):
         """Become the complex of these facets (label tuples) as a fresh state
         would, but keep ``max_label``, so fresh labels never repeat."""
-        self.facets: set = set()  # facet masks
-        self.star: dict = {}      # vertex bit -> set of facet masks
         self.c = self.V = None    # face mask -> facet count, OR of facets
         self.counts = None        # the f-vector, once every face is indexed
         self._bit: dict = {}      # live vertex label -> its bit (a power of 2)
@@ -164,11 +161,7 @@ class _State:
         self._indexed: list = []  # kinds >= 1 with an index
         for v in sorted({v for F in facets for v in F}):
             self._add_vertex(v)
-        for F in facets:  # vertex stars only
-            s = self._mask(F)
-            self.facets.add(s)
-            for v in F:
-                self.star.setdefault(self._bit[v], set()).add(s)
+        self.facets: set = set(map(self._mask, facets))  # facet masks
 
     def _add_vertex(self, v: int):
         if self._free:
@@ -246,7 +239,7 @@ class _State:
         counts = [0] * (self.d + 1)
         for s in c:
             counts[s.bit_count() - 1] += 1
-        self.counts, self.star = tuple(counts), None
+        self.counts = tuple(counts)
 
     def f(self) -> tuple:
         if self.counts is None:
@@ -257,14 +250,9 @@ class _State:
         return self.max_label + 1
 
     def _star(self, s: int) -> tuple:
-        """(The number of facets containing s, their OR) from the vertex
-        stars, so only before the face index; (0, 0) if no face."""
-        star, U = self.star, 0
-        st = star.get(s & -s, ())
-        s &= s - 1
-        while s and st:
-            st = st.intersection(star.get(s & -s, ()))
-            s &= s - 1
+        """(The number of facets containing s, their OR) by a scan of the
+        facets, so without the face index; (0, 0) if no face."""
+        st, U = [F for F in self.facets if F & s == s], 0
         for F in st:
             U |= F
         return len(st), U
@@ -342,21 +330,7 @@ class _State:
         added = [AB ^ a for a in bits[:r]]    # A u B less a vertex of A
         self.facets.difference_update(removed)
         self.facets.update(added)
-        if self.counts is None:
-            # vertex stars only: the star of each v in A u B loses the
-            # removed facets and gains the added ones but A u B - v
-            star = self.star
-            for b in bits:
-                st = star.get(b)
-                if st is None:  # a 0-move's fresh vertex
-                    star[b] = set(added)
-                else:
-                    st.difference_update(removed)
-                    st.update(added)
-                    st.discard(AB ^ b)
-                    if not st:  # a d-move's vertex
-                        del star[b]
-        else:
+        if self.counts is not None:  # the face index is built
             self._update(sum(bits[:r]), sum(bits[r:]))
             self.counts = tuple(map(add, self.counts, self._deltas[m.kind]))
         facet_pool = self._pools[0]
@@ -417,29 +391,21 @@ def replay(C: Complex, trace) -> Complex:
     """Re-apply a recorded move sequence; raises IllegalMove with the
     violated clause at the first illegal move.
 
-    By the undo rule (above), an undo is not checked, and neither a move
-    nor its undo is applied when the undo comes next; an undo with its
-    labels in another order is checked.  Labels are kept exactly as
+    By the undo rule (above), an undo is not checked; an undo with its
+    labels in another order is checked.  Every move is applied to the bare
+    facet set, so no face index is built.  Labels are kept exactly as
     recorded, as the reducer does; the final complex is canonicalized, so
     after a d-move the labels above the removed vertex shift down by one.
     """
     state = _State(C)
-    undo = []    # the inverses of the moves not yet undone
-    held = None  # a checked move, applied unless its undo comes next
+    undo = []  # the inverses of the moves not yet undone
     for m in trace:
         if undo and m == undo[-1]:  # it undoes a legal move, so is legal
             undo.pop()
-            if held is None:
-                state.apply(m)
-            held = None  # else the held move and its undo cancel
         else:
-            if held is not None:
-                state.apply(held)
             _check_legal(state, m)
             undo.append(m.inverse(state.d))
-            held = m
-    if held is not None:
-        state.apply(held)
+        state.apply(m)
     return core.from_facets(state.snapshot())
 
 
@@ -502,7 +468,9 @@ def reduce(C: Complex, seed: int, budget: int,
     complex found, the move trace (replayable; it includes the inverse
     moves that back out of failed excursions and count against the budget,
     though the state jumps back instead of applying them), and a statistics
-    dict whose "final" entry is the complex the walk ended on.
+    dict whose "final" entry is the complex the walk ended on and whose
+    "stop" entry says why it ended: "target", "budget", or "stuck" at the
+    best complex with no heating move.
     """
     if budget <= 0:
         raise BudgetZero("move budget must be positive")
@@ -555,7 +523,9 @@ def reduce(C: Complex, seed: int, budget: int,
             since_best.clear()
             stats["best_step"] = len(trace)
             heat, heat_len, fails = 0, HEAT_INIT, 0
-    stats.update(moves=len(trace), best_f=best_f, final_f=state.f(),
+    stop = ("target" if schedule.reached(best_f)
+            else "budget" if len(trace) == budget else "stuck")
+    stats.update(moves=len(trace), best_f=best_f, final_f=state.f(), stop=stop,
                  final=core.from_facets(state.snapshot()))
     return core.from_facets(state.snapshot(best)), trace, stats
 
@@ -568,7 +538,8 @@ def reduce_multi(C: Complex, seeds, budget: int,
     reaches the schedule target; if none does, the run with the least
     (stats["best_f"], seed) wins.  One scan in seed order over
     ``core.process_map`` applies this rule, so ``threads`` cannot change the
-    winner: one worker stops at it, and a pool runs every seed first.
+    winner.  One worker stops at it, but a pool runs every seed to its end,
+    so a pool is slower where an early seed wins.
     """
     seeds = list(seeds)
     if not seeds:

@@ -78,7 +78,19 @@ def test_construct_reduce_replay_round_trip(capsys, tmp_path):
     from mwb.core import f_vector
     assert f_vector(load(best)).counts == (9, 36, 54, 27)
     assert main(["replay", "--in", bundle, "--trace", trace]) == 0
-    assert "f = (9, 36, 54, 27)" in capsys.readouterr().out
+    out = capsys.readouterr().out.splitlines()
+    assert "stop = target" in out and "f = (9, 36, 54, 27)" in out[-1]
+
+
+def test_reduce_prints_a_stuck_stop(capsys, tmp_path):
+    # the 6-dimensional bundle has no improving and no heating move
+    bundle = str(tmp_path / "tb6.tri")
+    assert main(["construct", "bundle", "--dim", "6", "--out", bundle]) == 0
+    capsys.readouterr()
+    assert main(["reduce", "--in", bundle]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "best f = (21, 147, 441, 735, 735, 441, 126) after 0 moves "
+        "(best at step 0)", "stop = stuck"]
 
 
 def test_reduce_multi_seed(tmp_path, capsys):

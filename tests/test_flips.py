@@ -101,6 +101,20 @@ def test_reduce_boundary_simplex_is_already_minimal():
     assert best == C
 
 
+def test_reduce_names_why_it_stopped(complexes):
+    # the twisted bundle reaches its target at move 503; RP3-11 is still
+    # moving when 5 moves are spent; in dimension 6 the bundle has moves of
+    # kinds 0 and 1 only, so neither an improving nor a heating move
+    target = Schedule(target_f=(9, 36, 54, 27))
+    _, trace, stats = reduce(twisted_bundle(3), seed=1, budget=100_000,
+                             schedule=target)
+    assert (stats["stop"], len(trace)) == ("target", 503)
+    _, trace, stats = reduce(complexes["RP3-11"], seed=1, budget=5)
+    assert (stats["stop"], len(trace)) == ("budget", 5)
+    _, trace, stats = reduce(twisted_bundle(6), seed=1, budget=100_000)
+    assert (stats["stop"], trace) == ("stuck", [])
+
+
 def test_reduce_rejects_zero_budget(csaszar):
     with pytest.raises(BudgetZero):
         reduce(csaszar, seed=1, budget=0)
@@ -136,7 +150,7 @@ def test_reduce_cut_at_any_budget_is_a_prefix_that_replays():
     _, full, _ = reduce(C, seed=3, budget=300)
     for budget in (50, 51, 80, 100, 101, 250, 300):
         _, trace, stats = reduce(C, seed=3, budget=budget)
-        assert len(trace) == budget
+        assert (len(trace), stats["stop"]) == (budget, "budget")
         assert trace == full[:budget]
         assert replay(C, trace) == stats["final"]
 
@@ -356,13 +370,12 @@ def _verdict(state, m):
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS[1:] + ("S3xS3-a-13 link",))
 def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
-    # before the face index is built, a face's star is the intersection of
-    # its vertices' stars; the index, checked against brute force, holds
-    # its facet count c and star-vertex mask V, and a kind-k move at A is
-    # legal iff c[A] = k+1 and B = V[A] ^ A is a k-simplex that is no face.
-    # A face plus a vertex is often no face, in every size from 3 (the link
-    # is 3-neighborly) to d+2.  The move checker, on vertex stars, must
-    # accept exactly the moves the index calls legal and name the clause
+    # before the face index is built, a face's star is read off the facet
+    # set; the index, checked against brute force, holds its facet count c
+    # and star-vertex mask V, and a kind-k move at A is legal iff c[A] = k+1
+    # and B = V[A] ^ A is a k-simplex that is no face.  A face plus a vertex
+    # is often no face, in every size from 3 (the link is 3-neighborly) to
+    # d+2.  The move checker, on the bare facet set, must accept exactly the moves the index calls legal and name the clause
     # the index says each other move breaks.
     C, _ = random_walk(_oracle_input(name, complexes), seed=7, steps=80)
     plain, indexed = _State(C), _State(C)
@@ -396,58 +409,26 @@ def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
             assert _verdict(plain, FlipMove(kind, a, b)) == want, (kind, a, b)
             seen.add(clause)
     assert seen == {"size", "no face", "legal", "already", "no sphere"}
-    assert plain.counts is None
-    assert all(s & (s - 1) == 0 for s in plain.star)
+    assert plain.counts is None and not hasattr(plain, "star")
 
 
 @pytest.mark.parametrize("name", ORACLE_INPUTS[1:])
-def test_replay_runs_on_vertex_stars(name, complexes, monkeypatch):
-    # checking and applying moves, as replay does, never builds the star
-    # of every face, so a move updates d+1 vertex stars, not 2^(d+1)-1
+def test_replay_never_builds_the_face_index(name, complexes, monkeypatch):
+    # checking and applying moves, as replay does, reads and rewrites the
+    # bare facet set, so a move touches d+2 facets, not 2^(d+2)-2 faces
     C = complexes[name]
     walked, trace = random_walk(C, seed=5, steps=200)
     state = _State(C)
     for m in trace:
         _check_legal(state, m)
         state.apply(m)
-        assert all(s & (s - 1) == 0 for s in state.star)
-    assert state.counts is None and not state._indexed
+    assert state.counts is None and state.c is None and not state._indexed
 
-    def no_face_star(self):
-        raise AssertionError("replay built the face star")
+    def no_face_index(self):
+        raise AssertionError("replay built the face index")
 
-    monkeypatch.setattr(_State, "_index_faces", no_face_star)
+    monkeypatch.setattr(_State, "_index_faces", no_face_index)
     assert replay(C, trace) == walked == from_facets(state.snapshot())
-
-
-def _vertex_stars(state):
-    """Each vertex label -> the sorted facets (label tuples) of its star, from
-    a state that keeps vertex stars only."""
-    assert state.counts is None and all(s & (s - 1) == 0 for s in state.star)
-    return {state.face(b)[0]: sorted(map(state.face, st))
-            for b, st in state.star.items()}
-
-
-@pytest.mark.parametrize("name", ORACLE_INPUTS[1:])
-def test_vertex_stars_match_a_fresh_state_after_every_move(name, complexes):
-    # a move updates the star of each vertex of A u B once; a 0-move gives
-    # its fresh vertex a star and a d-move takes its vertex's star away
-    C = complexes[name]
-    _, walk = random_walk(C, seed=5, steps=120)
-    start, _ = random_walk(C, seed=9, steps=40)
-    _, trace, _ = reduce(start, seed=2, budget=150)
-    kinds = set()
-    for C0, moves in ((C, walk), (start, trace)):
-        state = _State(C0)
-        for step, m in enumerate(moves):
-            state.apply(m)
-            kinds.add(m.kind)
-            facets = state.snapshot()
-            labels = sorted({v for F in facets for v in F})  # from_facets: 1..n
-            fresh = {labels[v - 1]: [tuple(labels[u - 1] for u in F) for F in Fs]
-                     for v, Fs in _vertex_stars(_State(from_facets(facets))).items()}
-            assert _vertex_stars(state) == fresh, step
-    assert kinds == set(range(C.dim + 1))
 
 
 @pytest.mark.parametrize("indexed", [False, True])
@@ -658,7 +639,7 @@ def test_replay_matches_the_reference_on_the_gate_traces(s2xs2_reduction,
 def test_replay_matches_the_reference_on_every_prefix(twisted_seed3):
     # moves 51-100 of seed 3 undo its first 50 moves, so prefixes end
     # before, inside and after that run, and just after the pair of moves
-    # 50 and 51, which replay applies neither of
+    # 50 and 51, a checked move and its unchecked undo
     C, trace = twisted_seed3
     assert _undo_indices(trace[:110], C.dim) == list(range(50, 100))
     for k in range(111):
@@ -683,9 +664,8 @@ def test_replay_checks_and_applies_only_what_the_undo_stack_cannot_vouch_for(
     monkeypatch.setattr("mwb.flips._check_legal", counted_check)
     monkeypatch.setattr(_State, "apply", counted_apply)
     assert replay(P, trace) == final
-    # 18,225 - 8,580 checks; 761 moves undone by the very next move are
-    # applied neither with their undo
-    assert calls == {"check": 9_645, "apply": 16_703}
+    # 18,225 - 8,580 checks; every move is applied
+    assert calls == {"check": 9_645, "apply": 18_225}
 
 
 def test_a_corrupted_undo_raises_at_its_own_index(twisted_seed3):
@@ -713,8 +693,8 @@ def test_an_undo_with_reordered_tuples_replays_to_the_same_complex(
 
 
 def test_an_illegal_move_after_a_skipped_pair_raises_at_its_own_index():
-    # replay applies neither move of a pair; the repeated undo is checked
-    # against the complex before the pair, where it is illegal
+    # a move and its undo give back the complex before the pair; the
+    # repeated undo is checked against it, where it is illegal
     C = twisted_bundle(3)
     stack = FlipMove(0, C.facets[0], (13,))
     stacked = apply_move(C, stack)
@@ -726,7 +706,7 @@ def test_an_illegal_move_after_a_skipped_pair_raises_at_its_own_index():
         _assert_replay_matches_reference(start, trace)
     with pytest.raises(IllegalMove, match=r"^\(13,\) is not a face$"):
         replay(C, [stack, stack.inverse(3), stack.inverse(3)])
-    # the first move of a pair is checked, though neither is applied
+    # the first move of a pair is checked before its undo is seen
     bad = FlipMove(1, (1, 2, 3), (4, 5))
     assert _reference_replay(C, [bad, bad.inverse(3)])[0] == 0
     _assert_replay_matches_reference(C, [bad, bad.inverse(3)])
