@@ -51,7 +51,7 @@ class SplitMix64:
         return seq[self.randrange(len(seq))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlipMove:
     kind: int
     remove: tuple

@@ -8,11 +8,10 @@ counts here are small (n <= ~25), so simplicity wins over asymptotics.
 Each refinement round sorts every facet's colours once, and skips the
 facets of vertices already alone in their cells, whose ranks cannot move.
 
-Refinement by face degrees stalls on neighborly complexes, where every
-vertex has the same degrees. In dimension >= 3 a stalled first refinement
-is therefore split once by the vertices' triangle degrees, an invariant
-applied at refinement time in the manner of McKay-Piperno, *Practical graph
-isomorphism II* (arXiv:1301.1493).
+Refinement by face degrees alone stalls on neighborly complexes, where
+every vertex has the same degrees. The initial colours therefore also hold
+each vertex's triangle degrees, a vertex invariant in the manner of
+McKay-Piperno, *Practical graph isomorphism II* (arXiv:1301.1493).
 """
 from __future__ import annotations
 
@@ -81,14 +80,21 @@ def _vertex_facets(C: Complex):
 
 
 def _initial_colors(C: Complex):
-    # per-dimension face degrees are cheap and isomorphism-invariant
+    """Rank each vertex by its face degrees, then its triangle degrees: the
+    facet counts of its triangles in ascending order. Both are cheap and
+    isomorphism-invariant. In dimension <= 2 and in a 3-pseudomanifold the
+    face degrees fix the triangle degrees; on S3xS3-a-13, where every vertex
+    has the same face degrees, the triangle degrees split all 13."""
     deg = [[0] * (C.dim + 1) for _ in range(C.n)]
     for k in range(C.dim + 1):
         for F in C.faces(k):
             for v in F:
                 deg[v - 1][k] += 1
-    keys = sorted(set(map(tuple, deg)))
-    index = {key: i for i, key in enumerate(keys)}
+    tri = Counter(T for F in C.facets for T in combinations(F, 3))
+    for T, k in sorted(tri.items(), key=lambda item: item[1]):
+        for v in T:
+            deg[v - 1].append(k)
+    index = {key: i for i, key in enumerate(sorted(set(map(tuple, deg))))}
     return [index[tuple(row)] for row in deg]
 
 
@@ -137,15 +143,8 @@ def _search(C: Complex):
     explored leaf M with the minimal key; M is L or was visited after it,
     and then the automorphism L -> M was recorded.
 
-    Before the search, the initial colours are refined once. If the complex
-    has dimension >= 3 and some cell still holds more than one vertex, each
-    vertex is recoloured by the rank of (colour, triangle degrees) among the
-    distinct pairs, where a vertex's triangle degrees are the sorted facet
-    counts of its triangles. The step depends only on the dimension and the
-    refined partition, so it commutes with relabeling; it splits S3xS3-a-13
-    into singletons, where degree refinement alone leaves one cell of 13.
-    Where all triangles have one facet count, as in a 3-pseudomanifold, the
-    colour already fixes the triangle degrees, so the step is skipped.
+    The search starts from the refinement of the initial colours, the one
+    refinement made before it individualizes a vertex.
     """
     n = C.n
     facets = C.facets
@@ -181,15 +180,7 @@ def _search(C: Complex):
             split[v - 1] -= 1
             rec(_refine(split, vert_facets), prefix + (v,))
 
-    colors = _refine(_initial_colors(C), vert_facets)
-    if C.dim >= 3 and len(set(colors)) < n:
-        tri = Counter(T for F in facets for T in combinations(F, 3))
-        if len(set(tri.values())) > 1:
-            pairs = [(c, tuple(sorted(k for T, k in tri.items() if v in T)))
-                     for v, c in enumerate(colors, start=1)]
-            rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-            colors = _refine([rank[pair] for pair in pairs], vert_facets)
-    rec(colors, ())
+    rec(_refine(_initial_colors(C), vert_facets), ())
     return best[1], autos
 
 
@@ -198,8 +189,7 @@ def canonical_form(C: Complex):
 
     Isomorphic complexes map to identical facet lists; the representative is
     the lexicographically smallest relabeled facet list reachable through
-    refinement-respecting labelings. In dimension >= 3 that refinement
-    includes the triangle-degree split described in ``_search``.
+    labelings that respect the refinement of face and triangle degrees.
     """
     perm, _ = _search(C)
     return relabeled(C, perm), perm

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,15 @@ def test_reduce_twisted_bundle_reaches_walkup_minimum():
 def test_move_serialization_roundtrip():
     m = FlipMove(2, (1, 5, 9), (3, 11))
     assert parse_trace(write_trace([m])) == [m]
+
+
+def test_reduce_trace_survives_a_pickle_round_trip():
+    # a pool worker sends its reduce result back to the parent by pickle
+    C = twisted_bundle(3)
+    _, trace, stats = reduce(C, seed=1, budget=300)
+    back = pickle.loads(pickle.dumps(trace))
+    assert back == trace and all(type(m) is FlipMove for m in back)
+    assert replay(C, back) == stats["final"]
 
 
 def test_reduce_multi_is_deterministic_and_parallelizable():

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -179,7 +178,7 @@ CANONICAL_FORM_SHA256 = {
     "csaszar-torus": "5fc007b3b722b73d25b9305911094d1365be350b2652a51e0ff9e597f97a7105",
     "RP3-11": "e10c90a1b4baabbfe70291eacc882726cfb0c5d645044cdae67c3b44b4cf6924",
     "L31-12": "3ac7c7dee1cc00587cf96fb349ed40bcb367ae695babfe3c8e9623237a4be7fa",
-    "S2xS2-11": "3adfaa0bc154b65ff673fe798be4b61c888ba11d9f17928b5328af3bf56b962e",
+    "S2xS2-11": "ee8c92bad3acd0a0f318f5958d7a8474fa19b3ec6897ef201578b07fdccafffa",
     "S3twS1-12": "635c0e4bcb92a90792c53f495096fdbccb78dd6861e045e276eaea5f441c6ee1",
     "S3xS2-a-12": "d1d99bc51de09cf67b8eebee5988804c5195d883ab6a2c6f21912b6f78dc6c32",
     "S3xS3-a-13": "c6510ded44f3ee00368cdf9b6d8c30298b6d4b208db915d48b3f9f8d724a4882",
@@ -194,22 +193,23 @@ def test_catalog_canonical_forms_are_pinned(complexes):
 
 
 def test_triangle_degrees_unstall_neighborly_refinement(complexes, monkeypatch):
-    # every vertex of S3xS3-a-13 has the same face degrees; without a split
-    # of the stalled cell the search tried all 13 first vertices (170
-    # refines), and edge degrees alone took 228
+    # every vertex of S3xS3-a-13 has the same face degrees; the triangle
+    # degrees in the initial colours split it into singletons, so one
+    # refinement ends the search. Face degrees alone made the search try all
+    # 13 first vertices (170 refines), and edge degrees alone took 228
     calls = []
     refine = iso._refine
     monkeypatch.setattr(iso, "_refine",
                         lambda *args: calls.append(1) or refine(*args))
     C = complexes["S3xS3-a-13"]
     canonical_form(C)
-    assert len(calls) <= 3
+    assert len(calls) == 1
     assert automorphism_group(C).order == 1
 
 
 def test_refine_calls_per_catalog_canonical_form(complexes, monkeypatch):
-    # in a 3-pseudomanifold every triangle lies in two facets, so the
-    # triangle-degree split is skipped and costs no refinement
+    # the search refines the initial colours once, then once per
+    # individualized vertex
     calls = []
     refine = iso._refine
     monkeypatch.setattr(iso, "_refine",
@@ -220,28 +220,33 @@ def test_refine_calls_per_catalog_canonical_form(complexes, monkeypatch):
         canonical_form(C)
         got[name] = len(calls)
     assert got == {"csaszar-torus": 11, "RP3-11": 22, "L31-12": 9,
-                   "S2xS2-11": 1, "S3twS1-12": 1, "S3xS2-a-12": 2,
-                   "S3xS3-a-13": 2}
+                   "S2xS2-11": 1, "S3twS1-12": 1, "S3xS2-a-12": 1,
+                   "S3xS3-a-13": 1}
 
 
-def test_skipped_triangle_degree_split_is_a_no_op(complexes, walked_sphere):
-    # where every triangle has the same facet count, ranking the pairs
-    # (colour, triangle degrees) gives back the refined colours
-    walks = [random_walk(complexes[name], seed=7, steps=60)[0]
-             for name in ("RP3-11", "L31-12")]
-    for C in [complexes["RP3-11"], complexes["L31-12"], walked_sphere] + walks:
-        colors = iso._refine(iso._initial_colors(C), iso._vertex_facets(C))
-        tri = Counter(T for F in C.facets for T in itertools.combinations(F, 3))
-        assert set(tri.values()) == {2}
-        pairs = [(c, tuple(sorted(k for T, k in tri.items() if v in T)))
-                 for v, c in enumerate(colors, start=1)]
-        rank = {pair: i for i, pair in enumerate(sorted(set(pairs)))}
-        assert [rank[pair] for pair in pairs] == colors
+def _face_degree_colors(C):
+    """Each vertex ranked by its face degrees alone."""
+    deg = [tuple(sum(v in F for F in C.faces(k)) for k in range(C.dim + 1))
+           for v in C.vertices()]
+    index = {key: i for i, key in enumerate(sorted(set(deg)))}
+    return [index[key] for key in deg]
+
+
+def test_triangle_degrees_follow_from_face_degrees_below_dimension_four(
+        complexes, csaszar, rp2_6, walked_sphere):
+    # in dimension 2 every triangle is a facet, and in a 3-pseudomanifold
+    # every triangle lies in two facets, so the initial colours are the
+    # face-degree colours
+    walks = [random_walk(C, seed=7, steps=60)[0] for C in
+             (complexes["RP3-11"], complexes["L31-12"], walked_sphere)]
+    for C in [complexes["RP3-11"], complexes["L31-12"], walked_sphere,
+              csaszar, rp2_6] + walks:
+        assert iso._initial_colors(C) == _face_degree_colors(C)
 
 
 def test_are_isomorphic_and_canonical_form_compute_no_determinant(
         complexes, monkeypatch):
-    # the stalled cell is split by triangle degrees, so neither the
+    # the initial triangle degrees split S3xS3-a-13, so neither the
     # isomorphism test nor the canonical form takes a link or a determinant
     calls = []
     det = iso.as_determinant
@@ -254,7 +259,8 @@ def test_are_isomorphic_and_canonical_form_compute_no_determinant(
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["L31-12", "S3xS2-a-12"])
+@pytest.mark.parametrize("name", ["L31-12", "S2xS2-11", "S3xS2-a-12",
+                                  "S3xS3-a-13"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_canonical_form_is_invariant_under_relabeling(name, complexes, data):
@@ -321,9 +327,9 @@ def test_automorphism_group_matches_brute_force_on_named_complexes(
 
 
 def test_walked_sphere_takes_the_link_determinant_split(walked_sphere):
-    # the link determinants split the 6-vertex cell; the search's own split,
-    # by triangle degrees, does not, as every triangle of a 3-manifold lies
-    # in two facets, so individualization does that work
+    # the link determinants split the 6-vertex cell; the triangle degrees in
+    # the initial colours do not, as every triangle of a 3-manifold lies in
+    # two facets, so individualization does that work
     C = walked_sphere
     assert (C.n, len(C.facets)) == (8, 19)
     colors = iso._refine(iso._initial_colors(C), iso._vertex_facets(C))
