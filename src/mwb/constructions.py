@@ -62,40 +62,25 @@ def suspension(C: Complex) -> Complex:
                        [F + (b,) for F in C.facets])
 
 
-def product(C1: Complex, C2: Complex, vertex_orders=None) -> Complex:
+def product(C1: Complex, C2: Complex) -> Complex:
     """Staircase (standard simplicial) product on the vertex grid.
 
-    ``vertex_orders`` optionally gives the linear order of each factor's
-    vertices as two sequences; the default is label order.  Vertex (u, w)
-    receives label (pos(u)-1)*n2 + pos(w), so f0 = n1*n2.
+    Each factor's vertices go in label order: vertex (u, w) receives label
+    (u-1)*n2 + w, so f0 = n1*n2.  For another order relabel a factor first;
+    ``product(relabeled(C1, perm), C2)`` puts u at position perm[u-1].
     """
-    order1 = tuple(vertex_orders[0]) if vertex_orders else tuple(C1.vertices())
-    order2 = tuple(vertex_orders[1]) if vertex_orders else tuple(C2.vertices())
-    if sorted(order1) != list(C1.vertices()) or sorted(order2) != list(C2.vertices()):
-        raise ValueError("vertex_orders must permute each factor's vertices")
     p, q = C1.dim, C2.dim  # a p-simplex times a q-simplex has C(p+q, p) cells
     check_face_cap(len(C1.facets) * len(C2.facets) * comb(p + q, p), p + q)
-    pos1 = {v: i for i, v in enumerate(order1)}
-    pos2 = {v: i for i, v in enumerate(order2)}
     n2 = C2.n
-
-    def grid(i, j):
-        return i * n2 + j + 1
-
     facets = []
     for F in C1.facets:
-        fi = sorted(pos1[v] for v in F)
         for G in C2.facets:
-            gj = sorted(pos2[v] for v in G)
             for ups in itertools.combinations(range(p + q), p):
-                a = b = 0
-                cell = [grid(fi[0], gj[0])]
+                a = 0  # after step t, a steps went up F and t+1-a along G
+                cell = [(F[0] - 1) * n2 + G[0]]
                 for t in range(p + q):
-                    if t in ups:
-                        a += 1
-                    else:
-                        b += 1
-                    cell.append(grid(fi[a], gj[b]))
+                    a += t in ups
+                    cell.append((F[a] - 1) * n2 + G[t + 1 - a])
                 facets.append(cell)
     return from_facets(facets)
 

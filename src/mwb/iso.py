@@ -1,10 +1,10 @@
 """Combinatorial fingerprints, canonical labeling, isomorphism, automorphisms.
 
 One individualization-refinement search, with orbit pruning by the
-automorphisms discovered along the way, gives both the canonical labeling
-and a generating set of the automorphism group (not necessarily
-irredundant); the group order then comes from orbit-stabilizer. Vertex
-counts here are small (n <= ~25), so simplicity wins over asymptotics.
+automorphisms discovered along the way, gives both the canonical form (its
+least relabeled leaf) and a generating set of the automorphism group (not
+necessarily irredundant); the group order comes from orbit-stabilizer.
+Vertex counts here are small (n <= ~25), so simplicity wins over asymptotics.
 Each refinement round sorts every facet's colours once, and skips the
 facets of vertices already alone in their cells, whose ranks cannot move.
 
@@ -128,28 +128,23 @@ def _refine(colors, vert_facets):
         colors = new
 
 
-def _relabel_key(facets, perm):
-    return tuple(sorted(tuple(sorted(perm[v - 1] for v in F)) for F in facets))
-
-
 def _search(C: Complex):
-    """Individualization-refinement with orbit pruning: the canonical labeling
-    and the automorphisms found at leaves equivalent to the best one.
+    """Individualization-refinement with orbit pruning: the least leaf, as
+    (``relabeled(C, perm)``, perm), and the automorphisms between equal leaves.
 
     They generate the whole group. Let L be the final best leaf, the first
-    one visited with the minimal key. A child is pruned only when recorded
-    automorphisms fixing its prefix map it onto an explored sibling, so any
-    automorphism h, composed with recorded ones, carries h(L) onto an
-    explored leaf M with the minimal key; M is L or was visited after it,
-    and then the automorphism L -> M was recorded.
+    one visited with the least facet list. A child is pruned only when
+    recorded automorphisms fixing its prefix map it onto an explored
+    sibling, so any automorphism h, composed with recorded ones, carries
+    h(L) onto an explored leaf M with the same facet list; M is L or was
+    visited after it, and then the automorphism L -> M was recorded.
 
     The search starts from the refinement of the initial colours, the one
     refinement made before it individualizes a vertex.
     """
     n = C.n
-    facets = C.facets
     vert_facets = _vertex_facets(C)
-    best: list = [None, None]  # key, perm
+    best: list = [None, None]  # relabeled complex, perm
     autos: list = []
 
     def rec(colors, prefix):  # colors: a refined partition
@@ -163,10 +158,10 @@ def _search(C: Complex):
                 break
         if target is None:
             perm = tuple(c + 1 for c in colors)
-            key = _relabel_key(facets, perm)
-            if best[0] is None or key < best[0]:
-                best[0], best[1] = key, perm
-            elif key == best[0]:
+            leaf = relabeled(C, perm)
+            if best[0] is None or leaf.facets < best[0].facets:
+                best[0], best[1] = leaf, perm
+            elif leaf == best[0]:
                 inv = _inverse(best[1])
                 autos.append(tuple(inv[perm[v] - 1] for v in range(n)))
             return
@@ -181,18 +176,18 @@ def _search(C: Complex):
             rec(_refine(split, vert_facets), prefix + (v,))
 
     rec(_refine(_initial_colors(C), vert_facets), ())
-    return best[1], autos
+    return best, autos
 
 
 def canonical_form(C: Complex):
     """A canonical representative and the relabeling that produces it.
 
     Isomorphic complexes map to identical facet lists; the representative is
-    the lexicographically smallest relabeled facet list reachable through
+    the leaf ``relabeled(C, perm)`` the search kept, the least facet list over
     labelings that respect the refinement of face and triangle degrees.
     """
-    perm, _ = _search(C)
-    return relabeled(C, perm), perm
+    (form, perm), _ = _search(C)
+    return form, perm
 
 
 def _in_orbit(v, explored, gens):

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import tracemalloc
 
 import pytest
@@ -8,7 +9,7 @@ from mwb.constructions import (GluingMap, boundary_simplex, cone,
                                orientable_bundle, product, stack, suspension,
                                twisted_bundle)
 from mwb.core import (f_vector, from_facets, is_combinatorial_manifold,
-                      is_k_neighborly, is_pseudomanifold)
+                      is_k_neighborly, is_pseudomanifold, relabeled)
 from mwb.errors import (CapExceeded, IncompatibleGluing, NotAFacet,
                         NotPseudomanifold, UnsupportedDimension)
 from mwb.flips import FlipMove, apply_move
@@ -70,13 +71,40 @@ def test_sphere_times_interval_has_16_vertices():
     assert P.n == 16 and P.dim == 3
 
 
-def test_product_respects_vertex_orders():
+def _to_positions(order):
+    """The relabeling that takes each vertex to its position in ``order``."""
+    return [order.index(v) + 1 for v in range(1, len(order) + 1)]
+
+
+# sha256 of the facet lists of products of factors put in given or seeded
+# vertex orders, recorded from product's former vertex_orders option, which
+# relabeling a factor replaces
+ORDERED_PRODUCT_SHA256 = [
+    "80b97b9d3f7b929deb2628b999485f7cce74f9f7c5209f7d54ae2eb9b164b2df",
+    "db093f6317ec37be919cfff86e1dcb4d03b09cdac0956343a3cfeeabf062a115",
+    "ea30f82edb436c7890833a1b334e03f6a84f7f03fc0af57ebabb9213b4d10baf",
+]
+
+
+def test_product_of_relabeled_factors_is_the_ordered_product(csaszar):
     circle = boundary_simplex(1)
-    P1 = product(circle, circle)
-    P2 = product(circle, circle, vertex_orders=([2, 3, 1], [1, 3, 2]))
-    assert P2.n == 9
-    assert f_vector(P2).counts == f_vector(P1).counts
-    assert are_isomorphic(P1, P2)
+    rng = random.Random(35)
+    cases = [(circle, circle, [2, 3, 1], [1, 3, 2])]
+    for A, B in [(csaszar, boundary_simplex(1)),
+                 (interval(4), boundary_simplex(2))]:
+        cases.append((A, B, rng.sample(range(1, A.n + 1), A.n),
+                      rng.sample(range(1, B.n + 1), B.n)))
+    isomorphic = []
+    for (A, B, order1, order2), digest in zip(cases, ORDERED_PRODUCT_SHA256):
+        P = product(relabeled(A, _to_positions(order1)),
+                    relabeled(B, _to_positions(order2)))
+        assert hashlib.sha256(repr(P.facets).encode()).hexdigest() == digest
+        assert P.n == A.n * B.n
+        assert f_vector(P).counts == f_vector(product(A, B)).counts
+        assert homology(P) == homology(product(A, B))
+        isomorphic.append(are_isomorphic(P, product(A, B)))
+    # the orders can change the isomorphism type of a staircase product
+    assert isomorphic == [True, False, False]
 
 
 def test_connected_sum_rp3(complexes):

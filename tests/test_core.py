@@ -7,7 +7,7 @@ import pytest
 from mwb.bounds import (arnoux_marin_min, bound_report, cyclic_f,
                         heawood_min_vertices)
 from mwb.census import enumerate_surfaces
-from mwb.constructions import boundary_simplex, interval, product, suspension
+from mwb.constructions import boundary_simplex, interval, suspension
 from mwb.core import (FACE_CAP, ManifoldVerdict, check_face_cap, f_vector,
                       from_facets, is_combinatorial_manifold, is_k_neighborly,
                       is_pseudomanifold, link, process_map, relabeled, star)
@@ -371,9 +371,6 @@ def test_process_map_with_one_worker_is_lazy():
                  id="boundary-matrix-k-out-of-range"),
     pytest.param(lambda C: interval(1), InvalidArgument("k must be >= 2"),
                  id="interval-of-one-vertex"),
-    pytest.param(lambda C: product(C, C, vertex_orders=((1, 2), C.vertices())),
-                 ValueError("vertex_orders must permute each factor's vertices"),
-                 id="product-bad-vertex-order"),
 ])
 def test_input_checks(csaszar, call, expected):
     """Each library check on its arguments, on the 7-vertex torus."""

@@ -85,6 +85,18 @@ def test_canonical_form_idempotent(complexes):
         assert relabeled(complexes[name], canonical_form(complexes[name])[1]) == canon
 
 
+def test_canonical_form_is_the_relabeling_it_returns(complexes):
+    # the search keeps the relabeled complex of its best leaf, source labels
+    # and all, and hands it back as the form
+    rng = SplitMix64(35)
+    for name, C in complexes.items():
+        for D in [C] + [relabeled(C, _random_perm(C.n, rng)) for _ in range(2)]:
+            form, perm = canonical_form(D)
+            again = relabeled(D, perm)
+            assert (form.facets, form.source_labels) == \
+                (again.facets, again.source_labels), name
+
+
 def test_are_isomorphic_random_relabeling(complexes):
     rng = SplitMix64(123)
     C = complexes["S3xS2-a-12"]
