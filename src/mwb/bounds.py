@@ -103,7 +103,7 @@ class Facts:
     pseudomanifold: bool
     orientable: bool | None  # pseudomanifold surfaces only
     hints: TopologyHints
-    manifold: str | None  # the manifold hint, upper case, without spaces
+    manifold: str | None  # the manifold hint, upper case, without whitespace
     projective: tuple | None  # (kind, k, dimension) of an RP^k or CP^k hint
 
     @classmethod
@@ -118,7 +118,9 @@ class Facts:
         orientable = H.free[d] == 1 if d == 2 and pm else None
         manifold = hints.known_manifold
         if manifold is not None:
-            manifold = manifold.replace(" ", "").upper()
+            manifold = "".join(manifold.split()).upper()
+            if not manifold:
+                raise InvalidArgument("manifold hint is empty")
         kind, _, k = (manifold or "").partition("^")
         projective = None
         if kind in ("RP", "CP"):
@@ -298,8 +300,10 @@ def lbt(f: Facts) -> list:
     """Lower bound theorem (Barnette, Kalai) for d-pseudomanifolds; sharp on
     stacked spheres."""
     d, n = f.d, f.n
-    if not (f.pseudomanifold and d >= 2):
+    if not f.pseudomanifold:
         return [_na("lbt", "not a pseudomanifold")]
+    if d < 2:
+        return [_na("lbt", "dimension below 2")]
     rhs = [comb(d + 1, k) * n - comb(d + 2, k + 1) * k for k in range(1, d)]
     rhs.append(d * n - (d - 1) * (d + 2))
     return [_entry(f"lbt-k{k}", f.F[k], r) for k, r in enumerate(rhs, 1)]

@@ -423,17 +423,6 @@ class _StarClosingSearch:
         return alive, roots.union(new)
 
 
-def _is_flag_minimal(facets) -> bool:
-    """The leaf test on a labeled closed surface: is its sorted facet list
-    the least of its labelings from the flags at its vertices of minimum
-    degree?"""
-    search = _StarClosingSearch.holding(facets)
-    search.own = None
-    search.blocks += [search._block([t for t in search.triangles if t[0] == j])
-                      for j in range(1, search.n + 1)]
-    return search._test([], frozenset(), search.n) is not None
-
-
 def _run_root(job):
     return _StarClosingSearch(*job).run()
 

@@ -118,10 +118,10 @@ def cmd_reduce(args):
         target_f0=args.target_f0,
         target_f=(_decimals_arg(args.target_f, "f-vector entry")
                   if args.target_f is not None else None))
-    seeds = _parse_seeds(args.seeds) if args.seeds else [args.seed]
+    seeds = [args.seed] if args.seeds is None else _parse_seeds(args.seeds)
     best, seed, trace, stats = flips.reduce_multi(
         C, seeds, args.budget, schedule, threads=args.threads)
-    if args.seeds:
+    if args.seeds is not None:
         print(f"winning seed {seed}")
     fv = f_vector(best)
     print(f"best f = {fv.counts} after {stats['moves']} moves "
@@ -133,9 +133,7 @@ def cmd_reduce(args):
         with open(args.trace, "w", encoding="ascii") as fh:
             fh.write(tri_io.write_trace(trace))
     targeted = args.target_f0 is not None or args.target_f is not None
-    if targeted and not schedule.reached(fv.counts):
-        return BUDGET
-    return OK
+    return BUDGET if targeted and stats["stop"] != "target" else OK
 
 
 def _facet(text, C):
@@ -274,12 +272,22 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgument(message)
 
 
+class _Decimal(argparse.Action):
+    """An integer option, read by _decimal_arg as it is parsed, so a bad
+    value exits 2 in one line."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest,
+                _decimal_arg(value, self.option_strings[0]))
+
+
 def build_parser():
     p = _Parser(
         prog="mw", description="workbench for small triangulated manifolds")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, infile=True, out=False, fmt=False):
+    def common(sp, run, infile=True, out=False, fmt=False):
+        sp.set_defaults(run=run)
         if infile:
             sp.add_argument("--in", dest="infile",
                             help=".tri file or catalog entry name")
@@ -288,97 +296,81 @@ def build_parser():
         if fmt:
             sp.add_argument("--format", choices=("text", "kv"), default="text")
 
-    common(sub.add_parser("info", help="summary of a complex"))
+    common(sub.add_parser("info", help="summary of a complex"), cmd_info)
     common(sub.add_parser("fvector", help="face counts and Euler characteristic"),
-           fmt=True)
+           cmd_fvector, fmt=True)
     sp = sub.add_parser("homology", help="integral homology or Betti numbers")
-    common(sp)
-    sp.add_argument("--mod", default=0,
+    common(sp, cmd_homology)
+    sp.add_argument("--mod", action=_Decimal, default=0,
                     help="Betti numbers over Z_p instead, for a prime p below "
                          "2**31, derived from the integral homology")
     sp = sub.add_parser("verify", help="pseudomanifold/manifold/catalog checks")
     sp.add_argument("what", choices=("pseudomanifold", "manifold", "catalog"))
-    common(sp)
-    sp.add_argument("--budget", default=10_000,
+    common(sp, cmd_verify)
+    sp.add_argument("--budget", action=_Decimal, default=10_000,
                     help="flip budget per link for manifold verification")
     sp = sub.add_parser("reduce", help="search for a smaller triangulation")
-    common(sp, out=True)
-    sp.add_argument("--seed", default=1)
-    sp.add_argument("--seeds", help="run several seeds, e.g. 1-16 or 3,7,9 "
-                                    f"(at most {MAX_SEEDS}); "
-                                    "the first seed in this order that "
-                                    "reaches the target wins, else the "
-                                    "(objective, seed)-best run")
-    sp.add_argument("--threads", default=1,
+    common(sp, cmd_reduce, out=True)
+    seeds = sp.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", action=_Decimal, default=1)
+    seeds.add_argument("--seeds", help="run several seeds, e.g. 1-16 or 3,7,9 "
+                                       f"(at most {MAX_SEEDS}); "
+                                       "the first seed in this order that "
+                                       "reaches the target wins, else the "
+                                       "(objective, seed)-best run")
+    sp.add_argument("--threads", action=_Decimal, default=1,
                     help="worker processes for multi-seed runs, at most "
                          "one per seed and per CPU; a pool runs every seed "
                          "to its end, where one worker stops at the winner")
-    sp.add_argument("--budget", default=100_000)
+    sp.add_argument("--budget", action=_Decimal, default=100_000)
     sp.add_argument("--trace", help="write the move trace here")
-    sp.add_argument("--target-f0", dest="target_f0")
+    sp.add_argument("--target-f0", dest="target_f0", action=_Decimal)
     sp.add_argument("--target-f", dest="target_f",
                     help="comma-separated f-vector to stop at")
     sp = sub.add_parser("construct", help="builders")
     sp.add_argument("kind", choices=("boundary", "product", "sum", "bundle",
                                      "stack", "join"))
-    common(sp, out=True)
+    common(sp, cmd_construct, out=True)
     sp.add_argument("--in2", dest="infile2", help="second input complex")
-    sp.add_argument("--dim", default=3)
+    sp.add_argument("--dim", action=_Decimal, default=3)
     sp.add_argument("--facet", help="facet of the first summand (sum/stack)")
     sp.add_argument("--facet2", help="facet of the second summand (sum)")
     sp.add_argument("--orientable", action="store_true",
                     help="bundle: build the orientable sibling")
     sp = sub.add_parser("iso", help="isomorphism test")
-    common(sp)
+    common(sp, cmd_iso)
     sp.add_argument("--in2", dest="infile2", required=True)
-    common(sub.add_parser("auto", help="automorphism group"))
+    common(sub.add_parser("auto", help="automorphism group"), cmd_auto)
     sp = sub.add_parser("det", help="incidence determinants")
-    common(sp)
+    common(sp, cmd_det)
     sp.add_argument("--links", action="store_true",
                     help="per-vertex link determinants")
     sp = sub.add_parser("bounds", help="evaluate every applicable bound")
-    common(sp, fmt=True)
+    common(sp, cmd_bounds, fmt=True)
     sp.add_argument("--hint", action="append",
                     help="topology hint, e.g. manifold=RP3 or "
                          "not-simply-connected")
     sp = sub.add_parser("census", help="surface or sphere census")
     sp.add_argument("what", choices=("surfaces", "spheres"))
-    sp.add_argument("--n", required=True)
-    sp.add_argument("--cap")
-    sp.add_argument("--threads", default=1,
+    common(sp, cmd_census, infile=False)
+    sp.add_argument("--n", action=_Decimal, required=True)
+    sp.add_argument("--cap", action=_Decimal)
+    sp.add_argument("--threads", action=_Decimal, default=1,
                     help="worker processes, at most one per root degree "
                          "and per CPU")
     sp = sub.add_parser("realize", help="check straight-line coordinates")
-    common(sp)
+    common(sp, cmd_realize)
     sp.add_argument("--coords", required=True)
     sp = sub.add_parser("replay", help="re-apply a move trace")
-    common(sp, out=True)
+    common(sp, cmd_replay, out=True)
     sp.add_argument("--trace", required=True)
     return p
-
-
-_HANDLERS = {
-    "info": cmd_info, "fvector": cmd_fvector, "homology": cmd_homology,
-    "verify": cmd_verify, "reduce": cmd_reduce, "construct": cmd_construct,
-    "iso": cmd_iso, "auto": cmd_auto, "det": cmd_det, "bounds": cmd_bounds,
-    "census": cmd_census, "realize": cmd_realize, "replay": cmd_replay,
-}
-
-
-# integer options, parsed by _decimal_arg so a bad value exits 2 in one line
-_DECIMAL_OPTIONS = ("seed", "budget", "threads", "target_f0", "dim", "n",
-                    "cap", "mod")
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for name in _DECIMAL_OPTIONS:
-            value = getattr(args, name, None)
-            if isinstance(value, str):  # given on the command line
-                setattr(args, name, _decimal_arg(
-                    value, "--" + name.replace("_", "-")))
-        status = _HANDLERS[args.command](args)
+        status = args.run(args)
         sys.stdout.flush()  # a buffered write to a closed pipe fails here
         return status
     except BrokenPipeError:  # the reader has gone: flush to the null device

@@ -11,7 +11,8 @@ from mwb.bounds import (WALKUP_GAMMA, Facts, TopologyHints, arnoux_marin_min,
                         kuehnel_kalai, kuehnel_triangle, lbt, novik, surface,
                         surface_f_from_n, ubt, walkup)
 from mwb.constructions import boundary_simplex, stack
-from mwb.core import FVector
+from mwb.core import FVector, from_facets
+from mwb.errors import InvalidArgument
 
 
 def _facts(C, hints=TopologyHints(), **changes):
@@ -115,6 +116,18 @@ def test_lbt_rows(complexes):
     f = _facts(boundary_simplex(3), n=5, F=FVector((5, 10, 10, 5), 0))
     e = _rows(lbt, f)["lbt-k3"]
     assert e.satisfied and e.sharp
+
+
+def test_lbt_on_a_1_dimensional_pseudomanifold():
+    # the 3-cycle is a pseudomanifold; the theorem starts in dimension 2
+    e = bound_report(from_facets([(1, 2), (2, 3), (1, 3)])).entry("lbt")
+    assert (e.applicable, e.notes) == (False, "dimension below 2")
+
+
+@pytest.mark.parametrize("name", ["", " "])
+def test_an_empty_manifold_hint_is_refused(name):
+    with pytest.raises(InvalidArgument, match="manifold hint is empty"):
+        bound_report(boundary_simplex(3), TopologyHints(known_manifold=name))
 
 
 def test_lbt_equality_for_stacked_spheres():
@@ -259,7 +272,7 @@ def test_bound_report_serialization(complexes, entries):
 
 @pytest.mark.parametrize("name, table_name", [
     ("s3", "S3"), ("S^3", "S3"), ("rp3", "RP3"), ("RP^3", "RP3"),
-    ("s^2 x s^1", "S2xS1")])
+    ("s^2 x s^1", "S2xS1"), ("\trp 3\n", "RP3")])
 def test_walkup_gamma_ignores_case_and_carets(name, table_name):
     # a miss would hold the complex to "gamma >= 8 for all other 3-manifolds"
     e = bound_report(boundary_simplex(3),

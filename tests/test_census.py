@@ -412,6 +412,17 @@ def _flag_relabelings(facets):
     return out
 
 
+def _is_flag_minimal(facets) -> bool:
+    """The leaf test on a labeled closed surface: is its sorted facet list
+    the least of its labelings from the flags at its vertices of minimum
+    degree?"""
+    search = census._StarClosingSearch.holding(facets)
+    search.own = None
+    search.blocks += [search._block([t for t in search.triangles if t[0] == j])
+                      for j in range(1, search.n + 1)]
+    return search._test([], frozenset(), search.n) is not None
+
+
 def test_leaf_test_accepts_one_flag_labeling_per_class():
     for n in range(4, 9):
         result = enumerate_surfaces(n, representatives=True)
@@ -419,7 +430,7 @@ def test_leaf_test_accepts_one_flag_labeling_per_class():
             for rep in reps:
                 labelings = _flag_relabelings(rep.facets)
                 assert rep.facets in labelings
-                passing = {L for L in labelings if census._is_flag_minimal(L)}
+                passing = {L for L in labelings if _is_flag_minimal(L)}
                 assert passing == {rep.facets}
 
 
@@ -436,7 +447,7 @@ def test_leaf_test_compares_through_empty_blocks():
     assert not [t for t in SPHERE_11_NOT_LEAST if t[0] == 5]
     labelings = _flag_relabelings(SPHERE_11_NOT_LEAST)
     assert SPHERE_11_NOT_LEAST in labelings
-    passing = {L for L in labelings if census._is_flag_minimal(L)}
+    passing = {L for L in labelings if _is_flag_minimal(L)}
     assert len(passing) == 1
     assert SPHERE_11_NOT_LEAST not in passing
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mwb import catalog
+from mwb import catalog, cli
 from mwb import constructions as cons
 from mwb.cli import MAX_SEEDS, _parse_seeds, main
 from mwb.core import FACE_CAP
@@ -287,6 +288,9 @@ def _assert_one_line_input_error(capsys, argv):
 _MALFORMED_OPTIONS = {
     "seeds-not-a-number": ["reduce", "--in", "RP3-11", "--seeds", "x"],
     "seeds-empty-range": ["reduce", "--in", "RP3-11", "--seeds", "3-1"],
+    "seeds-empty": ["reduce", "--in", "RP3-11", "--seeds", ""],
+    "seed-with-seeds": ["reduce", "--in", "RP3-11", "--seed", "3",
+                        "--seeds", "1-2"],
     "reduce-zero-threads": ["reduce", "--in", "RP3-11", "--seeds", "1-2",
                             "--budget", "10", "--threads", "0"],
     "reduce-zero-threads-one-seed": ["reduce", "--in", "RP3-11", "--seed", "1",
@@ -307,6 +311,8 @@ _MALFORMED_OPTIONS = {
                           "--hint", "connectivity=x"],
     "hint-rp": ["bounds", "--in", "RP3-11", "--hint", "manifold=RP^x"],
     "hint-cp": ["bounds", "--in", "RP3-11", "--hint", "manifold=CP^"],
+    "hint-manifold-empty": ["bounds", "--in", "RP3-11", "--hint", "manifold="],
+    "hint-manifold-blank": ["bounds", "--in", "RP3-11", "--hint", "manifold= "],
     "hint-boolean": ["bounds", "--in", "RP3-11", "--hint", "is_sphere=maybe"],
     "census-zero-threads": ["census", "surfaces", "--n", "6", "--threads", "0"],
     "hint-homology-sphere": ["bounds", "--in", "RP3-11",
@@ -342,6 +348,18 @@ _MALFORMED_OPTIONS = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED_OPTIONS))
 def test_malformed_option_exits_2(capsys, case):
     _assert_one_line_input_error(capsys, _MALFORMED_OPTIONS[case])
+
+
+def test_each_command_and_integer_option_is_declared_once():
+    # each subparser binds its handler, and each integer option reads its
+    # value as it is parsed, so no registry beside the parser can miss one
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for name, sp in sub.choices.items():
+        assert callable(sp.get_default("run")), name
+        for a in sp._actions:
+            if type(a.default) is int or a.dest in ("target_f0", "n", "cap"):
+                assert isinstance(a, cli._Decimal), (name, a.dest)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["census", "--help"]])
