@@ -7,15 +7,15 @@ simplex.  The reducer greedily prefers moves that lower the lexicographic
 f-vector, escapes local minima with bounded random "heating" phases, and
 returns to the best complex whenever an excursion fails to improve it (the
 trace records inverse moves, so it stays replayable; the state jumps back).
-Legal moves are kept incrementally on int bitmask faces (see ``_State``).
-Picks draw from the legal moves sorted by remove-face as label tuples, never
-by mask, so every search and walk, and its trace, depends only on (input,
-seed, budget, schedule); ``tri_io`` reads and writes traces.
+Legal moves are kept incrementally on bitmask faces, and a trace shares its
+repeated moves (see ``_State``).  Picks draw from legal moves sorted by
+remove-face labels, never by mask, so every search, walk and trace depends
+only on (input, seed, budget, schedule); ``tri_io`` reads and writes traces.
 
 The undo rule: right after a legal k-move (k, A, B) its inverse (d-k, B, A)
 is legal and restores the complex exactly.  So ``replay`` keeps a stack of
-the inverses of the moves not yet undone and checks only a move that is not
-the inverse on top; it applies every move.
+the inverses of the moves not yet undone, as tuples, and checks only a move
+whose fields differ from the tuple on top; it applies every move.
 """
 from __future__ import annotations
 
@@ -141,6 +141,7 @@ class _State:
         self.d, self.max_label = C.dim, C.n
         self._deltas = _f_deltas(self.d)
         self._split: dict = {}  # mask -> _parts(mask), for any labels
+        self._moves: dict = {}  # (kind, remove, insert) -> its one FlipMove
         self.restore(C.facets)
 
     def restore(self, facets):
@@ -311,11 +312,14 @@ class _State:
             self._retest(kind, self._dirty[kind])
         return pool
 
-    def move(self, kind: int, A: tuple) -> FlipMove:
-        """The legal move of a remove-face taken from ``pool(kind)``."""
-        if kind == 0:
+    def move(self, kind: int, A: tuple, B: tuple | None = None) -> FlipMove:
+        """The move (kind, A, B), by default the legal move of a remove-face
+        A taken from ``pool(kind)``; each distinct move is one object, but
+        for a new 0-move, whose label is always fresh."""
+        if kind == 0 and B is None:
             return FlipMove(0, A, (self.fresh_label(),))
-        return FlipMove(kind, A, self.face(self._spheres[kind][self._mask(A)]))
+        key = kind, A, B or self.face(self._spheres[kind][self._mask(A)])
+        return self._moves.get(key) or self._moves.setdefault(key, FlipMove(*key))
 
     def legal_moves(self, kind: int):
         return [self.move(kind, A) for A in self.pool(kind)]
@@ -398,13 +402,13 @@ def replay(C: Complex, trace) -> Complex:
     after a d-move the labels above the removed vertex shift down by one.
     """
     state = _State(C)
-    undo = []  # the inverses of the moves not yet undone
+    undo = []  # (kind, remove, insert) of the inverses not yet undone
     for m in trace:
-        if undo and m == undo[-1]:  # it undoes a legal move, so is legal
+        if undo and undo[-1] == (m.kind, m.remove, m.insert):  # an undo: legal
             undo.pop()
         else:
             _check_legal(state, m)
-            undo.append(m.inverse(state.d))
+            undo.append((state.d - m.kind, m.insert, m.remove))
         state.apply(m)
     return core.from_facets(state.snapshot())
 
@@ -423,6 +427,8 @@ def random_walk(C: Complex, seed: int, steps: int):
     preserves the PL type, so homology and the pseudomanifold property must
     survive any walk.
     """
+    if steps < 0:
+        raise InvalidArgument(f"steps must be >= 0, got {steps}")
     state = _State(C)
     rng = SplitMix64(seed)
     trace = []
@@ -496,7 +502,8 @@ def reduce(C: Complex, seed: int, budget: int,
                 if since_best and fails % 3 == 0:
                     stats["reverts"] += 1
                     while since_best and len(trace) < budget:
-                        trace.append(since_best.pop().inverse(state.d))
+                        m = since_best.pop()
+                        trace.append(state.move(state.d - m.kind, m.insert, m.remove))
                     state.restore(state.snapshot(best))
                     for m in since_best:
                         state.apply(m)

@@ -9,7 +9,9 @@ parse(write(C)) == C for every complex. A trace has one move per line,
 A reduction trace repeats few distinct lines many times over: heating
 back-and-forths and the inverse moves of reverts.  So each distinct move is
 written, and each distinct line parsed and validated, once, and repeated
-lines share one frozen FlipMove.  Which moves of a trace are checked is
+lines share one frozen FlipMove, as they do in the reducer's own trace.
+``parse_trace`` splits the text one chunk of lines at a time, so it never
+holds a string for every line.  Which moves of a trace are checked is
 decided by ``flips.replay``; see its undo rule.
 """
 from __future__ import annotations
@@ -107,11 +109,25 @@ def write_trace(trace) -> str:
     return "".join(out)
 
 
+_CHUNK = 1 << 16  # characters that ``_lines`` splits at a time, at least
+
+
+def _lines(text: str):
+    """The lines of ``text.splitlines()``, split one chunk at a time.  Each
+    chunk ends just after a line feed or at the end of the text, so it cuts
+    no line and no CR LF, and only one chunk's lines are held at once."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def parse_trace(text: str) -> list:
     """The moves of a trace; a repeated line gives the same FlipMove."""
     moves = []
     seen: dict = {}  # raw line -> its move, each distinct line parsed once
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         m = seen.get(raw)
         if m is None:
             line = raw.strip()

@@ -85,6 +85,12 @@ def test_random_walk_preserves_invariants(csaszar):
     assert f_vector(walked).euler == 0
 
 
+def test_random_walk_refuses_a_negative_step_count(csaszar):
+    with pytest.raises(InvalidArgument, match=r"^steps must be >= 0, got -3$"):
+        random_walk(csaszar, seed=1, steps=-3)
+    assert random_walk(csaszar, seed=1, steps=0) == (csaszar, [])
+
+
 def test_reduce_is_deterministic():
     C = twisted_bundle(3)
     r1 = reduce(C, seed=7, budget=400)
@@ -210,6 +216,31 @@ def test_reduce_trace_survives_a_pickle_round_trip():
     back = pickle.loads(pickle.dumps(trace))
     assert back == trace and all(type(m) is FlipMove for m in back)
     assert replay(C, back) == stats["final"]
+
+
+def _objects(trace):
+    """(entries, distinct moves, distinct objects) of a trace."""
+    return len(trace), len(set(trace)), len({id(m) for m in trace})
+
+
+def test_a_reduction_trace_holds_one_object_per_distinct_move(s2xs2_reduction):
+    # repeated picks, and the inverse moves that reverts record, share one
+    # FlipMove, also across the restore of each revert
+    _, trace, _ = s2xs2_reduction
+    assert _objects(trace) == (18_225, 4_927, 4_927)
+    _, trace, _ = reduce(twisted_bundle(3), seed=1, budget=100_000,
+                         schedule=Schedule(target_f=(9, 36, 54, 27)))
+    assert _objects(trace) == (503, 291, 291)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_reduce_multi_result_pickles_each_distinct_move_once(threads):
+    from mwb.flips import reduce_multi
+    result = reduce_multi(twisted_bundle(3), [1, 2], 100_000,
+                          Schedule(target_f=(9, 36, 54, 27)), threads=threads)
+    back = pickle.loads(pickle.dumps(result))
+    assert back == result and back[1] == 1
+    assert _objects(result[2]) == _objects(back[2]) == (503, 291, 291)
 
 
 def test_reduce_multi_is_deterministic_and_parallelizable():

@@ -1,14 +1,17 @@
 import hashlib
 import sys
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_complexes
+from mwb import tri_io
+from mwb.constructions import boundary_simplex
 from mwb.core import from_facets
 from mwb.errors import ParseError
-from mwb.flips import FlipMove
+from mwb.flips import FlipMove, random_walk
 from mwb.tri_io import (parse, parse_coords, parse_trace, write, write_trace)
 
 
@@ -100,6 +103,40 @@ def test_gate3_trace_round_trip_is_byte_identical(s2xs2_reduction):
     assert moves == trace
     assert len({id(m) for m in moves}) == len(set(text.splitlines())) == 4_927
     assert write_trace(moves) == text
+
+
+def test_a_crlf_trace_past_one_chunk_parses_to_the_same_moves(s2xs2_reduction):
+    _, trace, _ = s2xs2_reduction
+    text = write_trace(trace).replace("\n", "\r\n")
+    assert len(text) > 2 * tri_io._CHUNK
+    assert parse_trace(text) == trace
+
+
+# every line boundary that str.splitlines knows, with "\r\n" drawn as one
+_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+           "\u2028", "\u2029"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(parts=st.lists(st.sampled_from(_BREAKS + ["", "a", " ", "0: 1 -> 2"])),
+       chunk=st.integers(1, 5))
+def test_chunked_lines_equal_splitlines(parts, chunk):
+    text = "".join(parts)
+    with patch.object(tri_io, "_CHUNK", chunk):
+        assert list(tri_io._lines(text)) == text.splitlines()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5])
+def test_small_chunks_parse_a_trace_and_number_its_lines(chunk):
+    _, walk = random_walk(boundary_simplex(2), seed=3, steps=30)
+    text = write_trace(walk)
+    bad = "0: 1 2 3 -> 5\r\n\u2028# c\r1: 1 2 -> 3 x\f0: 1 2 3 -> 5\n1: 1 2 -> 3 x\n"
+    with patch.object(tri_io, "_CHUNK", chunk):
+        assert parse_trace(text.replace("\n", "\r\n")) == walk
+        with pytest.raises(ParseError) as err:
+            parse_trace(text + bad)
+    # the bad line's first occurrence, after the walk and three more lines
+    assert err.value.line == len(walk) + 4
 
 
 @pytest.mark.parametrize("line", [
