@@ -121,10 +121,12 @@ class _State:
     then.  ``_split`` keeps the ``_parts`` of a mask for the life of the
     state, as they name no label.  ``mark`` records ``facets`` with the
     labels for a later ``snapshot``.  The pools hold sorted label tuples, so
-    picks never depend on bits.
+    picks never depend on bits, and ``_listed`` maps each listed mask to its
+    tuple: a face leaves a pool by its mask, with no decode.
 
     At first the state is its facet set, and a move only rewrites it; a
-    checked move scans it (``_star``).  The first ``f()`` or
+    checked move scans it once, and again (``_star``) only to name the
+    clause of an illegal move.  The first ``f()`` or
     ``pool(kind >= 1)`` builds the face index: ``c[s]``, the number of
     facets containing the face s, and ``V[s]``, their OR.  A kind-k move at
     A is legal iff c[A] = k+1 and B = V[A] ^ A has k+1 vertices and is no
@@ -155,7 +157,7 @@ class _State:
         self._free: list = []     # bit indices of vanished vertices
         # per kind, None until read: sorted remove-faces (kind 0: facets)
         self._pools: list = [None] * (self.d + 1)
-        self._listed: list = [None] * (self.d + 1)   # kind -> masks in the pool
+        self._listed: list = [None] * (self.d + 1)   # kind -> {mask: its pool tuple}
         self._spheres: list = [None] * (self.d + 1)  # kind -> {A: B}, link(A) = dB
         self._dirty: list = [None] * (self.d + 1)    # kind -> faces to re-test
         self._wants: dict = {}   # B -> [A : link(A) = dB], B a face or not
@@ -260,11 +262,12 @@ class _State:
 
     def _build(self, kind: int) -> list:
         if not kind:
-            pool = self._pools[0] = sorted(map(self.face, self.facets))
+            listed = self._listed[0] = {F: self.face(F) for F in self.facets}
+            pool = self._pools[0] = sorted(listed.values())
             return pool
         self.f()  # builds the face index
         size = self.d - kind + 1
-        self._spheres[kind], self._listed[kind], self._pools[kind] = {}, set(), []
+        self._spheres[kind], self._listed[kind], self._pools[kind] = {}, {}, []
         self._dirty[kind] = {A for A in self.c if A.bit_count() == size}
         self._indexed.append(kind)
         return self.pool(kind)
@@ -272,7 +275,7 @@ class _State:
     def _retest(self, kind: int, dirty):
         """Re-test faces A of size d-kind+1 in one pass: link(A) = dB iff
         c[A] = kind+1 and B = V[A] ^ A has kind+1 vertices, and A is in the
-        pool iff B is not a face."""
+        pool iff B is not a face.  Only a face that joins is decoded."""
         c, V, wants, face = self.c, self.V, self._wants, self.face
         spheres, listed = self._spheres[kind], self._listed[kind]
         pool, n, joined = self._pools[kind], kind + 1, []
@@ -293,13 +296,11 @@ class _State:
                     wants.setdefault(B, []).append(A)
             if B and B not in c:
                 if A not in listed:
-                    listed.add(A)
-                    joined.append(A)
+                    joined.append(listed.setdefault(A, face(A)))
             elif A in listed:
-                listed.remove(A)
-                del pool[bisect.bisect_left(pool, face(A))]
+                del pool[bisect.bisect_left(pool, listed.pop(A))]
         # in order, so a new pool is built by appends, not by a shift per face
-        for t in sorted(map(face, joined)):
+        for t in sorted(joined):
             bisect.insort(pool, t)
         dirty.clear()
 
@@ -337,12 +338,12 @@ class _State:
         if self.counts is not None:  # the face index is built
             self._update(sum(bits[:r]), sum(bits[r:]))
             self.counts = tuple(map(add, self.counts, self._deltas[m.kind]))
-        facet_pool = self._pools[0]
+        facet_pool, listed = self._pools[0], self._listed[0]
         if facet_pool is not None:
             for F in removed:
-                del facet_pool[bisect.bisect_left(facet_pool, self.face(F))]
+                del facet_pool[bisect.bisect_left(facet_pool, listed.pop(F))]
             for G in added:
-                bisect.insort(facet_pool, self.face(G))
+                bisect.insort(facet_pool, listed.setdefault(G, self.face(G)))
         if m.kind == self.d:  # the removed vertex's bit waits in _free
             self._free.append(self._bit.pop(m.remove[0]).bit_length() - 1)
 
@@ -377,6 +378,13 @@ def _check_legal(state: _State, m: FlipMove):
         return
     # a label that is not a live vertex has no bit: such a set is no face
     a, b = state.mask_of(A), state.mask_of(m.insert)
+    if a and b and not a & b and b.bit_count() == m.kind + 1:
+        # legal iff the facets on A or B are k+1 facets inside A u B, each
+        # on A: then they are A u B less each vertex of B, and none is on B
+        ab = a | b
+        st = [F for F in state.facets if F & a == a or F & b == b]
+        if len(st) == m.kind + 1 and all(F & a == a and F | ab == ab for F in st):
+            return
     n, U = (0, 0) if a is None else state._star(a)
     if not n:
         raise IllegalMove(f"{A} is not a face")
@@ -396,10 +404,11 @@ def replay(C: Complex, trace) -> Complex:
     violated clause at the first illegal move.
 
     By the undo rule (above), an undo is not checked; an undo with its
-    labels in another order is checked.  Every move is applied to the bare
-    facet set, so no face index is built.  Labels are kept exactly as
-    recorded, as the reducer does; the final complex is canonicalized, so
-    after a d-move the labels above the removed vertex shift down by one.
+    labels in another order is checked, a legal one by one scan of the facet
+    set.  Every move is applied to the bare facet set, so no face index is
+    built.  Labels are kept exactly as recorded, as the reducer does; the
+    final complex is canonicalized, so after a d-move the labels above the
+    removed vertex shift down by one.
     """
     state = _State(C)
     undo = []  # (kind, remove, insert) of the inverses not yet undone

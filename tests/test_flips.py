@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -10,9 +11,9 @@ from mwb import flips
 from mwb.constructions import boundary_simplex, twisted_bundle
 from mwb.core import f_vector, from_facets, is_pseudomanifold, link
 from mwb.errors import BudgetZero, IllegalMove, InvalidArgument
-from mwb.flips import (FlipMove, Schedule, SplitMix64, _check_legal, _parts,
-                       _State, apply_move, legal_moves, random_walk, reduce,
-                       replay)
+from mwb.flips import (FlipMove, Schedule, SplitMix64, _check_legal, _face,
+                       _parts, _State, apply_move, legal_moves, random_walk,
+                       reduce, replay)
 from mwb.homology import homology
 from mwb.tri_io import parse_trace, write_trace
 
@@ -417,7 +418,11 @@ def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
     # and B = V[A] ^ A is a k-simplex that is no face.  A face plus a vertex
     # is often no face, in every size from 3 (the link is 3-neighborly) to
     # d+2.  The move checker, on the bare facet set, must accept exactly the moves the index calls legal and name the clause
-    # the index says each other move breaks.
+    # the index says each other move breaks.  Besides B itself, each move is
+    # also claimed with B in reverse label order (legal where B is), with A,
+    # with B sharing a vertex of A, with B less a vertex plus a live vertex w
+    # off A u B, with B plus w, and with B naming a label that is no live
+    # vertex: the one-scan acceptance must leave each of those verdicts alone.
     C, _ = random_walk(_oracle_input(name, complexes), seed=7, steps=80)
     plain, indexed = _State(C), _State(C)
     indexed.f()
@@ -426,30 +431,41 @@ def test_unindexed_state_agrees_with_indexed_on_candidates(name, complexes):
     assert len(c) == sum(f_vector(C).counts) and plain._bit == indexed._bit
     grown = {s | b for s in c for b in indexed._bit.values() if not s & b}
     assert {s.bit_count() for s in grown - c.keys()} >= set(range(3, C.dim + 3))
-    seen = set()
+    fresh, live, seen = indexed.fresh_label(), sorted(indexed._bit), set()
     for A in c.keys() | grown:
         n, U = c.get(A, 0), V.get(A, 0)
         assert plain._star(A) == (n, U)
         B = U ^ A
         a, b = indexed.face(A), indexed.face(B)
+        w = next((v for v in live if v not in a + b), fresh)
+        claims = (b, b[::-1], a, a[:1] + b[1:], b[:-1] + (w,), b + (w,),
+                  b[:-1] + (fresh,))
         for kind in range(1, C.dim + 1):
-            if A.bit_count() != C.dim - kind + 1:
-                clause = "size"
-                want = f"remove-face {a} has wrong size for a {kind}-move"
-            elif not n:
-                clause, want = "no face", f"{a} is not a face"
-            elif n == B.bit_count() == kind + 1 and B not in c:
-                clause, want = "legal", None
-                assert _verdict(plain, FlipMove(kind, a, a)) == (
-                    f"link of {a} is the boundary of {b}, not of {a}")
-            elif B in c:
-                clause, want = "already", f"insert-face {b} is already a face"
-            else:
-                clause = "no sphere"
-                want = f"link of {a} is not the boundary of a simplex"
-            assert _verdict(plain, FlipMove(kind, a, b)) == want, (kind, a, b)
-            seen.add(clause)
-    assert seen == {"size", "no face", "legal", "already", "no sphere"}
+            legal = n == B.bit_count() == kind + 1 and B not in c
+            for i, claim in enumerate(claims):
+                s = indexed.mask_of(claim)
+                if A.bit_count() != C.dim - kind + 1:
+                    clause = "size"
+                    want = f"remove-face {a} has wrong size for a {kind}-move"
+                elif not n:
+                    clause, want = "no face", f"{a} is not a face"
+                elif legal and s == B:
+                    clause, want = "legal", None
+                elif legal:
+                    clause = "other B"
+                    want = f"link of {a} is the boundary of {b}, not of {claim}"
+                elif s in c:
+                    clause = "already"
+                    want = f"insert-face {tuple(sorted(claim))} is already a face"
+                else:
+                    clause = "no sphere"
+                    want = f"link of {a} is not the boundary of a simplex"
+                assert _verdict(plain, FlipMove(kind, a, claim)) == want, (
+                    kind, a, claim)
+                seen.add((clause, i))
+    assert {clause for clause, _ in seen} == {
+        "size", "no face", "legal", "other B", "already", "no sphere"}
+    assert {("legal", 1)} | {("other B", i) for i in range(2, 7)} <= seen
     assert plain.counts is None and not hasattr(plain, "star")
 
 
@@ -526,6 +542,35 @@ def test_memoized_parts_equal_fresh_ones_after_reverts_and_bit_reuse(
             assert parts[-1][0] == 0
             assert all(r == (X ^ s).bit_count()
                        and x == (X ^ s if r == 1 else 0) for s, r, x in parts)
+
+
+def _assert_pools_keep_their_tuples(state):
+    """Each built pool is the sorted tuples of its ``_listed`` map, the very
+    objects, and each is its mask decoded with the labels now."""
+    for kind, listed in enumerate(state._listed):
+        if listed is not None:
+            pool, kept = state._pools[kind], sorted(listed.values())
+            assert pool == kept and all(map(operator.is_, pool, kept)), kind
+            assert all(t == _face(A, state._labels) for A, t in listed.items())
+
+
+def test_pools_keep_their_tuples_across_reused_bits_and_reverts(
+        complexes, monkeypatch):
+    # a face that leaves a pool is found by its mask, not decoded again, so
+    # the tuple kept for it must still be its labels when it leaves, also
+    # after its vertex's bit went to a new vertex or a revert restored
+    apply, reused = _State.apply, []
+
+    def apply_and_check(state, m):
+        reused.append(m.kind == 0 and bool(state._free))
+        apply(state, m)
+        _assert_pools_keep_their_tuples(state)
+
+    monkeypatch.setattr(_State, "apply", apply_and_check)
+    _, walk = random_walk(complexes["RP3-11"], seed=5, steps=60)
+    assert len(reused) == 60 and any(reused)
+    _, _, stats = reduce(twisted_bundle(3), seed=3, budget=300)
+    assert stats["reverts"] > 0
 
 
 @settings(max_examples=12, deadline=None)
